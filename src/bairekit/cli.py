@@ -23,15 +23,10 @@ from .choquet import copy_strategy, cylinder_strategy, extract_schemes, \
 from .grammar import ExprSyntaxError, parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
-from .scheme import Window, dump_scheme, relabel, standard_scheme
-from .suites import SUITES, ConfigError, RunConfig, run_suite
+from .scheme import dump_scheme, relabel, standard_scheme
+from .suites import G_PRESETS, SUITES, ConfigError, RunConfig, \
+    checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
-
-G_BY_NAME = {
-    "identity": lambda n: n,
-    "half": lambda n: n // 2,
-    "swap": lambda n: n ^ 1,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("export", help="dump a preset scheme as JSON")
     exp.add_argument("--scheme", choices=("standard", "lusin-std"),
                      default="standard")
-    exp.add_argument("--g", choices=tuple(G_BY_NAME), default="identity")
+    exp.add_argument("--g", choices=tuple(G_PRESETS), default="identity")
     exp.add_argument("--depth", type=int, default=3)
     exp.add_argument("--breadth", type=int, default=4)
     exp.add_argument("--json", dest="out", default=None)
@@ -89,19 +84,13 @@ def _write_json(data, path: Optional[str], out: TextIO) -> None:
         out.write(text + "\n")
 
 
-def _load_space(token: str) -> SpaceModel:
-    if token == "baire":
-        return BAIRE
-    try:
-        with open(token, "r", encoding="utf-8") as fh:
-            return FiniteSpaceModel.from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load space {token!r}: {exc}") from exc
-
-
-def _window(depth: int, breadth: int) -> Window:
-    cfg = RunConfig(suite="cylinders-oracle", depth=depth, breadth=breadth)
-    return cfg.window(depth, breadth)
+def _space_and_strategy(args) -> tuple[SpaceModel, str]:
+    space = BAIRE if args.space == "baire" else load_space_file(args.space)
+    strategy_name = args.strategy or \
+        ("cylinder" if space is BAIRE else "copy")
+    if strategy_name == "cylinder" and space is not BAIRE:
+        raise ConfigError("the cylinder strategy plays on the Baire model")
+    return space, strategy_name
 
 
 def cmd_verify(args, out: TextIO) -> int:
@@ -125,7 +114,7 @@ def cmd_build_lusin(args, out: TextIO) -> int:
                 base = base_from_lines(fh.read())
         except (OSError, ExprSyntaxError) as exc:
             raise ConfigError(f"cannot load base {args.base!r}: {exc}") from exc
-    window = _window(args.depth, args.breadth)
+    window = checked_window(args.depth, args.breadth)
     scheme = build_lusin(base)
     report = check_lusin_conditions(scheme, base, window)
     payload = dump_scheme(scheme, window)
@@ -136,14 +125,10 @@ def cmd_build_lusin(args, out: TextIO) -> int:
 
 
 def cmd_extract(args, out: TextIO) -> int:
-    space = _load_space(args.space)
-    strategy_name = args.strategy or \
-        ("cylinder" if space is BAIRE else "copy")
-    if strategy_name == "cylinder" and space is not BAIRE:
-        raise ConfigError("the cylinder strategy plays on the Baire model")
+    space, strategy_name = _space_and_strategy(args)
     strategy = cylinder_strategy() if strategy_name == "cylinder" \
         else copy_strategy()
-    window = _window(args.depth, args.breadth)
+    window = checked_window(args.depth, args.breadth)
     moves, replies = extract_schemes(space, strategy)
     payload = {"moves": dump_scheme(moves, window),
                "replies": dump_scheme(replies, window),
@@ -156,8 +141,8 @@ def cmd_export(args, out: TextIO) -> int:
     scheme = standard_scheme() if args.scheme == "standard" \
         else build_lusin(standard_base())
     if args.g != "identity":
-        scheme = relabel(scheme, G_BY_NAME[args.g])
-    window = _window(args.depth, args.breadth)
+        scheme = relabel(scheme, G_PRESETS[args.g])
+    window = checked_window(args.depth, args.breadth)
     _write_json(dump_scheme(scheme, window), args.out, out)
     return 0
 
@@ -242,11 +227,7 @@ def play_repl(space: SpaceModel, strategy_name: str,
 
 
 def cmd_play(args, stdin: TextIO, stdout: TextIO) -> int:
-    space = _load_space(args.space)
-    strategy_name = args.strategy or \
-        ("cylinder" if space is BAIRE else "copy")
-    if strategy_name == "cylinder" and space is not BAIRE:
-        raise ConfigError("the cylinder strategy plays on the Baire model")
+    space, strategy_name = _space_and_strategy(args)
     return play_repl(space, strategy_name, stdin, stdout)
 
 

@@ -2,14 +2,20 @@
 
 An expression is a finite boolean combination of atoms ``S(a)``, where the
 atom denotes the set of branches extending the finite sequence ``a``.
-Whether a branch satisfies an expression depends only on which mentioned
-sequences are prefixes of the branch.  The prefixes of a single branch are
-linearly ordered, so the realizable membership types are exactly the
-chains ``{m in mentions : m prefix of c}`` for ``c`` ranging over the
-mentions and the empty sequence: because the alphabet is infinite, each
-such chain is realized by extending its top with a value that no mention
-uses at that position.  Enumerating these finitely many chains decides
-emptiness exactly, and inclusion and equality reduce to emptiness.
+Every such set is the symmetric difference of the cylinders of a unique
+finite set ``F`` of sequences, its ring normal form: a branch lies in the
+set exactly when an odd number of its prefixes lie in ``F``.  The form is
+unique because two different forms ``F`` and ``F'`` differ on a branch:
+take a shortest ``g`` in ``F Δ F'`` and extend it by a value that no
+member uses at that position; that branch has exactly one prefix in
+``F Δ F'``.  Emptiness is ``F == ∅``, equality is ``F == F'``, and every
+membership question counts prefixes in ``F``.
+
+``F`` only holds mentioned sequences (and the empty one).  Witnesses and
+antichains still take their candidate order and fresh values from all
+mentions, including those that cancel out of ``F``: ``S(0) | S(0,0)`` has
+the normal form ``{(0,)}`` and the witness ``(0, 1)``, not ``(0, 0)``.
+Reports record these outputs, so this rule is part of the report format.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import lru_cache
 from itertools import count, product
 from typing import Callable, Iterator, Optional
 
-from .seq import BranchRule, Seq, is_prefix
+from .seq import BranchRule, Seq
 
 
 class EmptySetError(ValueError):
@@ -100,35 +106,44 @@ def mentions(e: Expr) -> frozenset[Seq]:
     raise TypeError(f"not a cylinder expression: {e!r}")
 
 
-def _satisfies(e: Expr, chain: frozenset[Seq]) -> bool:
+def normal_form(e: Expr) -> frozenset[Seq]:
+    """The unique finite set of sequences whose cylinders XOR to ``e``."""
     match e:
         case Atom(a):
-            return a in chain
+            return frozenset((a,))
         case Union(l, r):
-            return _satisfies(l, chain) or _satisfies(r, chain)
+            f, g = normal_form(l), normal_form(r)
+            return f ^ g ^ _meet(f, g)
         case Inter(l, r):
-            return _satisfies(l, chain) and _satisfies(r, chain)
+            return _meet(normal_form(l), normal_form(r))
         case Diff(l, r):
-            return _satisfies(l, chain) and not _satisfies(r, chain)
+            f = normal_form(l)
+            return f ^ _meet(f, normal_form(r))
         case _FullExpr():
-            return True
+            return frozenset(((),))
         case _EmptyExpr():
-            return False
+            return frozenset()
     raise TypeError(f"not a cylinder expression: {e!r}")
 
 
-def _chain_below(ms: frozenset[Seq], c: Seq) -> frozenset[Seq]:
-    return frozenset(m for m in ms if is_prefix(m, c))
+def _meet(f: frozenset[Seq], g: frozenset[Seq]) -> frozenset[Seq]:
+    # XOR of the pairwise meets; comparable stems meet in the longer one
+    out: set[Seq] = set()
+    for s in f:
+        for t in g:
+            short, long = (s, t) if len(s) <= len(t) else (t, s)
+            if long[: len(short)] == short:
+                out ^= {long}
+    return frozenset(out)
 
 
-def _candidates(ms: frozenset[Seq]) -> list[Seq]:
-    # the empty sequence first, then mentions in (length, lex) order
-    return [()] + sorted(ms, key=lambda s: (len(s), s))
+def _odd_below(f: frozenset[Seq], c: Seq) -> bool:
+    """Whether an odd number of members of ``f`` are prefixes of ``c``."""
+    return sum(c[: len(s)] == s for s in f) % 2 == 1
 
 
 def is_empty(e: Expr) -> bool:
-    ms = mentions(e)
-    return not any(_satisfies(e, _chain_below(ms, c)) for c in _candidates(ms))
+    return not normal_form(e)
 
 
 def subset(e1: Expr, e2: Expr) -> bool:
@@ -136,7 +151,7 @@ def subset(e1: Expr, e2: Expr) -> bool:
 
 
 def equal(e1: Expr, e2: Expr) -> bool:
-    return subset(e1, e2) and subset(e2, e1)
+    return normal_form(e1) == normal_form(e2)
 
 
 def intersects(e1: Expr, e2: Expr) -> bool:
@@ -145,26 +160,32 @@ def intersects(e1: Expr, e2: Expr) -> bool:
 
 def contains_branch(e: Expr, p: BranchRule) -> bool:
     """Exact membership; reads ``p`` only up to the longest mention."""
-    match e:
-        case Atom(a):
-            return is_prefix(a, p)
-        case Union(l, r):
-            return contains_branch(l, p) or contains_branch(r, p)
-        case Inter(l, r):
-            return contains_branch(l, p) and contains_branch(r, p)
-        case Diff(l, r):
-            return contains_branch(l, p) and not contains_branch(r, p)
-        case _FullExpr():
-            return True
-        case _EmptyExpr():
-            return False
-    raise TypeError(f"not a cylinder expression: {e!r}")
+    f = normal_form(e)
+    return _odd_below(f, p.prefix(max(map(len, f), default=0)))
 
 
-def fresh_value(ms: frozenset[Seq], position: int) -> int:
-    """Smallest natural not used at ``position`` by any mention long enough."""
+def enclosing_stem(e: Expr) -> Optional[Seq]:
+    """The longest ``c`` with ``e`` inside ``S(c)``, or None if ``e`` is empty.
+
+    It is the longest common prefix of the normal form: every branch of
+    ``e`` extends a member, and ``e`` inside ``S(c)`` makes every member
+    extend ``c``, because ``e`` and its meet with ``S(c)`` share one form.
+    """
+    f = normal_form(e)
+    if not f:
+        return None
+    lo, hi = min(f), max(f)
+    n = 0
+    while n < min(len(lo), len(hi)) and lo[n] == hi[n]:
+        n += 1
+    return lo[:n]
+
+
+def fresh_value(ms: frozenset[Seq], position: int, start: int = 0) -> int:
+    """Smallest natural from ``start`` on that no mention long enough uses
+    at ``position``."""
     used = {m[position] for m in ms if len(m) > position}
-    v = 0
+    v = start
     while v in used:
         v += 1
     return v
@@ -173,17 +194,19 @@ def fresh_value(ms: frozenset[Seq], position: int) -> int:
 def witness_cylinder(e: Expr) -> Optional[Seq]:
     """A sequence ``w`` with cylinder ``S(w)`` inside ``e``, or None if empty.
 
-    Canonical rule: take the first satisfying chain (candidates in
-    (length, lex) order, empty chain first) and always extend its top by
-    the smallest fresh value at that position.  Branches through the
-    result all share the satisfying membership type, which makes the
-    inclusion exact.
+    Canonical rule: take the first candidate ``c`` (the empty sequence,
+    then the mentions in (length, lex) order) with an odd number of
+    normal-form prefixes and extend it by the smallest fresh value at that
+    position.  No member of the form extends the result, so every branch
+    through it has the same prefixes in the form as ``c``.
     """
+    f = normal_form(e)
+    if not f:
+        return None
     ms = mentions(e)
-    for c in _candidates(ms):
-        if _satisfies(e, _chain_below(ms, c)):
-            return c + (fresh_value(ms, len(c)),)
-    return None
+    candidates = [()] + sorted(ms, key=lambda s: (len(s), s))
+    c = next(c for c in candidates if _odd_below(f, c))
+    return c + (fresh_value(ms, len(c)),)
 
 
 def strict_witness(e: Expr) -> Optional[Seq]:
@@ -379,9 +402,4 @@ def nd_witness(u: Expr, tree: NdTree) -> Seq:
     w = witness_cylinder(u)
     if w is None:
         raise EmptySetError("cannot avoid a tree inside the empty set")
-    ms = mentions(u)
-    used = {m[len(w)] for m in ms if len(m) > len(w)}
-    v = tree.branching
-    while v in used:
-        v += 1
-    return w + (v,)
+    return w + (fresh_value(mentions(u), len(w), tree.branching),)

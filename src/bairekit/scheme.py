@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional
 
-from .cylinder import Atom, mentions
+from .cylinder import Atom, enclosing_stem
 from .seq import BranchRule, Seq, restrict, seq_at, seq_to_text
 from .spaces import BAIRE, BaireSpaceModel, SpaceModel
 
@@ -202,19 +202,10 @@ def strict_branch_probe(scheme: Scheme, p: BranchRule, n: int) -> BranchProbe:
     """
     if not isinstance(scheme.space, BaireSpaceModel):
         raise TypeError("strict-branch probing is defined over the Baire model")
-    from . import cylinder as cy
-    fruit = fruit_prefix(scheme, p, n)
-    if cy.is_empty(fruit):
+    stem = enclosing_stem(fruit_prefix(scheme, p, n))
+    if stem is None:
         return BranchProbe(False, 0)
-    c: Seq = ()
-    ms = mentions(fruit)
-    while True:
-        pos = len(c)
-        values = sorted({m[pos] for m in ms if len(m) > pos and m[:pos] == c})
-        ext = next((v for v in values if cy.subset(fruit, Atom(c + (v,)))), None)
-        if ext is None:
-            return BranchProbe(True, len(c))
-        c += (ext,)
+    return BranchProbe(True, len(stem))
 
 
 class EmptyTargetError(ValueError):

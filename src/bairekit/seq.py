@@ -8,9 +8,8 @@ for them, only prefix comparison to a caller-supplied depth.
 
 from __future__ import annotations
 
-from itertools import count
 from math import isqrt
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 Seq = tuple[int, ...]
 
@@ -133,10 +132,6 @@ def seq_index(s: Seq) -> int:
     for v in s:
         i = pair(i, v) + 1
     return i
-
-
-def all_seqs() -> Iterator[Seq]:
-    return (seq_at(n) for n in count())
 
 
 def tuple_at(n: int, length: int) -> Seq:

@@ -7,6 +7,7 @@ records no hard violation and no precondition breach.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -49,16 +50,31 @@ class RunConfig:
     space_path: Optional[str] = None
 
     def window(self, default_depth: int, default_breadth: int) -> Window:
-        d = self.depth if self.depth is not None else default_depth
-        m = self.breadth if self.breadth is not None else default_breadth
-        if not 0 <= d <= MAX_DEPTH:
-            raise ConfigError(f"depth {d} out of range 0..{MAX_DEPTH}")
-        if not 1 <= m <= MAX_BREADTH:
-            raise ConfigError(f"breadth {m} out of range 1..{MAX_BREADTH}")
-        w = Window(d, m)
-        if w.node_count() > MAX_WINDOW_NODES:
-            raise ConfigError(f"window {w} has too many nodes")
-        return w
+        return checked_window(
+            self.depth if self.depth is not None else default_depth,
+            self.breadth if self.breadth is not None else default_breadth)
+
+
+def checked_window(depth: int, breadth: int) -> Window:
+    """The window ``depth``/``breadth``; a ConfigError if a guard rejects it."""
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ConfigError(f"depth {depth} out of range 0..{MAX_DEPTH}")
+    if not 1 <= breadth <= MAX_BREADTH:
+        raise ConfigError(f"breadth {breadth} out of range 1..{MAX_BREADTH}")
+    w = Window(depth, breadth)
+    if w.node_count() > MAX_WINDOW_NODES:
+        raise ConfigError(f"window {w} has too many nodes")
+    return w
+
+
+def load_space_file(path: str) -> FiniteSpaceModel:
+    """The finite space described by a JSON file; a ConfigError if the file
+    cannot be read or does not describe a space."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return FiniteSpaceModel.from_json(json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot load space {path!r}: {exc}") from exc
 
 
 # -- random generators --------------------------------------------------------
@@ -316,7 +332,7 @@ def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
 
     reports = [rep, _exhaustive_modified_report()]
     if cfg.space_path:
-        extra = FiniteSpaceModel.from_json(_load_json(cfg.space_path))
+        extra = load_space_file(cfg.space_path)
         reports.append(_modified_wins_report(extra, "custom-space"))
     return reports
 
@@ -415,7 +431,7 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     space_models = [FiniteSpaceModel(range(n), masks)
                     for n in range(1, 5) for masks in all_topologies(n)]
     if cfg.space_path:
-        space_models.append(FiniteSpaceModel.from_json(_load_json(cfg.space_path)))
+        space_models.append(load_space_file(cfg.space_path))
     branches = [t for ln in range(3) for t in product(range(3), repeat=ln)]
     for space in space_models:
         spaces += 1
@@ -506,8 +522,7 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
     stems = [t for ln in range(3) for t in product(range(3), repeat=ln)]
     maps = checked = bad = 0
     for n_points in range(1, 5):
-        subsets = [frozenset(p for p in range(n_points) if mask >> p & 1)
-                   for mask in range(1 << n_points)]
+        subsets = _subsets(range(n_points))
         for depth in (1, 2):
             for alphabet in ((0,), (0, 1)):
                 for pm in _all_prefix_maps(n_points, depth, alphabet):
@@ -530,8 +545,7 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
     probe = Report("pi-space-probe")
     missing = 0
     for name, pm in preset_maps().items():
-        subsets = [frozenset(s) for s in _all_subsets(pm.points)]
-        for u in subsets:
+        for u in _subsets(pm.points):
             for a in stems:
                 basic = SigmaBasic(u, a)
                 if basic_is_empty(pm, basic):
@@ -546,12 +560,10 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
     return [rep, probe]
 
 
-def _all_subsets(points):
-    out = []
-    pts = list(points)
-    for mask in range(1 << len(pts)):
-        out.append([p for i, p in enumerate(pts) if mask >> i & 1])
-    return out
+def _subsets(points) -> list[frozenset]:
+    pts = tuple(points)
+    return [frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+            for mask in range(1 << len(pts))]
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -564,15 +576,6 @@ _SUITE_FNS = {
     "choquet-extract": suite_choquet_extract,
     "selectors": suite_selectors,
 }
-
-
-def _load_json(path: str):
-    import json
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read space file {path}: {exc}") from exc
 
 
 def run_suite(cfg: RunConfig) -> dict:

@@ -51,6 +51,25 @@ def test_verify_unreadable_space_file(tmp_path):
     assert code == 2 and "configuration error" in out
 
 
+@pytest.mark.parametrize("opens", [[[], [7], [0, 1]], [[], [[1]], [0, 1]]],
+                         ids=["unknown-point", "nested-list"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "choquet-finite"],
+    ["verify", "--suite", "choquet-extract", "--depth", "1", "--breadth", "1"],
+    ["extract"],
+], ids=["choquet-finite", "choquet-extract", "extract"])
+def test_malformed_space_file_is_configuration_error(tmp_path, opens, argv):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"points": [0, 1], "opens": opens}))
+    code, out = run_cli(argv + ["--space", str(space_file)])
+    assert code == 2 and "configuration error" in out
+
+
+def test_build_lusin_window_guard():
+    code, out = run_cli(["build-lusin", "--depth", "20"])
+    assert code == 2 and "configuration error" in out
+
+
 def test_build_lusin_dump(tmp_path):
     out_path = tmp_path / "scheme.json"
     code, out = run_cli(["build-lusin", "--base", "std", "--depth", "2",

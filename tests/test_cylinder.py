@@ -1,4 +1,5 @@
 from itertools import product
+from os.path import commonprefix
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from conftest import exprs
 from bairekit.cylinder import (Atom, EMPTY, EmptySetError, FULL, NdTree,
                                Union, WindowError, contains_branch, cyl,
-                               equal, is_empty, minimal_antichain, nd_witness,
+                               enclosing_stem, equal, is_empty,
+                               minimal_antichain, nd_witness, normal_form,
                                strict_witness, subset, trace_window,
                                witness_cylinder)
 from bairekit.seq import BranchRule, is_prefix
@@ -52,6 +54,13 @@ def test_witness_examples():
     assert witness_cylinder(EMPTY) is None
     assert witness_cylinder(FULL - cyl(0)) == (1,)
     assert witness_cylinder(cyl(2)) == (2, 0)
+
+
+def test_witness_keeps_cancelled_mentions():
+    # S(0,0) cancels out of the normal form {(0,)}, yet the fresh value
+    # at position 1 still avoids its 0
+    assert normal_form(cyl(0) | cyl(0, 0)) == {(0,)}
+    assert witness_cylinder(cyl(0) | cyl(0, 0)) == (0, 1)
 
 
 def test_strict_witness_examples():
@@ -106,6 +115,34 @@ def test_membership_matches_window_oracle(e):
         assert contains_branch(e, BranchRule.periodic(w)) == (w in window)
 
 
+@given(exprs, exprs)
+@settings(max_examples=300)
+def test_equality_matches_window_oracle(e1, e2):
+    assert equal(e1, e2) == (trace_window(e1, 3, 3) == trace_window(e2, 3, 3))
+    assert equal(e1, (e1 - e2) | (e1 & e2))
+
+
+def test_normal_form_examples():
+    assert normal_form(FULL) == {()}
+    assert normal_form(EMPTY) == frozenset()
+    assert normal_form(cyl(0) | cyl(1)) == {(0,), (1,)}
+    assert normal_form(cyl(0) | cyl(0, 1)) == {(0,)}
+    assert normal_form(FULL - cyl(0, 2)) == {(), (0, 2)}
+    assert normal_form(cyl(0) & (cyl(0, 1) | cyl(1))) == {(0, 1)}
+
+
+@given(exprs)
+@settings(max_examples=150)
+def test_enclosing_stem_is_the_common_prefix_of_the_window(e):
+    window = trace_window(e, 3, 3)
+    stem = enclosing_stem(e)
+    if not window:
+        assert stem is None
+        return
+    assert stem == commonprefix(sorted(window))
+    assert subset(e, Atom(stem))
+
+
 # -- boolean laws --------------------------------------------------------------
 
 @given(exprs, exprs)
@@ -131,6 +168,13 @@ def test_antichain_examples():
     assert chain.concrete == ()
     assert [(f.stem, set(f.excluded)) for f in chain.families] == \
         [((), {0}), ((0,), {2})]
+
+
+def test_antichain_family_keeps_cancelled_mentions():
+    # S(0,2) cancels out of the normal form but still excludes 2 from the family
+    chain = minimal_antichain(cyl(0) - cyl(0, 1) | (cyl(0, 2) - cyl(0, 2)))
+    assert chain.concrete == ((0, 2),)
+    assert [(f.stem, f.excluded) for f in chain.families] == [((0,), {1, 2})]
 
 
 def test_antichain_requires_nonempty():
