@@ -183,33 +183,31 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     history.  Along every branch the recorded pairs form a legal run; the
     caller is responsible for the claim that the base strategy wins."""
     modified = modify_strategy(strategy)
-    pairs: dict[Seq, tuple] = {}
+    runs: dict[Seq, History] = {}
     enums: dict[Seq, LazySeq] = {}
 
-    def pair_at(a: Seq):
-        got = pairs.get(a)
-        if got is not None:
-            return got
+    def run_to(a: Seq) -> History:
+        """The recorded pairs from the root to node ``a``, ``a`` included."""
+        if a in runs:
+            return runs[a]
         if not a:
-            u = space.whole()
-            v = modified(space, (), u)
+            history, u = (), space.whole()
         else:
             parent = a[:-1]
-            _pu, pv = pair_at(parent)
+            history = run_to(parent)
             enum = enums.get(parent)
             if enum is None:
-                enum = enums.setdefault(parent, space.pi_base_enum(pv))
+                enum = enums[parent] = space.pi_base_enum(history[-1][1])
             u = enum[a[-1]]
-            history = tuple(pair_at(parent[: j]) for j in range(len(parent) + 1))
-            v = modified(space, history, u)
+        v = modified(space, history, u)
         if space.is_empty(v) or not space.subset(v, u):
             raise ExtractionError(f"illegal reply at node {a}: "
                                   f"{space.describe(v)} against {space.describe(u)}")
-        pairs[a] = (u, v)
-        return pairs[a]
+        runs[a] = history + ((u, v),)
+        return runs[a]
 
-    moves = Scheme(space, lambda a: pair_at(a)[0], label="extracted-moves")
-    replies = Scheme(space, lambda a: pair_at(a)[1], label="extracted-replies")
+    moves = Scheme(space, lambda a: run_to(a)[-1][0], label="extracted-moves")
+    replies = Scheme(space, lambda a: run_to(a)[-1][1], label="extracted-replies")
     return moves, replies
 
 

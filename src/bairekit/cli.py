@@ -194,10 +194,13 @@ def play_repl(space: SpaceModel, strategy_name: str,
             if len(parts) != 2:
                 stdout.write("usage: :dump FILE\n")
                 continue
-            with open(parts[1], "w", encoding="utf-8") as fh:
-                json.dump(transcript_json(space, history), fh, indent=2,
-                          sort_keys=True)
-            stdout.write(f"transcript written to {parts[1]}\n")
+            try:
+                with open(parts[1], "w", encoding="utf-8") as fh:
+                    json.dump(transcript_json(space, history), fh, indent=2,
+                              sort_keys=True)
+                stdout.write(f"transcript written to {parts[1]}\n")
+            except OSError as exc:
+                stdout.write(f"cannot write transcript: {exc}\n")
             continue
         try:
             move = _parse_finite_move(space, line) if finite \

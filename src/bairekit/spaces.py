@@ -12,13 +12,16 @@ as opens and delegates to the exact cylinder decision procedures.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, cycle
 from typing import Any, Iterable, Iterator
 
 from . import cylinder
 from .cylinder import Atom, Expr, Inter, Union as ExprUnion, minimal_antichain
 from .grammar import expr_from_json, expr_to_text, parse_expr
 from .seq import BranchRule, seq_at, unpair
+
+# FiniteSpaceModel checks every pair of opens, so it rejects larger families
+MAX_OPENS = 2048
 
 
 class LazySeq:
@@ -101,6 +104,8 @@ class FiniteSpaceModel(SpaceModel):
         masks = set()
         for o in opens:
             masks.add(o if isinstance(o, int) else self.mask_of(o))
+        if len(masks) > MAX_OPENS:
+            raise ValueError(f"finite model supports at most {MAX_OPENS} opens")
         self.opens: frozenset[int] = frozenset(masks)
         self._full = (1 << len(self.points)) - 1
         self._validate()
@@ -108,12 +113,18 @@ class FiniteSpaceModel(SpaceModel):
     def _validate(self) -> None:
         if 0 not in self.opens or self._full not in self.opens:
             raise ValueError("opens must contain the empty set and the whole set")
-        for a in self.opens:
+        ordered = sorted(self.opens)
+        inside: dict[int, list[int]] = {a: [] for a in ordered}
+        for i, a in enumerate(ordered):
             if a & ~self._full:
                 raise ValueError(f"open {a:b} mentions unknown points")
-            for b in self.opens:
+            # b >= a suffices and fills each sub-open table in ascending order
+            for b in ordered[i:]:
                 if a | b not in self.opens or a & b not in self.opens:
                     raise ValueError("opens not closed under union/intersection")
+                if a and a & ~b == 0:
+                    inside[b].append(a)
+        self._inside = {a: tuple(sub) for a, sub in inside.items()}
 
     def mask_of(self, pts: Iterable[int]) -> int:
         m = 0
@@ -150,20 +161,14 @@ class FiniteSpaceModel(SpaceModel):
     def contains(self, o: int, x: int) -> bool:
         return bool(o >> self._index[x] & 1)
 
-    def nonempty_opens_inside(self, o: int) -> list[int]:
-        return sorted(m for m in self.opens if m and m & ~o == 0)
+    def nonempty_opens_inside(self, o: int) -> tuple[int, ...]:
+        return self._inside[o]
 
     def pi_base_enum(self, o: int) -> LazySeq:
         if o == 0:
             raise ValueError("no pi-base of the empty set")
-        tail = [m for m in self.nonempty_opens_inside(o) if m != o]
-        cycle = [o] + tail
-
-        def gen() -> Iterator[int]:
-            while True:
-                yield from cycle
-
-        return LazySeq(gen())
+        # o is the largest submask of itself, so it ends the ascending table
+        return LazySeq(cycle((o,) + self.nonempty_opens_inside(o)[:-1]))
 
     def describe(self, o: int) -> str:
         return "{" + ",".join(str(p) for p in self.points_of(o)) + "}"

@@ -460,11 +460,10 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
 def _children_form_pi_base(space: FiniteSpaceModel, replies: Scheme,
                            window: Window) -> bool:
     for a in window.nodes():
-        va = replies.node(a)
-        budget = len(space.nonempty_opens_inside(va)) + 1
-        for u in space.nonempty_opens_inside(va):
+        inside = space.nonempty_opens_inside(replies.node(a))
+        for u in inside:
             if not any(space.subset(replies.child(a, m), u)
-                       for m in range(budget)):
+                       for m in range(len(inside) + 1)):
                 return False
     return True
 

@@ -9,7 +9,7 @@ from bairekit.choquet import (ExtractionError, IllegalMoveError, copy_strategy,
                               validate_history)
 from bairekit.cylinder import Atom, FULL, cyl, subset
 from bairekit.scheme import UNRESOLVED, Window, check_covers
-from bairekit.spaces import BAIRE, FiniteSpaceModel
+from bairekit.spaces import BAIRE, FiniteSpaceModel, all_topologies
 
 
 def chain_space():
@@ -217,3 +217,62 @@ def test_extract_baire_replay():
         assert node is FULL or (isinstance(node, Atom)
                                 and len(node.entries) >= k)
     assert replay_branch(BAIRE, cylinder_strategy(), moves, replies, branch)
+
+
+def _reference_extraction(space, strategy, window):
+    """Replies and moves of every window node, each history rebuilt from
+    the root: the extraction's definition, without its memo."""
+    modified = modify_strategy(strategy)
+
+    def history_of(a):
+        history = ()
+        for k in range(len(a) + 1):
+            if k == 0:
+                u = space.whole()
+            else:
+                u = space.pi_base_enum(history[-1][1])[a[k - 1]]
+            history += ((u, modified(space, history, u)),)
+        return history
+
+    return {a: history_of(a)[-1] for a in window.nodes()}
+
+
+def test_extract_matches_reference_on_all_three_point_topologies():
+    window = Window(3, 4)
+    for masks in all_topologies(3):
+        sp = FiniteSpaceModel(range(3), masks)
+        moves, replies = extract_schemes(sp, copy_strategy())
+        expected = _reference_extraction(sp, copy_strategy(), window)
+        for a in window.nodes():
+            assert (moves.node(a), replies.node(a)) == expected[a], (masks, a)
+
+
+class _CountingSpace(FiniteSpaceModel):
+    enums = 0
+
+    def pi_base_enum(self, o):
+        self.enums += 1
+        return super().pi_base_enum(o)
+
+
+def test_extract_count_budget():
+    """One pi-base enumeration per parent node and a fixed number of base
+    strategy calls: a lost memo fails here on any machine."""
+    chain = chain_space()
+    sp = _CountingSpace(chain.points, chain.opens)
+    base_calls = 0
+    base = copy_strategy()
+
+    def counting(space, history, u):
+        nonlocal base_calls
+        base_calls += 1
+        return base(space, history, u)
+
+    window = Window(3, 4)
+    _moves, replies = extract_schemes(sp, counting)
+    for a in window.nodes():
+        replies.node(a)
+    parents = Window(window.depth - 1, window.breadth).node_count()
+    assert sp.enums == parents
+    # recorded when the extraction rebuilt each history from the root
+    assert base_calls == 24

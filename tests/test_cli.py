@@ -65,6 +65,22 @@ def test_malformed_space_file_is_configuration_error(tmp_path, opens, argv):
     assert code == 2 and "configuration error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "choquet-finite"],
+    ["verify", "--suite", "choquet-extract", "--depth", "1", "--breadth", "1"],
+    ["extract"],
+], ids=["choquet-finite", "choquet-extract", "extract"])
+def test_space_file_with_too_many_opens_is_configuration_error(tmp_path,
+                                                                argv):
+    opens = [[p for p in range(12) if m >> p & 1] for m in range(2049)]
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"points": list(range(12)),
+                                      "opens": opens}))
+    code, out = run_cli(argv + ["--space", str(space_file)])
+    assert code == 2 and "configuration error" in out
+    assert "at most 2048 opens" in out
+
+
 def test_build_lusin_window_guard():
     code, out = run_cli(["build-lusin", "--depth", "20"])
     assert code == 2 and "configuration error" in out
@@ -149,6 +165,15 @@ def test_play_finite_game(tmp_path):
     transcript = json.loads(dump.read_text())
     assert transcript == [{"player": "I", "set": [1]},
                           {"player": "II", "set": [1]}]
+
+
+def test_play_dump_to_missing_directory_keeps_the_game(tmp_path):
+    dump = tmp_path / "missing" / "transcript.json"
+    script = f":dump {dump}\nS(0)\n:quit\n"
+    code, out = run_cli(["play", "--space", "baire"], script)
+    assert code == 0
+    assert "cannot write transcript:" in out
+    assert "II[0]>" in out and "game over after 1 rounds" in out
 
 
 def test_play_baire_game():

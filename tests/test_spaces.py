@@ -42,6 +42,20 @@ def test_finite_pi_base_enum_cycles_with_whole_first():
         sp.pi_base_enum(0)
 
 
+def test_finite_sub_open_tables_match_definitions():
+    for n in range(1, 5):
+        for masks in all_topologies(n):
+            sp = FiniteSpaceModel(range(n), masks)
+            for o in masks:
+                inside = sorted(m for m in masks if m and m & ~o == 0)
+                assert list(sp.nonempty_opens_inside(o)) == inside
+                if not o:
+                    continue
+                cycle = [o] + [m for m in inside if m != o]
+                enum = sp.pi_base_enum(o)
+                assert [enum[i] for i in range(3 * len(cycle))] == cycle * 3
+
+
 def test_baire_model_delegates():
     assert BAIRE.whole() is FULL
     assert BAIRE.subset(cyl(0, 1), cyl(0))
