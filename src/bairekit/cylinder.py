@@ -282,13 +282,17 @@ def _allowed_value(excluded: frozenset[int], j: int) -> int:
 def minimal_antichain(e: Expr) -> Antichain:
     """The set of cylinders inside ``e`` whose parent cylinder is not inside.
 
-    Descends the tree of mention prefixes; at a node either the node
-    cylinder is inside (emit and stop), or disjoint (prune), or the node
-    splits: the finitely many values mentioned at that position are
-    explored explicitly and all remaining values behave identically, so
-    one representative decides the whole fresh family.
+    Descends the tree of mention prefixes from ``enclosing_stem(e)``; at a
+    node either the node cylinder is inside (emit and stop), or disjoint
+    (prune), or the node splits: the finitely many values mentioned at
+    that position are explored explicitly and all remaining values behave
+    identically, so one representative decides the whole fresh family.
+    Starting at the stem drops no member: a node strictly above it is not
+    inside ``e``, its fresh child misses the stem's own entry (a mention),
+    and every sibling of the path to the stem is disjoint from ``e``.
     """
-    if is_empty(e):
+    stem = enclosing_stem(e)
+    if stem is None:
         raise EmptySetError("no antichain for the empty set")
     ms = mentions(e)
     concrete: list[Seq] = []
@@ -308,8 +312,31 @@ def minimal_antichain(e: Expr) -> Antichain:
         for v in explicit:
             descend(c + (v,))
 
-    descend(())
+    descend(stem)
     return Antichain(tuple(concrete), tuple(families))
+
+
+def overlapping_pairs(children: list[Expr]) -> list[tuple[int, int]]:
+    """The pairs ``(n, m)``, ``n < m`` ascending, whose children meet.
+
+    Each child's normal form is taken once.  The meet of two forms only
+    holds the longer of each comparable pair of members, so only pairs of
+    children with comparable members can meet; those are found through an
+    index of members by sequence and decided by their meet.
+    """
+    forms = [normal_form(c) for c in children]
+    holders: dict[Seq, list[int]] = {}
+    for n, f in enumerate(forms):
+        for s in f:
+            holders.setdefault(s, []).append(n)
+    candidates: set[tuple[int, int]] = set()
+    for n, f in enumerate(forms):
+        for s in f:
+            for k in range(len(s) + 1):
+                for m in holders.get(s[:k], ()):
+                    if m != n:
+                        candidates.add((min(n, m), max(n, m)))
+    return sorted(p for p in candidates if _meet(forms[p[0]], forms[p[1]]))
 
 
 # -- window oracle ------------------------------------------------------------

@@ -48,10 +48,25 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
     return tokens
 
 
+# Deepest accepted expression tree, and deepest parenthesis nesting.  The
+# evaluators recurse once per tree level, so this keeps every parsed
+# expression well inside Python's recursion limit.
+MAX_EXPR_DEPTH = 256
+
+# binary operators: precedence (higher binds tighter) and constructor
+_BINARY = {"|": (0, Union), "\\": (1, Diff), "&": (2, Inter)}
+
+
 class _Parser:
+    """Operator precedence parsing with explicit stacks, so that neither
+    parentheses nor long operator chains make the parser recurse."""
+
     def __init__(self, tokens: list[tuple[str, Any]]):
         self.tokens = tokens
         self.pos = 0
+        self.operands: list[tuple[Expr, int]] = []   # (expression, tree depth)
+        self.pending: list[str] = []                 # operators and '('
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -64,25 +79,45 @@ class _Parser:
         return value
 
     def parse_expr(self) -> Expr:
-        e = self.parse_diff()
-        while self.peek() == "|":
-            self.take("|")
-            e = Union(e, self.parse_diff())
-        return e
+        while True:
+            while self.peek() == "(":
+                self.take("(")
+                self.pending.append("(")
+                self.nesting += 1
+                if self.nesting > MAX_EXPR_DEPTH:
+                    raise ExprSyntaxError(
+                        f"parentheses nest deeper than {MAX_EXPR_DEPTH}")
+            self.operands.append((self.parse_atom(), 1))
+            while self.peek() == ")" and self.nesting:
+                self.take(")")
+                self.reduce(0)
+                self.pending.pop()
+                self.nesting -= 1
+            kind = self.peek()
+            if kind not in _BINARY:
+                break
+            self.take(kind)
+            self.reduce(_BINARY[kind][0])
+            self.pending.append(kind)
+        if self.nesting:
+            raise ExprSyntaxError(f"expected ')' at token {self.pos}")
+        self.reduce(0)
+        return self.operands.pop()[0]
 
-    def parse_diff(self) -> Expr:
-        e = self.parse_inter()
-        while self.peek() == "\\":
-            self.take("\\")
-            e = Diff(e, self.parse_inter())
-        return e
-
-    def parse_inter(self) -> Expr:
-        e = self.parse_atom()
-        while self.peek() == "&":
-            self.take("&")
-            e = Inter(e, self.parse_atom())
-        return e
+    def reduce(self, precedence: int) -> None:
+        """Apply the pending operators of at least ``precedence`` back to
+        the innermost open parenthesis."""
+        pending = self.pending
+        while pending and pending[-1] != "(" \
+                and _BINARY[pending[-1]][0] >= precedence:
+            make = _BINARY[pending.pop()][1]
+            right, dr = self.operands.pop()
+            left, dl = self.operands.pop()
+            depth = 1 + max(dl, dr)
+            if depth > MAX_EXPR_DEPTH:
+                raise ExprSyntaxError(
+                    f"expression nests deeper than {MAX_EXPR_DEPTH}")
+            self.operands.append((make(left, right), depth))
 
     def parse_atom(self) -> Expr:
         kind = self.peek()
@@ -102,15 +137,12 @@ class _Parser:
             if v != 0:
                 raise ExprSyntaxError(f"bare number {v} is not an expression")
             return EMPTY
-        if kind == "(":
-            self.take("(")
-            e = self.parse_expr()
-            self.take(")")
-            return e
         raise ExprSyntaxError(f"unexpected token at {self.pos}")
 
 
 def parse_expr(text: str) -> Expr:
+    """The expression ``text`` denotes; an ExprSyntaxError if it is
+    malformed or nests deeper than ``MAX_EXPR_DEPTH``."""
     parser = _Parser(_tokenize(text))
     e = parser.parse_expr()
     if parser.pos != len(parser.tokens):

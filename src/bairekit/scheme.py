@@ -164,19 +164,19 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
 
 
 def check_partitions(scheme: Scheme, window: Window) -> Report:
-    """Pairwise disjointness of budgeted children, on top of the cover check."""
+    """Pairwise disjointness of budgeted children, on top of the cover check.
+
+    The space model decides each child family at once; every meeting pair
+    ``n < m`` of a node is one violation ``key:n^m``, in ascending order.
+    """
     rep = check_covers(scheme, window)
     rep.name = "partitions"
     space = scheme.space
     for a in window.nodes():
         key = seq_to_text(a)
         children = [scheme.child(a, n) for n in range(window.breadth)]
-        for n in range(window.breadth):
-            for m in range(n + 1, window.breadth):
-                meet = space.intersect(children[n], children[m])
-                if not space.is_empty(meet):
-                    rep.add(f"{key}:{n}^{m}", VIOLATED,
-                            "children overlap")
+        for n, m in space.overlapping_pairs(children):
+            rep.add(f"{key}:{n}^{m}", VIOLATED, "children overlap")
     return rep
 
 

@@ -66,6 +66,10 @@ class SpaceModel:
     def contains(self, o, x) -> bool:
         raise NotImplementedError
 
+    def overlapping_pairs(self, opens: list) -> list[tuple[int, int]]:
+        """The index pairs ``(n, m)``, ``n < m`` ascending, of opens that meet."""
+        raise NotImplementedError
+
     def pi_base_enum(self, o) -> LazySeq:
         """Fair enumeration of nonempty opens forming a pi-base of ``o``.
 
@@ -161,6 +165,10 @@ class FiniteSpaceModel(SpaceModel):
     def contains(self, o: int, x: int) -> bool:
         return bool(o >> self._index[x] & 1)
 
+    def overlapping_pairs(self, opens: list[int]) -> list[tuple[int, int]]:
+        return [(n, m) for n in range(len(opens))
+                for m in range(n + 1, len(opens)) if opens[n] & opens[m]]
+
     def nonempty_opens_inside(self, o: int) -> tuple[int, ...]:
         return self._inside[o]
 
@@ -229,6 +237,9 @@ class BaireSpaceModel(SpaceModel):
 
     def contains(self, o: Expr, x: BranchRule) -> bool:
         return cylinder.contains_branch(o, x)
+
+    def overlapping_pairs(self, opens: list[Expr]) -> list[tuple[int, int]]:
+        return cylinder.overlapping_pairs(opens)
 
     def pi_base_enum(self, o: Expr) -> LazySeq:
         """All cylinders inside ``o``: fair extensions of its minimal antichain."""

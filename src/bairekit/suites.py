@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Optional
 
 from . import cylinder as cy
@@ -428,10 +428,12 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     rep = Report("extract-finite")
     strategy = copy_strategy()
     bad_cover = bad_net = bad_replay = spaces = 0
-    space_models = [FiniteSpaceModel(range(n), masks)
-                    for n in range(1, 5) for masks in all_topologies(n)]
-    if cfg.space_path:
-        space_models.append(load_space_file(cfg.space_path))
+    # the extra space is loaded first, so that a bad file fails fast, and
+    # each enumerated model is built only when the loop reaches it
+    extra = [load_space_file(cfg.space_path)] if cfg.space_path else []
+    space_models = chain((FiniteSpaceModel(range(n), masks)
+                          for n in range(1, 5) for masks in all_topologies(n)),
+                         extra)
     branches = [t for ln in range(3) for t in product(range(3), repeat=ln)]
     for space in space_models:
         spaces += 1

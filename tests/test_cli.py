@@ -81,6 +81,40 @@ def test_space_file_with_too_many_opens_is_configuration_error(tmp_path,
     assert "at most 2048 opens" in out
 
 
+def test_choquet_extract_rejects_bad_space_before_enumerating(tmp_path,
+                                                             monkeypatch):
+    def enumerate_topologies(n):
+        raise AssertionError("topologies enumerated before the space loaded")
+
+    monkeypatch.setattr("bairekit.suites.all_topologies", enumerate_topologies)
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"points": [0, 1], "opens": [[], [7]]}))
+    code, out = run_cli(["verify", "--suite", "choquet-extract",
+                         "--space", str(space_file)])
+    assert code == 2 and "configuration error" in out
+
+
+@pytest.mark.parametrize("line", [
+    "(" * 2000 + "S(0)" + ")" * 2000,
+    "|".join(f"S({i})" for i in range(3000)),
+], ids=["deep-parentheses", "long-union"])
+def test_build_lusin_rejects_too_deep_base(tmp_path, line):
+    base = tmp_path / "base.txt"
+    base.write_text(line + "\n")
+    code, out = run_cli(["build-lusin", "--base", str(base), "--depth", "2",
+                         "--breadth", "2"])
+    assert code == 2
+    assert out.startswith("configuration error") and out.count("\n") == 1
+
+
+def test_build_lusin_long_union_base(tmp_path):
+    base = tmp_path / "base.txt"
+    base.write_text("|".join(f"S({i})" for i in range(200)) + "\n")
+    code, out = run_cli(["build-lusin", "--base", str(base), "--depth", "2",
+                         "--breadth", "2", "--json", str(tmp_path / "s.json")])
+    assert code == 0 and "lusin-conditions: ok" in out
+
+
 def test_build_lusin_window_guard():
     code, out = run_cli(["build-lusin", "--depth", "20"])
     assert code == 2 and "configuration error" in out

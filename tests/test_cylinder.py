@@ -3,14 +3,18 @@ from os.path import commonprefix
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exprs
-from bairekit.cylinder import (Atom, EMPTY, EmptySetError, FULL, NdTree,
-                               Union, WindowError, contains_branch, cyl,
-                               enclosing_stem, equal, is_empty,
+import bairekit.cylinder as cylinder
+from conftest import exprs, seqs
+from bairekit.cylinder import (Antichain, Atom, EMPTY, EmptySetError,
+                               FULL, Family, Inter, NdTree, Union,
+                               WindowError, contains_branch, cyl,
+                               enclosing_stem, equal, fresh_value,
+                               intersects, is_empty, mentions,
                                minimal_antichain, nd_witness, normal_form,
-                               strict_witness, subset, trace_window,
-                               witness_cylinder)
+                               overlapping_pairs, strict_witness, subset,
+                               trace_window, witness_cylinder)
 from bairekit.seq import BranchRule, is_prefix
 
 
@@ -239,6 +243,108 @@ def test_antichain_fair_enumeration(e):
             v += 1
         assert fam.stem + (v,) in probe or len(probe) < 40
         assert chain.denotes(fam.stem + (v,))
+
+
+def root_descent_antichain(e):
+    """The antichain descent from the root, as it was before it started at
+    the enclosing stem; the reference for the stem start."""
+    if is_empty(e):
+        raise EmptySetError("no antichain for the empty set")
+    ms = mentions(e)
+    concrete = []
+    families = []
+
+    def descend(c):
+        here = Atom(c)
+        if subset(here, e):
+            concrete.append(c)
+            return
+        if not intersects(here, e):
+            return
+        pos = len(c)
+        explicit = sorted({m[pos] for m in ms if len(m) > pos and m[:pos] == c})
+        if subset(Atom(c + (fresh_value(ms, pos),)), e):
+            families.append(Family(c, frozenset(explicit)))
+        for v in explicit:
+            descend(c + (v,))
+
+    descend(())
+    return Antichain(tuple(concrete), tuple(families))
+
+
+def under(stem, e):
+    """``e`` moved inside ``S(stem)``: every atom gets ``stem`` in front."""
+    if isinstance(e, Atom):
+        return Atom(stem + e.entries)
+    if e is FULL:
+        return Atom(stem)
+    if e is EMPTY:
+        return e
+    return type(e)(under(stem, e.left), under(stem, e.right))
+
+
+stemmed_exprs = st.builds(under, seqs, exprs)
+
+
+@given(st.one_of(exprs, stemmed_exprs))
+@settings(max_examples=400)
+def test_antichain_matches_the_root_descent(e):
+    if is_empty(e):
+        with pytest.raises(EmptySetError):
+            minimal_antichain(e)
+        return
+    assert minimal_antichain(e) == root_descent_antichain(e)
+
+
+def test_antichain_of_a_long_cylinder_is_one_subset_call(monkeypatch):
+    calls = {"subset": 0, "intersects": 0}
+    for name in calls:
+        real = getattr(cylinder, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cylinder, name, counted)
+    chain = minimal_antichain(cyl(0, 1, 2, 3, 4, 5))
+    assert chain == Antichain(((0, 1, 2, 3, 4, 5),), ())
+    assert calls == {"subset": 1, "intersects": 0}
+
+
+# -- overlapping children ------------------------------------------------------
+
+def brute_overlapping_pairs(children):
+    return [(n, m) for n in range(len(children))
+            for m in range(n + 1, len(children))
+            if not is_empty(Inter(children[n], children[m]))]
+
+
+def test_overlapping_pairs_examples():
+    assert overlapping_pairs([]) == []
+    assert overlapping_pairs([cyl(0), cyl(1), FULL - cyl(0)]) == [(1, 2)]
+    # comparable stems that overlap
+    assert overlapping_pairs([cyl(0), cyl(0, 1), cyl(0, 1, 2)]) == \
+        [(0, 1), (0, 2), (1, 2)]
+    # comparable stems that do not: S(0) minus S(0,1) beside S(0,1)
+    assert overlapping_pairs([cyl(0) - cyl(0, 1), cyl(0, 1)]) == []
+    # a member shared by two forms whose meet still cancels
+    assert overlapping_pairs([cyl(0) | cyl(1), cyl(1) - cyl(1, 0),
+                              cyl(1, 0)]) == [(0, 1), (0, 2)]
+
+
+@given(st.lists(st.one_of(exprs, stemmed_exprs), max_size=6))
+@settings(max_examples=300)
+def test_overlapping_pairs_match_pairwise_meets(children):
+    assert overlapping_pairs(children) == brute_overlapping_pairs(children)
+
+
+@given(st.lists(exprs, max_size=5))
+@settings(max_examples=150)
+def test_overlapping_pairs_match_the_window_oracle(children):
+    traces = [trace_window(c, 3, 3) for c in children]
+    assert overlapping_pairs(children) == [
+        (n, m) for n in range(len(traces)) for m in range(n + 1, len(traces))
+        if traces[n] & traces[m]]
 
 
 # -- windows -------------------------------------------------------------------

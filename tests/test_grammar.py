@@ -3,8 +3,8 @@ from hypothesis import given, settings
 
 from conftest import exprs
 from bairekit.cylinder import Diff, EMPTY, FULL, Inter, Union, cyl, equal
-from bairekit.grammar import (ExprSyntaxError, expr_from_json, expr_to_json,
-                              expr_to_text, parse_expr)
+from bairekit.grammar import (MAX_EXPR_DEPTH, ExprSyntaxError, expr_from_json,
+                              expr_to_json, expr_to_text, parse_expr)
 
 
 def test_atoms():
@@ -24,9 +24,25 @@ def test_precedence_and_associativity():
 
 
 def test_syntax_errors():
-    for bad in ("S(", "S(1,)", "1", "S(1))", "S(1)|", "x", "S(-1)"):
+    for bad in ("S(", "S(1,)", "1", "S(1))", "S(1)|", "x", "S(-1)", "(S(1)",
+                "((S(1)|S(2))", "(S(1)))", "()", "(|S(1))"):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad)
+
+
+def test_depth_bound():
+    # a chain of k terms nests k levels deep
+    for op in ("|", "&", "\\"):
+        deepest = op.join(["S(1)"] * MAX_EXPR_DEPTH)
+        assert expr_to_text(parse_expr(deepest)) == deepest
+        with pytest.raises(ExprSyntaxError, match="deeper"):
+            parse_expr(deepest + op + "S(2)")
+    nested = "(" * MAX_EXPR_DEPTH + "S(0)" + ")" * MAX_EXPR_DEPTH
+    assert parse_expr(nested) == cyl(0)
+    with pytest.raises(ExprSyntaxError, match="deeper"):
+        parse_expr("(" + nested + ")")
+    with pytest.raises(ExprSyntaxError, match="deeper"):
+        parse_expr("(" * 5000 + "S(0)" + ")" * 5000)
 
 
 def test_rendering_examples():

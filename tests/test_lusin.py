@@ -1,3 +1,4 @@
+import bairekit.cylinder as cylinder
 from bairekit.cylinder import (Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
 from bairekit.lusin import (base_from_lines, build_lusin,
@@ -56,6 +57,24 @@ def test_partition_evidence():
     sch = build_lusin(standard_base())
     rep = check_partitions(sch, WINDOW)
     assert rep.ok
+
+
+def test_default_lusin_check_count_budget(monkeypatch):
+    # the emptiness decisions of synthesis and of the check on the default
+    # lusin suite's window; a regression in operation count fails here
+    calls = 0
+    real = cylinder.is_empty
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return real(e)
+
+    monkeypatch.setattr(cylinder, "is_empty", counted)
+    base = standard_base()
+    rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
+    assert rep.ok
+    assert calls == 14_943
 
 
 def test_union_of_children_stays_inside():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bairekit.cylinder import Atom, FULL, cyl, equal, is_empty, subset
@@ -56,6 +58,19 @@ def test_finite_sub_open_tables_match_definitions():
                 assert [enum[i] for i in range(3 * len(cycle))] == cycle * 3
 
 
+def test_finite_overlapping_pairs_match_pairwise_and():
+    rng = random.Random(4)
+    for n in range(1, 4):
+        for masks in all_topologies(n):
+            sp = FiniteSpaceModel(range(n), masks)
+            for _ in range(20):
+                opens = [rng.choice(masks) for _ in range(rng.randint(0, 6))]
+                assert sp.overlapping_pairs(opens) == [
+                    (i, j) for i in range(len(opens))
+                    for j in range(i + 1, len(opens))
+                    if opens[i] & opens[j] != 0]
+
+
 def test_baire_model_delegates():
     assert BAIRE.whole() is FULL
     assert BAIRE.subset(cyl(0, 1), cyl(0))
@@ -64,6 +79,7 @@ def test_baire_model_delegates():
     assert BAIRE.contains(cyl(2), BranchRule.constant(2))
     assert BAIRE.is_open(cyl(1)) and not BAIRE.is_open(42)
     assert BAIRE.open_from_json("S(1)\\S(1,0)") == cyl(1) - cyl(1, 0)
+    assert BAIRE.overlapping_pairs([cyl(0), cyl(1), cyl(0, 1)]) == [(0, 2)]
 
 
 def test_baire_pi_base_enum():
