@@ -78,8 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_json(data, path: Optional[str], out: TextIO) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     else:
         out.write(text + "\n")
 
@@ -91,6 +94,11 @@ def _space_and_strategy(args) -> tuple[SpaceModel, str]:
     if strategy_name == "cylinder" and space is not BAIRE:
         raise ConfigError("the cylinder strategy plays on the Baire model")
     return space, strategy_name
+
+
+def _strategy(name: str):
+    """The machine strategy the command line calls ``name``."""
+    return cylinder_strategy() if name == "cylinder" else copy_strategy()
 
 
 def cmd_verify(args, out: TextIO) -> int:
@@ -112,7 +120,7 @@ def cmd_build_lusin(args, out: TextIO) -> int:
         try:
             with open(args.base, "r", encoding="utf-8") as fh:
                 base = base_from_lines(fh.read())
-        except (OSError, ExprSyntaxError) as exc:
+        except (OSError, UnicodeDecodeError, ExprSyntaxError) as exc:
             raise ConfigError(f"cannot load base {args.base!r}: {exc}") from exc
     window = checked_window(args.depth, args.breadth)
     scheme = build_lusin(base)
@@ -126,8 +134,7 @@ def cmd_build_lusin(args, out: TextIO) -> int:
 
 def cmd_extract(args, out: TextIO) -> int:
     space, strategy_name = _space_and_strategy(args)
-    strategy = cylinder_strategy() if strategy_name == "cylinder" \
-        else copy_strategy()
+    strategy = _strategy(strategy_name)
     window = checked_window(args.depth, args.breadth)
     moves, replies = extract_schemes(space, strategy)
     payload = {"moves": dump_scheme(moves, window),
@@ -162,9 +169,7 @@ def _parse_finite_move(space: FiniteSpaceModel, text: str) -> int:
 
 def play_repl(space: SpaceModel, strategy_name: str,
               stdin: TextIO, stdout: TextIO) -> int:
-    base = cylinder_strategy() if strategy_name == "cylinder" \
-        else copy_strategy()
-    machine = modify_strategy(base)
+    machine = modify_strategy(_strategy(strategy_name))
     finite = isinstance(space, FiniteSpaceModel)
     history = ()
     stdout.write("You are player I against the modified machine strategy.\n")

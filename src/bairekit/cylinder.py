@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import count, product
 from typing import Callable, Iterator, Optional
 
-from .seq import BranchRule, Seq
+from .seq import BranchRule, Seq, unpair
 
 
 class EmptySetError(ValueError):
@@ -254,6 +254,16 @@ class Antichain:
         k = i - len(self.concrete)
         fam = self.families[k % len(self.families)]
         return fam.stem + (_allowed_value(fam.excluded, k // len(self.families)),)
+
+    def extension(self, n: int) -> tuple[Seq, int]:
+        """The ``n``-th ``(member, j)`` pair of the fair order of extensions:
+        Cantor unpairing for an infinite antichain, round-robin over the
+        members for a finite one."""
+        if self.families:
+            i, j = unpair(n)
+        else:
+            i, j = n % len(self.concrete), n // len(self.concrete)
+        return self.member(i), j
 
     def members(self) -> Iterator[Seq]:
         if self.families:

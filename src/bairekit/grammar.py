@@ -193,6 +193,14 @@ def expr_to_json(e: Expr) -> dict:
 
 
 def expr_from_json(obj: Any) -> Expr:
+    """The expression a tagged JSON object encodes; a ValueError if it is
+    malformed or nests deeper than ``MAX_EXPR_DEPTH``."""
+    return _from_json(obj, 1)
+
+
+def _from_json(obj: Any, depth: int) -> Expr:
+    if depth > MAX_EXPR_DEPTH:
+        raise ValueError(f"expression nests deeper than {MAX_EXPR_DEPTH}")
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValueError(f"bad expression object: {obj!r}")
     op, args = obj["op"], obj.get("args", [])
@@ -206,5 +214,6 @@ def expr_from_json(obj: Any) -> Expr:
         return EMPTY
     makers = {"union": Union, "inter": Inter, "diff": Diff}
     if op in makers and len(args) == 2:
-        return makers[op](expr_from_json(args[0]), expr_from_json(args[1]))
+        return makers[op](_from_json(args[0], depth + 1),
+                          _from_json(args[1], depth + 1))
     raise ValueError(f"bad expression object: {obj!r}")

@@ -30,7 +30,7 @@ from .cylinder import Antichain, Atom, Diff, Expr, Inter, minimal_antichain
 from .grammar import parse_expr
 from .scheme import (Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
                      Window, check_partitions)
-from .seq import Seq, seq_at, seq_to_text, tuple_at, unpair
+from .seq import Seq, seq_at, seq_to_text, tuple_at
 from .spaces import BAIRE
 
 
@@ -80,12 +80,8 @@ class _SplitPlan:
         self.ext_len = ext_len
 
     def child(self, n: int) -> Expr:
-        if self.chain.is_infinite:
-            i, j = unpair(n)
-        else:
-            width = len(self.chain.concrete)
-            i, j = n % width, n // width
-        return Atom(self.chain.member(i) + tuple_at(j, self.ext_len))
+        member, j = self.chain.extension(n)
+        return Atom(member + tuple_at(j, self.ext_len))
 
 
 class _CarvePlan:

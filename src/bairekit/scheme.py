@@ -146,17 +146,15 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
     for a in window.nodes():
         va = scheme.node(a)
         key = seq_to_text(a)
+        children = [scheme.child(a, n) for n in range(window.breadth)]
         broken = False
-        union = None
-        for n in range(window.breadth):
-            child = scheme.child(a, n)
+        for n, child in enumerate(children):
             if not space.subset(child, va):
                 rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
                 broken = True
-            union = child if union is None else space.union(union, child)
         if broken:
             continue
-        if space.subset(va, union):
+        if space.subset(va, _fold_union(space, children)):
             rep.add(key, VERIFIED)
         else:
             rep.add(key, UNRESOLVED, "node not covered by budgeted children")
@@ -257,32 +255,40 @@ def preimage_table(g: Callable[[int], int], values: int,
 
 
 def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
-                             window: Window,
-                             preimage_bound: int | None = None) -> Report:
-    """Finite instances of the relabeling identities.
+                             window: Window) -> Report:
+    """Finite instances of the relabeling identities, read off
+    ``relabel(scheme, g)``.
 
     (a) every budgeted child index of the relabeled node comes from a
-    relabeled child index and vice versa (needs preimages below the bound;
-    missing preimages are reported as a precondition breach);
+    relabeled child index and vice versa (needs preimages below
+    ``4 * breadth + 16``; missing preimages are reported as a precondition
+    breach);
     (b) the budgeted partial unions of children mutually include, once the
     budgets are matched through ``g`` and its preimages;
     (c) partial fruit intersections along branches agree entrywise.
     """
     rep = Report("relabel-identities")
     space = scheme.space
-    bound = preimage_bound if preimage_bound is not None else 4 * window.breadth + 16
-    pre = preimage_table(g, window.breadth, bound)
-    for v in range(window.breadth):
+    moved = relabel(scheme, g)
+    m = window.breadth
+    bound = 4 * m + 16
+    pre = preimage_table(g, m, bound)
+    for v in range(m):
         if v not in pre:
             rep.add(f"preimage:{v}", BREACH,
                     f"no argument below {bound} maps to {v}")
-    surjective = len(pre) == window.breadth
+    surjective = len(pre) == m
+    # beyond the budget, relabeled children reach the least preimages and
+    # direct children reach every value ``g`` takes on the budget
+    n_hi = 1 + max(pre.values()) if surjective else m
+    direct_hi = 1 + max(g(n) for n in range(m))
 
     for a in window.nodes():
         key = seq_to_text(a)
         ga = compose_index(g, a)
-        wrong = next((n for n in range(window.breadth)
-                      if not space.equal(scheme.node(compose_index(g, a + (n,))),
+        lifted = [moved.child(a, n) for n in range(max(m, n_hi))]
+        wrong = next((n for n in range(m)
+                      if not space.equal(lifted[n],
                                          scheme.node(ga + (g(n),)))), None)
         if wrong is None:
             rep.add(f"index:{key}", VERIFIED)
@@ -290,31 +296,22 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
             rep.add(f"index:{key}", VIOLATED, f"child {wrong} disagrees")
         if not surjective:
             continue
-        m = window.breadth
-        relabeled = [scheme.node(compose_index(g, a + (n,))) for n in range(m)]
-        direct_hi = 1 + max(g(n) for n in range(m))
         direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
-        q = _fold_union(space, relabeled)
-        ok1 = space.subset(q, _fold_union(space, direct[:direct_hi]))
-        n_hi = 1 + max(pre[v] for v in range(m))
-        q_big = _fold_union(space, [scheme.node(compose_index(g, a + (n,)))
-                                    for n in range(n_hi)])
-        ok2 = space.subset(_fold_union(space, direct[:m]), q_big)
+        ok1 = space.subset(_fold_union(space, lifted[:m]),
+                           _fold_union(space, direct[:direct_hi]))
+        ok2 = space.subset(_fold_union(space, direct[:m]),
+                           _fold_union(space, lifted[:n_hi]))
         if ok1 and ok2:
             rep.add(f"union:{key}", VERIFIED)
         else:
             rep.add(f"union:{key}", VIOLATED,
                     f"partial unions fail mutual inclusion ({ok1}, {ok2})")
 
-    for v in range(window.breadth):
-        q = BranchRule.constant(v)
-        one = scheme.node(())
-        two = scheme.node(())
-        for j in range(1, window.depth + 1):
-            one = space.intersect(one, scheme.node(compose_index(g, restrict(q, j))))
-            two = space.intersect(two, scheme.node(restrict(
-                BranchRule(lambda i, _q=q: g(_q(i))), j)))
-        if space.equal(one, two):
+    d = window.depth
+    for v in range(m):
+        # the constant branch v, relabeled through g, is the constant g(v)
+        if space.equal(fruit_prefix(moved, BranchRule.constant(v), d),
+                       fruit_prefix(scheme, BranchRule.constant(g(v)), d)):
             rep.add(f"fruit:const{v}", VERIFIED)
         else:
             rep.add(f"fruit:const{v}", VIOLATED)
@@ -334,12 +331,11 @@ def dense_in_itself_probe(scheme: Scheme, x, window: Window) -> Report:
     is finite), not a violation."""
     rep = Report("dense-in-itself")
     space = scheme.space
-    if not any(space.contains(scheme.node(a), x) for a in window.nodes()):
+    nodes = branch_nodes(scheme, x, window)
+    if not nodes:
         rep.add("pre", BREACH, "point not seen in any window node")
         return rep
-    for a in window.nodes():
-        if not space.contains(scheme.node(a), x):
-            continue
+    for a in nodes:
         hits = [n for n in range(window.breadth)
                 if space.contains(scheme.child(a, n), x)]
         key = seq_to_text(a)

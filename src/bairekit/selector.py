@@ -159,10 +159,9 @@ def basic_intersect(b1: SigmaBasic, b2: SigmaBasic) -> Optional[SigmaBasic]:
     return SigmaBasic(frozenset(b1.u & b2.u), stem)
 
 
-def basic_members(pm: PrefixMap, b: SigmaBasic, probe_len: int | None = None
-                  ) -> frozenset[Seq]:
+def basic_members(pm: PrefixMap, b: SigmaBasic) -> frozenset[Seq]:
     """Stem classes (at resolution length) realizing membership in the basic."""
-    length = max(pm.depth, len(b.stem)) if probe_len is None else probe_len
+    length = max(pm.depth, len(b.stem))
     letters = pm.stem_alphabet(b.stem)
     return frozenset(w for w in product(letters, repeat=length)
                      if w[: len(b.stem)] == b.stem and pm.resolve(w) in b.u)

@@ -13,12 +13,12 @@ as opens and delegates to the exact cylinder decision procedures.
 from __future__ import annotations
 
 from itertools import count, cycle
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Protocol
 
 from . import cylinder
 from .cylinder import Atom, Expr, Inter, Union as ExprUnion, minimal_antichain
 from .grammar import expr_from_json, expr_to_text, parse_expr
-from .seq import BranchRule, seq_at, unpair
+from .seq import BranchRule, seq_at
 
 # FiniteSpaceModel checks every pair of opens, so it rejects larger families
 MAX_OPENS = 2048
@@ -37,38 +37,23 @@ class LazySeq:
         return self._cache[i]
 
 
-class SpaceModel:
-    """Abstract interface; see the two concrete models below."""
+class SpaceModel(Protocol):
+    """What schemes, games and checks need of a space; the two models
+    below provide it."""
 
-    tag = "abstract"
+    tag: str
 
-    def whole(self):
-        raise NotImplementedError
-
-    def is_empty(self, o) -> bool:
-        raise NotImplementedError
-
-    def is_open(self, o) -> bool:
-        raise NotImplementedError
-
-    def intersect(self, a, b):
-        raise NotImplementedError
-
-    def union(self, a, b):
-        raise NotImplementedError
-
-    def subset(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def equal(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def contains(self, o, x) -> bool:
-        raise NotImplementedError
+    def whole(self): ...
+    def is_empty(self, o) -> bool: ...
+    def is_open(self, o) -> bool: ...
+    def intersect(self, a, b): ...
+    def union(self, a, b): ...
+    def subset(self, a, b) -> bool: ...
+    def equal(self, a, b) -> bool: ...
+    def contains(self, o, x) -> bool: ...
 
     def overlapping_pairs(self, opens: list) -> list[tuple[int, int]]:
         """The index pairs ``(n, m)``, ``n < m`` ascending, of opens that meet."""
-        raise NotImplementedError
 
     def pi_base_enum(self, o) -> LazySeq:
         """Fair enumeration of nonempty opens forming a pi-base of ``o``.
@@ -77,19 +62,13 @@ class SpaceModel:
         contained in ``o``; every nonempty open inside ``o`` contains a
         listed element.
         """
-        raise NotImplementedError
 
-    def describe(self, o) -> str:
-        raise NotImplementedError
-
-    def open_to_json(self, o):
-        raise NotImplementedError
-
-    def open_from_json(self, data):
-        raise NotImplementedError
+    def describe(self, o) -> str: ...
+    def open_to_json(self, o): ...
+    def open_from_json(self, data): ...
 
 
-class FiniteSpaceModel(SpaceModel):
+class FiniteSpaceModel:
     """An explicit topology on at most 64 points; opens are bitmasks.
 
     Closure under union and intersection and the presence of the empty and
@@ -209,7 +188,7 @@ class FiniteSpaceModel(SpaceModel):
         return cls(pts, [m for m in range(1 << n)])
 
 
-class BaireSpaceModel(SpaceModel):
+class BaireSpaceModel:
     """The Baire space with cylinder expressions as its open sets."""
 
     tag = "baire"
@@ -249,14 +228,9 @@ class BaireSpaceModel(SpaceModel):
         def gen() -> Iterator[Expr]:
             yield o
             chain = minimal_antichain(o)
-            if chain.is_infinite:
-                split = unpair
-            else:
-                width = len(chain.concrete)
-                split = lambda k: (k % width, k // width)
             for k in count():
-                i, j = split(k)
-                candidate = Atom(chain.member(i) + seq_at(j))
+                member, j = chain.extension(k)
+                candidate = Atom(member + seq_at(j))
                 if not cylinder.equal(candidate, o):
                     yield candidate
 

@@ -20,17 +20,14 @@ from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
 from .scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                     Window, check_covers, dump_scheme,
+                     Window, check_covers, compose_index, dump_scheme,
                      check_relabel_identities, dense_in_itself_probe,
-                     pi_net_probe, relabel, standard_scheme)
+                     pi_net_probe, preimage_table, relabel, standard_scheme)
 from .selector import (PrefixMap, SigmaBasic, basic_is_empty,
                        check_image_identity, check_selector_identity,
                        pi_space_probe, preset_maps, pushforward_scheme)
 from .seq import BranchRule, Seq, seq_to_text
 from .spaces import BAIRE, FiniteSpaceModel, all_topologies
-
-SUITES = ("cylinders-oracle", "schemes-vg", "lusin", "choquet-finite",
-          "choquet-extract", "selectors")
 
 MAX_DEPTH = 8
 MAX_BREADTH = 16
@@ -83,9 +80,9 @@ ATOM_POOL: list[Seq] = [tuple(t) for ln in range(4)
                         for t in product(range(3), repeat=ln)]
 
 
-def random_expr(rng: random.Random, max_atoms: int = 4) -> Expr:
+def random_expr(rng: random.Random) -> Expr:
     """A random cylinder expression with mentions inside the oracle window."""
-    leaves = rng.randint(1, max_atoms)
+    leaves = rng.randint(1, 4)
     exprs: list[Expr] = []
     for _ in range(leaves):
         roll = rng.random()
@@ -230,7 +227,7 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
             rep = Report(f"openness[{tag}]")
             space = moved.space
             for a in window.nodes():
-                source = base_scheme.node(tuple(g(x) for x in a))
+                source = base_scheme.node(compose_index(g, a))
                 if space.equal(moved.node(a), source):
                     rep.add(seq_to_text(a), VERIFIED)
                 else:
@@ -261,11 +258,10 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
                    window: Window) -> Report:
     rep = Report(f"pi-net-replay[{base_scheme.label}/{g_name}]")
     space = moved.space
-    from .scheme import preimage_table
     pre = preimage_table(g, window.breadth, 4 * window.breadth + 16)
     roots = [(), (0,), (1, 0)]
     for a in roots:
-        ga = tuple(g(x) for x in a)
+        ga = compose_index(g, a)
         for t in range(3):
             target = base_scheme.node(ga + (t,))
             if space.is_empty(space.intersect(target, base_scheme.node(ga))):
@@ -391,8 +387,7 @@ def _exhaustive_modified_report() -> Report:
     return rep
 
 
-def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report,
-                       max_moves: int = 4) -> int:
+def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report) -> int:
     modified = modify_strategy(copy_strategy())
     failures = 0
 
@@ -409,7 +404,7 @@ def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report,
             if moves_left > 1:
                 dfs(history + ((u, v),), moves_left - 1)
 
-    dfs((), max_moves)
+    dfs((), 4)
     return failures
 
 
@@ -577,6 +572,7 @@ _SUITE_FNS = {
     "choquet-extract": suite_choquet_extract,
     "selectors": suite_selectors,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(cfg: RunConfig) -> dict:

@@ -232,3 +232,24 @@ def test_play_rejects_illegal_and_keeps_state():
     assert code == 0
     assert "nonempty" in out
     assert "II[1]>" in out  # the two legal moves both got replies
+
+
+def test_build_lusin_non_utf8_base(tmp_path):
+    base = tmp_path / "base.txt"
+    base.write_bytes(b"S(0)\n\xff\xfe\n")
+    code, out = run_cli(["build-lusin", "--base", str(base)])
+    assert code == 2
+    assert out.startswith("configuration error") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lusin", "--depth", "0", "--breadth", "1"],
+    ["build-lusin", "--depth", "0", "--breadth", "1"],
+    ["extract", "--depth", "0", "--breadth", "1"],
+    ["export", "--depth", "0", "--breadth", "1"],
+], ids=["verify", "build-lusin", "extract", "export"])
+def test_unwritable_json_path_is_configuration_error(tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out = run_cli(argv + ["--json", str(path)])
+    assert code == 2
+    assert out.startswith("configuration error") and out.count("\n") == 1

@@ -15,7 +15,7 @@ from bairekit.cylinder import (Antichain, Atom, EMPTY, EmptySetError,
                                minimal_antichain, nd_witness, normal_form,
                                overlapping_pairs, strict_witness, subset,
                                trace_window, witness_cylinder)
-from bairekit.seq import BranchRule, is_prefix
+from bairekit.seq import BranchRule, is_prefix, unpair
 
 
 def oracle_nonempty(e, depth=3, breadth=3):
@@ -390,3 +390,26 @@ def test_nd_witness_examples():
     assert window_avoids_tree(c, zeros, max(3, len(c)) + 1, max(c) + 1)
     with pytest.raises(EmptySetError):
         nd_witness(EMPTY, zeros)
+
+
+@given(exprs)
+@settings(max_examples=150)
+def test_antichain_extension_order(e):
+    # Cantor unpairing over an infinite antichain, round-robin over the
+    # members of a finite one
+    if is_empty(e):
+        return
+    chain = minimal_antichain(e)
+    width = len(chain.concrete)
+    for n in range(40):
+        i, j = unpair(n) if chain.is_infinite else (n % width, n // width)
+        assert chain.extension(n) == (chain.member(i), j)
+
+
+def test_antichain_extension_examples():
+    finite = minimal_antichain(cyl(1) | cyl(3))
+    assert [finite.extension(n) for n in range(4)] == \
+        [((1,), 0), ((3,), 0), ((1,), 1), ((3,), 1)]
+    infinite = minimal_antichain(FULL - cyl(0))
+    assert [infinite.extension(n) for n in range(4)] == \
+        [((1,), 0), ((2,), 0), ((1,), 1), ((3,), 0)]

@@ -75,3 +75,20 @@ def test_json_validation():
         expr_from_json({"op": "union", "args": []})
     with pytest.raises(ValueError):
         expr_from_json(["union"])
+
+
+def _deep_union_json(levels):
+    obj = {"op": "atom", "args": [0]}
+    for _ in range(levels - 1):
+        obj = {"op": "union", "args": [obj, {"op": "atom", "args": [1]}]}
+    return obj
+
+
+def test_json_depth_bound():
+    with pytest.raises(ValueError, match="deeper"):
+        expr_from_json(_deep_union_json(2000))
+    with pytest.raises(ValueError, match="deeper"):
+        expr_from_json(_deep_union_json(MAX_EXPR_DEPTH + 1))
+    for levels in (200, MAX_EXPR_DEPTH):
+        obj = _deep_union_json(levels)
+        assert expr_to_json(expr_from_json(obj)) == obj

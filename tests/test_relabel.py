@@ -1,0 +1,147 @@
+"""The relabel identity checks against a reference copy of the former
+hand-composed implementation, and the benchmark report digests."""
+
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+import bairekit.scheme as scheme_mod
+from bairekit.cli import main
+from bairekit.lusin import build_lusin, standard_base
+from bairekit.scheme import (BREACH, Report, Scheme, VERIFIED, VIOLATED,
+                             Window, _fold_union, check_relabel_identities,
+                             compose_index, preimage_table, standard_scheme)
+from bairekit.seq import BranchRule, restrict, seq_to_text
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+# The check as it was before it read relabel() and fruit_prefix(): indices
+# composed by hand, its own fruit loop and its own union lists.
+def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
+                             window: Window,
+                             preimage_bound: int | None = None) -> Report:
+    """Finite instances of the relabeling identities.
+
+    (a) every budgeted child index of the relabeled node comes from a
+    relabeled child index and vice versa (needs preimages below the bound;
+    missing preimages are reported as a precondition breach);
+    (b) the budgeted partial unions of children mutually include, once the
+    budgets are matched through ``g`` and its preimages;
+    (c) partial fruit intersections along branches agree entrywise.
+    """
+    rep = Report("relabel-identities")
+    space = scheme.space
+    bound = preimage_bound if preimage_bound is not None else 4 * window.breadth + 16
+    pre = preimage_table(g, window.breadth, bound)
+    for v in range(window.breadth):
+        if v not in pre:
+            rep.add(f"preimage:{v}", BREACH,
+                    f"no argument below {bound} maps to {v}")
+    surjective = len(pre) == window.breadth
+
+    for a in window.nodes():
+        key = seq_to_text(a)
+        ga = compose_index(g, a)
+        wrong = next((n for n in range(window.breadth)
+                      if not space.equal(scheme.node(compose_index(g, a + (n,))),
+                                         scheme.node(ga + (g(n),)))), None)
+        if wrong is None:
+            rep.add(f"index:{key}", VERIFIED)
+        else:
+            rep.add(f"index:{key}", VIOLATED, f"child {wrong} disagrees")
+        if not surjective:
+            continue
+        m = window.breadth
+        relabeled = [scheme.node(compose_index(g, a + (n,))) for n in range(m)]
+        direct_hi = 1 + max(g(n) for n in range(m))
+        direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
+        q = _fold_union(space, relabeled)
+        ok1 = space.subset(q, _fold_union(space, direct[:direct_hi]))
+        n_hi = 1 + max(pre[v] for v in range(m))
+        q_big = _fold_union(space, [scheme.node(compose_index(g, a + (n,)))
+                                    for n in range(n_hi)])
+        ok2 = space.subset(_fold_union(space, direct[:m]), q_big)
+        if ok1 and ok2:
+            rep.add(f"union:{key}", VERIFIED)
+        else:
+            rep.add(f"union:{key}", VIOLATED,
+                    f"partial unions fail mutual inclusion ({ok1}, {ok2})")
+
+    for v in range(window.breadth):
+        q = BranchRule.constant(v)
+        one = scheme.node(())
+        two = scheme.node(())
+        for j in range(1, window.depth + 1):
+            one = space.intersect(one, scheme.node(compose_index(g, restrict(q, j))))
+            two = space.intersect(two, scheme.node(restrict(
+                BranchRule(lambda i, _q=q: g(_q(i))), j)))
+        if space.equal(one, two):
+            rep.add(f"fruit:const{v}", VERIFIED)
+        else:
+            rep.add(f"fruit:const{v}", VIOLATED)
+    return rep
+
+
+
+G_MAPS = {
+    "identity": lambda n: n,
+    "half": lambda n: n // 2,
+    "swap": lambda n: n ^ 1,
+    "succ": lambda n: n + 1,
+    "zero": lambda n: 0,
+}
+SCHEMES = {"standard": standard_scheme,
+           "lusin-std": lambda: build_lusin(standard_base())}
+
+
+def entries(rep: Report) -> list[tuple[str, str, str]]:
+    return [(e.key, e.status, e.detail) for e in rep.entries]
+
+
+@pytest.mark.parametrize("window", [Window(2, 4), Window(3, 3)],
+                         ids=["d2b4", "d3b3"])
+@pytest.mark.parametrize("g_name", list(G_MAPS))
+@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+def test_relabel_identities_match_reference(scheme_name, g_name, window):
+    g = G_MAPS[g_name]
+    expected = reference_relabel_identities(SCHEMES[scheme_name](), g, window)
+    got = check_relabel_identities(SCHEMES[scheme_name](), g, window)
+    assert got.name == expected.name
+    assert entries(got) == entries(expected)
+
+
+def test_relabel_identities_read_relabel(monkeypatch):
+    # a relabel that ignores g: the lifted children are the base children,
+    # which differ from the children at g(n) as soon as g is not the identity
+    monkeypatch.setattr(scheme_mod, "relabel", lambda scheme, g: scheme)
+    rep = check_relabel_identities(standard_scheme(), G_MAPS["half"],
+                                   Window(2, 4))
+    index = [e for e in rep.entries if e.key.startswith("index:")]
+    assert index and all(e.status == VIOLATED for e in index)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["relabel-vg", "lusin-synth"])
+def test_benchmark_report_digest_at_input_seed_0(tmp_path, name):
+    workload = _load_workloads().WORKLOADS[name]
+    argv = workload.prepare(0, str(tmp_path))
+    assert main(argv, stdout=io.StringIO()) == 0
+    report = Path(argv[argv.index("--json") + 1]).read_bytes()
+    references = json.loads((PERFBENCH / "references.json").read_text())
+    assert hashlib.sha256(report).hexdigest() == references[name]["0"]
