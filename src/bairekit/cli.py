@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, TextIO
 
@@ -85,6 +86,20 @@ def _write_json(data, path: Optional[str], out: TextIO) -> None:
             raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     else:
         out.write(text + "\n")
+
+
+def _check_writable(path: str) -> None:
+    """A ConfigError unless ``path`` can be opened for writing.  An existing
+    file is opened for appending, so it is not truncated; a file the check
+    creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _space_and_strategy(args) -> tuple[SpaceModel, str]:
@@ -245,6 +260,9 @@ def main(argv=None, stdin: TextIO = None, stdout: TextIO = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an unwritable report path fails before any subcommand computes
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         if args.command == "verify":
             return cmd_verify(args, stdout)
         if args.command == "build-lusin":

@@ -93,7 +93,7 @@ def cyl(*entries: int) -> Atom:
     return Atom(tuple(entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def mentions(e: Expr) -> frozenset[Seq]:
     """All atom sequences occurring in the expression."""
     match e:
@@ -329,24 +329,12 @@ def minimal_antichain(e: Expr) -> Antichain:
 def overlapping_pairs(children: list[Expr]) -> list[tuple[int, int]]:
     """The pairs ``(n, m)``, ``n < m`` ascending, whose children meet.
 
-    Each child's normal form is taken once.  The meet of two forms only
-    holds the longer of each comparable pair of members, so only pairs of
-    children with comparable members can meet; those are found through an
-    index of members by sequence and decided by their meet.
+    Each child's normal form is taken once; a pair meets when the meet
+    of its two forms is not empty.
     """
     forms = [normal_form(c) for c in children]
-    holders: dict[Seq, list[int]] = {}
-    for n, f in enumerate(forms):
-        for s in f:
-            holders.setdefault(s, []).append(n)
-    candidates: set[tuple[int, int]] = set()
-    for n, f in enumerate(forms):
-        for s in f:
-            for k in range(len(s) + 1):
-                for m in holders.get(s[:k], ()):
-                    if m != n:
-                        candidates.add((min(n, m), max(n, m)))
-    return sorted(p for p in candidates if _meet(forms[p[0]], forms[p[1]]))
+    return [(n, m) for n in range(len(forms)) for m in range(n + 1, len(forms))
+            if _meet(forms[n], forms[m])]
 
 
 # -- window oracle ------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .scheme import Report, Scheme, VERIFIED, VIOLATED, Window
 from .seq import BranchRule, Seq, restrict, seq_at, seq_from_text, seq_to_text
@@ -119,22 +119,20 @@ def check_selector_identity(pm: PrefixMap, scheme: Scheme,
     return rep
 
 
+def _stem_class_words(pm: PrefixMap, a: Seq) -> Iterator[Seq]:
+    """One word per stem class of the branches through ``a``: ``a`` extended
+    to the map depth over ``stem_alphabet(a)``."""
+    letters = pm.stem_alphabet(a)
+    for tail in product(letters, repeat=max(pm.depth - len(a), 0)):
+        yield a + tail
+
+
 def check_image_identity(pm: PrefixMap, u: frozenset[int], a: Seq) -> bool:
     """Image of (preimage of ``u``) meet the cylinder at ``a`` versus ``u``
-    meet the cylinder image, both sides computed by brute enumeration of
-    stem classes."""
-    length = max(pm.depth, len(a))
-    letters = pm.stem_alphabet(a)
-    left = set()
-    seen = set()
-    for w in product(letters, repeat=length):
-        if w[: len(a)] != a:
-            continue
-        x = pm.resolve(w)
-        seen.add(x)
-        if x in u:
-            left.add(x)
-    return left == (u & seen)
+    meet the cylinder image: the left side by brute enumeration of stem
+    classes, the right side through ``PrefixMap.image``."""
+    seen = {pm.resolve(w) for w in _stem_class_words(pm, a)}
+    return u & seen == u & pm.image(a)
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,8 @@ def basic_intersect(b1: SigmaBasic, b2: SigmaBasic) -> Optional[SigmaBasic]:
 
 def basic_members(pm: PrefixMap, b: SigmaBasic) -> frozenset[Seq]:
     """Stem classes (at resolution length) realizing membership in the basic."""
-    length = max(pm.depth, len(b.stem))
-    letters = pm.stem_alphabet(b.stem)
-    return frozenset(w for w in product(letters, repeat=length)
-                     if w[: len(b.stem)] == b.stem and pm.resolve(w) in b.u)
+    return frozenset(w for w in _stem_class_words(pm, b.stem)
+                     if pm.resolve(w) in b.u)
 
 
 def basic_is_empty(pm: PrefixMap, b: SigmaBasic) -> bool:

@@ -101,10 +101,6 @@ def random_expr(rng: random.Random) -> Expr:
 
 # -- suite: cylinders-oracle --------------------------------------------------
 
-def _oracle_subset(e1: Expr, e2: Expr, depth: int, breadth: int) -> bool:
-    return cy.trace_window(e1, depth, breadth) <= cy.trace_window(e2, depth, breadth)
-
-
 def _grid_exprs() -> list[Expr]:
     atoms = [Atom(t) for ln in range(3) for t in product(range(2), repeat=ln)]
     ops = (Union, Inter, Diff)
@@ -123,24 +119,24 @@ def suite_cylinders_oracle(cfg: RunConfig) -> list[Report]:
 
     exprs = _grid_exprs()
     exprs += [random_expr(rng) for _ in range(500)]
+    # each expression is traced once; every oracle answer below reads it
+    traces = [cy.trace_window(e, d, b) for e in exprs]
     empty_bad = inclusion_bad = member_bad = 0
     for i, e in enumerate(exprs):
-        window = cy.trace_window(e, d, b)
-        if cy.is_empty(e) != (not window):
+        if cy.is_empty(e) != (not traces[i]):
             empty_bad += 1
             rep.add(f"emptiness:{i}", VIOLATED, expr_to_text(e))
         if i + 1 < len(exprs):
             other = exprs[i + 1]
-            if cy.subset(e, other) != _oracle_subset(e, other, d, b):
+            if cy.subset(e, other) != (traces[i] <= traces[i + 1]):
                 inclusion_bad += 1
                 rep.add(f"inclusion:{i}", VIOLATED,
                         f"{expr_to_text(e)} vs {expr_to_text(other)}")
     words = list(product(range(b + 1), repeat=d))
     for i in rng.sample(range(len(exprs)), 60):
-        e = exprs[i]
-        window = cy.trace_window(e, d, b)
+        e, trace = exprs[i], traces[i]
         for w in words:
-            if cy.contains_branch(e, BranchRule.periodic(w)) != (w in window):
+            if cy.contains_branch(e, BranchRule.periodic(w)) != (w in trace):
                 member_bad += 1
                 rep.add(f"membership:{i}", VIOLATED,
                         f"{expr_to_text(e)} at {w}")
@@ -155,6 +151,9 @@ def suite_cylinders_oracle(cfg: RunConfig) -> list[Report]:
 
 
 def _nd_witness_report(rng: random.Random) -> Report:
+    """Brute check of ``nd_witness``: the window words ``c + tail`` through
+    the witness ``c`` all lie in the source's trace, and none of them has
+    all its prefixes in the tree."""
     rep = Report("nd-witness")
     bad = 0
     done = 0
@@ -167,26 +166,20 @@ def _nd_witness_report(rng: random.Random) -> Report:
         c = cy.nd_witness(u, tree)
         depth = max(3, len(c)) + 1
         breadth = max(3, max(c) + 1, tree.branching + 1)
-        if not _oracle_subset(Atom(c), u, depth, breadth):
+        trace = cy.trace_window(u, depth, breadth)
+        words = [c + tail for tail in product(range(breadth + 1),
+                                              repeat=depth - len(c))]
+        if not all(w in trace for w in words):
             bad += 1
             rep.add(f"inside:{done}", VIOLATED, f"{c} vs {expr_to_text(u)}")
-        if not _window_avoids_tree(c, tree, depth, breadth):
+        if any(all(tree.member(w[: j]) for j in range(1, len(w) + 1))
+               for w in words):
             bad += 1
             rep.add(f"avoids:{done}", VIOLATED, f"{c} vs caps {caps}")
         done += 1
     rep.add("nd-witness", VERIFIED if not bad else VIOLATED,
             "100 random source/tree pairs, window-verified")
     return rep
-
-
-def _window_avoids_tree(c: Seq, tree: NdTree, depth: int, breadth: int) -> bool:
-    """Brute check that every window word extending ``c`` has a prefix
-    outside the tree."""
-    for tail in product(range(breadth + 1), repeat=depth - len(c)):
-        w = c + tail
-        if all(tree.member(w[: j]) for j in range(1, len(w) + 1)):
-            return False
-    return True
 
 
 # -- suite: schemes-vg --------------------------------------------------------

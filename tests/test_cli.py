@@ -253,3 +253,28 @@ def test_unwritable_json_path_is_configuration_error(tmp_path, argv):
     code, out = run_cli(argv + ["--json", str(path)])
     assert code == 2
     assert out.startswith("configuration error") and out.count("\n") == 1
+
+
+def test_unwritable_json_path_fails_before_the_suite_runs(tmp_path,
+                                                          monkeypatch):
+    def run_suite(cfg):
+        raise AssertionError("the suite ran before the path was checked")
+
+    monkeypatch.setattr("bairekit.cli.run_suite", run_suite)
+    path = tmp_path / "missing" / "x.json"
+    code, out = run_cli(["verify", "--suite", "schemes-vg",
+                         "--json", str(path)])
+    assert code == 2
+    assert out.startswith("configuration error") and out.count("\n") == 1
+
+
+def test_json_path_check_keeps_existing_and_leaves_no_new_file(tmp_path):
+    existing = tmp_path / "old.json"
+    existing.write_text("kept\n")
+    fresh = tmp_path / "new.json"
+    for path in (existing, fresh):
+        # the window guard fails after the path check
+        code, _ = run_cli(["export", "--depth", "20", "--json", str(path)])
+        assert code == 2
+    assert existing.read_text() == "kept\n"
+    assert not fresh.exists()

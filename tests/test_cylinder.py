@@ -413,3 +413,7 @@ def test_antichain_extension_examples():
     infinite = minimal_antichain(FULL - cyl(0))
     assert [infinite.extension(n) for n in range(4)] == \
         [((1,), 0), ((2,), 0), ((1,), 1), ((3,), 0)]
+
+
+def test_mentions_cache_is_bounded():
+    assert mentions.cache_info().maxsize == 1024

@@ -9,6 +9,7 @@ from bairekit.selector import (PrefixMap, SigmaBasic, StrictnessError,
                                fiber_stem, pi_space_probe, preset_maps,
                                pushforward_scheme, trivial_selector)
 from bairekit.seq import BranchRule
+from bairekit.suites import RunConfig, suite_selectors
 
 TWO = preset_maps()["two"]       # depth 1: stem (0,) -> 0, anything else -> 1
 THREE = preset_maps()["three"]   # depth 2 over {0,1}
@@ -170,3 +171,18 @@ def test_trivial_selector_agrees_with_prefix_map():
     for word in product(range(3), repeat=2):
         branch = BranchRule.padded(word, 0)
         assert select(branch) == THREE.apply(branch)
+
+
+def test_image_identity_reads_the_image(monkeypatch):
+    # an image that loses the default point of the stems shorter than the
+    # map depth; the brute side still reaches it through a fresh letter
+    image = PrefixMap.image
+
+    def lossy(self, a):
+        out = image(self, a)
+        return out - {self.default} if len(a) < self.depth else out
+
+    monkeypatch.setattr(PrefixMap, "image", lossy)
+    rep = suite_selectors(RunConfig(suite="selectors"))[0]
+    assert not rep.ok
+    assert any(e.key.startswith("image:") for e in rep.violations)

@@ -1,5 +1,10 @@
+import hashlib
+import io
+
 import pytest
 
+import bairekit.cylinder as cy
+from bairekit.cli import main
 from bairekit.suites import ConfigError, RunConfig, run_suite
 
 
@@ -30,3 +35,41 @@ def test_run_suite_shape_and_reproducibility():
                                                    "nd-witness"}
     different = run_suite(RunConfig(suite="cylinders-oracle", seed=12))
     assert different["ok"] is True
+
+
+# sha256 of `verify --json` reports: how the oracle suites compute their
+# answers must not change a byte of what they write
+REPORT_DIGESTS = {
+    ("cylinders-oracle", 0):
+        "d647431c5fa77f281f1588921d845b169ddbb39a97f570b51392a492dd064a8b",
+    ("cylinders-oracle", 1):
+        "c926e0322ddef7aa0518f957e3619d44eb4e4b44ceaa499d6ea01d603745d279",
+    ("selectors", 0):
+        "c8ed521f2c2925bcf9c6b8f354f8128673b870b92d7f630e7d190ccc33904515",
+}
+
+
+@pytest.mark.parametrize("suite, seed", list(REPORT_DIGESTS))
+def test_oracle_suite_report_digest(tmp_path, suite, seed):
+    path = tmp_path / "report.json"
+    argv = ["verify", "--suite", suite, "--seed", str(seed),
+            "--json", str(path)]
+    assert main(argv, stdout=io.StringIO()) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[suite, seed]
+
+
+def test_cylinders_oracle_trace_budget(monkeypatch):
+    # one trace per expression, plus the nd-witness windows: 1,230 suite
+    # expressions, 145 drawn sources and 100 witness windows at seed 1
+    calls = 0
+    trace_window = cy.trace_window
+
+    def counted(e, depth, breadth):
+        nonlocal calls
+        calls += 1
+        return trace_window(e, depth, breadth)
+
+    monkeypatch.setattr(cy, "trace_window", counted)
+    assert run_suite(RunConfig(suite="cylinders-oracle", seed=1))["ok"]
+    assert calls <= 1475
