@@ -10,8 +10,8 @@ from .cylinder import (Atom, Diff, EMPTY, EmptySetError, Expr, FULL, Inter,
                        witness_cylinder)
 from .choquet import (ExtractionError, GameResult, IllegalMoveError,
                       copy_strategy, cylinder_strategy, extract_schemes,
-                      modify_strategy, remove_redundant, run_game,
-                      scripted_player)
+                      modify_strategy, play_round, remove_redundant,
+                      run_game, scripted_player)
 from .grammar import ExprSyntaxError, expr_from_json, expr_to_json, \
     expr_to_text, parse_expr
 from .lusin import LusinBase, base_from_lines, build_lusin, \
@@ -25,9 +25,8 @@ from .selector import (PrefixMap, SigmaBasic, StrictnessError,
                        basic_intersect, check_image_identity,
                        check_selector_identity, fiber_stem, pi_space_probe,
                        preset_maps, pushforward_scheme, trivial_selector)
-from .seq import (BranchRule, Seq, append, concat, is_prefix, pair, restrict,
-                  seq_at, seq_from_text, seq_index, seq_to_text, tuple_at,
-                  unpair)
+from .seq import (BranchRule, Seq, is_prefix, pair, restrict, seq_at,
+                  seq_from_text, seq_index, seq_to_text, tuple_at, unpair)
 from .spaces import BAIRE, BaireSpaceModel, FiniteSpaceModel, LazySeq, \
     SpaceModel, all_topologies
 from .suites import RunConfig, run_suite

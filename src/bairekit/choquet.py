@@ -2,11 +2,11 @@
 
 Players alternate nonempty open sets, each inside the previous one; the
 second player wins an infinite run when the intersection of their moves is
-nonempty.  This module runs finite rounds with full legality checking,
-computes the deflation of a history (dropping the repeat pairs), derives
-the modified reply rule that echoes repeat moves and consults the base
-strategy on the deflated history, and extracts the pair of schemes whose
-branches replay the modified strategy against pi-base enumerations.
+nonempty.  Every game loop plays its rounds through one referee,
+``play_round``.  The module also computes the deflation of a history
+(dropping the repeat pairs), derives the modified reply rule that echoes
+repeat moves and consults the base strategy on the deflated history, and
+extracts the scheme pair whose branches replay it against pi-base enumerations.
 
 Verdicts are exact only where they can be: in a finite space every legal
 infinite continuation has an eventually constant chain of replies, so a
@@ -44,19 +44,26 @@ class ExtractionError(ValueError):
     pass
 
 
+def _fault(space: SpaceModel, name: str, o, limit) -> Optional[str]:
+    """Why ``o`` is not a legal ``name`` ("move" or "reply") played inside
+    ``limit``, or None: a legal one is a nonempty open set inside it."""
+    if not space.is_open(o):
+        return f"{name} is not an open set"
+    if space.is_empty(o):
+        return f"{name} is empty"
+    if not space.subset(o, limit):
+        return f"{name} escapes " + \
+            ("the previous reply" if name == "move" else "the move")
+    return None
+
+
 def validate_history(space: SpaceModel, history: History) -> None:
     """Check the defining chain shape: nonempty opens, each inside the last."""
     limit = space.whole()
     for k, (u, v) in enumerate(history):
-        for name, o in (("first", u), ("second", v)):
-            if not space.is_open(o):
-                raise ValueError(f"pair {k}: {name} move is not an open set")
-            if space.is_empty(o):
-                raise ValueError(f"pair {k}: {name} move is empty")
-        if not space.subset(u, limit):
-            raise ValueError(f"pair {k}: move escapes the previous reply")
-        if not space.subset(v, u):
-            raise ValueError(f"pair {k}: reply escapes the move")
+        fault = _fault(space, "move", u, limit) or _fault(space, "reply", v, u)
+        if fault:
+            raise ValueError(f"pair {k}: {fault}")
         limit = v
 
 
@@ -97,18 +104,12 @@ def cylinder_strategy() -> PlayerII:
 def modify_strategy(strategy: PlayerII) -> PlayerII:
     """The echo-or-deflate modification of a reply rule.
 
-    On a first move equal to the whole space the reply is the whole space;
-    on any other first move the base rule answers directly.  Later, a move
-    repeating the previous reply is echoed back; any other move is passed
-    to the base rule along with the deflated history."""
+    A move repeating the previous reply (the whole space before the first
+    round) is echoed back; any other move is passed to the base rule along
+    with the deflated history."""
 
     def reply(space: SpaceModel, history: History, u):
-        whole = space.whole()
-        if not history:
-            if space.equal(u, whole):
-                return whole
-            return strategy(space, (), u)
-        last = history[-1][1]
+        last = history[-1][1] if history else space.whole()
         if space.equal(u, last):
             return last
         return strategy(space, remove_redundant(space, history), u)
@@ -132,28 +133,29 @@ class GameResult:
     note: str
 
 
+def play_round(space: SpaceModel, history: History, u,
+               player_two: PlayerII) -> History:
+    """The history after one round: check player I's move ``u``, ask player
+    II, check the reply.  A fault raises IllegalMoveError naming its player."""
+    limit = history[-1][1] if history else space.whole()
+    fault = _fault(space, "move", u, limit)
+    if fault:
+        raise IllegalMoveError("I", len(history), fault)
+    v = player_two(space, history, u)
+    fault = _fault(space, "reply", v, u)
+    if fault:
+        raise IllegalMoveError("II", len(history), fault)
+    return history + ((u, v),)
+
+
 def run_game(space: SpaceModel, player_one: PlayerI, player_two: PlayerII,
              rounds: int) -> GameResult:
     if rounds < 1:
         raise ValueError("a run needs at least one round")
     history: History = ()
-    for k in range(rounds):
-        limit = history[-1][1] if history else space.whole()
-        u = player_one(space, history)
-        if not space.is_open(u):
-            raise IllegalMoveError("I", k, "move is not an open set")
-        if space.is_empty(u):
-            raise IllegalMoveError("I", k, "move is empty")
-        if not space.subset(u, limit):
-            raise IllegalMoveError("I", k, "move escapes the previous reply")
-        v = player_two(space, history, u)
-        if not space.is_open(v):
-            raise IllegalMoveError("II", k, "reply is not an open set")
-        if space.is_empty(v):
-            raise IllegalMoveError("II", k, "reply is empty")
-        if not space.subset(v, u):
-            raise IllegalMoveError("II", k, "reply escapes the move")
-        history += ((u, v),)
+    for _ in range(rounds):
+        history = play_round(space, history, player_one(space, history),
+                             player_two)
     final = history[-1][1]
     if isinstance(space, FiniteSpaceModel):
         # replies weakly decrease through finitely many opens, so every
@@ -200,9 +202,10 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
                 enum = enums[parent] = space.pi_base_enum(history[-1][1])
             u = enum[a[-1]]
         v = modified(space, history, u)
-        if space.is_empty(v) or not space.subset(v, u):
-            raise ExtractionError(f"illegal reply at node {a}: "
-                                  f"{space.describe(v)} against {space.describe(u)}")
+        # moves come from pi_base_enum, so only the reply is checked
+        fault = _fault(space, "reply", v, u)
+        if fault:
+            raise ExtractionError(f"illegal reply at node {a}: {fault}")
         runs[a] = history + ((u, v),)
         return runs[a]
 
@@ -213,14 +216,12 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
 
 def replay_branch(space: SpaceModel, strategy: PlayerII, moves: Scheme,
                   replies: Scheme, branch: Seq) -> bool:
-    """Re-run the modified strategy against the recorded moves along a
-    branch and compare with the recorded replies, pair by pair."""
+    """Re-play the recorded moves along a branch against the modified
+    strategy; False at the first reply that differs from the recorded one."""
     modified = modify_strategy(strategy)
-    script = [moves.node(branch[: k]) for k in range(len(branch) + 1)]
     history: History = ()
-    for k, u in enumerate(script):
-        v = modified(space, history, u)
-        if not space.equal(v, replies.node(branch[: k])):
+    for k in range(len(branch) + 1):
+        history = play_round(space, history, moves.node(branch[: k]), modified)
+        if not space.equal(history[-1][1], replies.node(branch[: k])):
             return False
-        history += ((u, v),)
     return True

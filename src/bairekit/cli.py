@@ -19,8 +19,8 @@ import os
 import sys
 from typing import Optional, TextIO
 
-from .choquet import copy_strategy, cylinder_strategy, extract_schemes, \
-    modify_strategy, transcript_json
+from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
+    extract_schemes, modify_strategy, play_round, transcript_json
 from .grammar import ExprSyntaxError, parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
@@ -228,18 +228,14 @@ def play_repl(space: SpaceModel, strategy_name: str,
         except (ValueError, ExprSyntaxError) as exc:
             stdout.write(f"cannot parse move: {exc}\n")
             continue
-        if not space.is_open(move):
-            stdout.write("that set is not open here; try again\n")
+        try:
+            history = play_round(space, history, move, machine)
+        except IllegalMoveError as exc:
+            if exc.player != "I":
+                raise
+            stdout.write(f"{exc}; try again\n")
             continue
-        if space.is_empty(move):
-            stdout.write("moves must be nonempty; try again\n")
-            continue
-        if not space.subset(move, limit):
-            stdout.write("moves must sit inside the previous reply; "
-                         "try again\n")
-            continue
-        reply = machine(space, history, move)
-        history += ((move, reply),)
+        reply = history[-1][1]
         stdout.write(f"II[{len(history) - 1}]> {space.describe(reply)}\n")
         if finite:
             stdout.write("stabilized intersection so far: "

@@ -244,6 +244,8 @@ class Antichain:
 
     @property
     def is_infinite(self) -> bool:
+        """Whether the antichain has a family, hence infinitely many
+        members.  Public API: the library itself does not ask."""
         return bool(self.families)
 
     def member(self, i: int) -> Seq:
@@ -387,6 +389,9 @@ class NdTree:
     depth_bound: int = 6
 
     def check_shape(self) -> None:
+        """Raise ValueError unless the tree meets the shape conditions up to
+        ``depth_bound``.  Public API for callers that build their own trees;
+        the library itself does not call it."""
         if self.branching < 1:
             raise ValueError("branching bound must be positive")
         alphabet = range(self.branching + 1)

@@ -105,11 +105,14 @@ def pushforward_scheme(pm: PrefixMap) -> Scheme:
 
 def check_selector_identity(pm: PrefixMap, scheme: Scheme,
                             window: Window) -> Report:
-    """Exact equality of the map's cylinder images with the scheme nodes."""
+    """Exact equality of the map's cylinder images with the scheme nodes,
+    each image enumerated by brute force over stem classes rather than read
+    from ``PrefixMap.image``, which the pushforward scheme is built from."""
     rep = Report("selector-identity")
     space = scheme.space
     for a in window.nodes():
-        expected = space.mask_of(pm.image(a))
+        expected = space.mask_of(
+            {pm.resolve(w) for w in _stem_class_words(pm, a)})
         key = seq_to_text(a)
         if space.equal(scheme.node(a), expected):
             rep.add(key, VERIFIED)

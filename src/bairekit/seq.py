@@ -13,8 +13,6 @@ from typing import Callable, Union
 
 Seq = tuple[int, ...]
 
-EMPTY_SEQ: Seq = ()
-
 
 class BranchRule:
     """A total map from the naturals to the naturals.
@@ -59,14 +57,6 @@ class BranchRule:
 
 
 SeqLike = Union[Seq, BranchRule]
-
-
-def concat(s: Seq, t: Seq) -> Seq:
-    return s + t
-
-
-def append(s: Seq, x: int) -> Seq:
-    return s + (x,)
 
 
 def restrict(s: SeqLike, n: int) -> Seq:
@@ -151,7 +141,8 @@ def tuple_at(n: int, length: int) -> Seq:
 
 
 def tuple_index(t: Seq) -> int:
-    """Inverse of ``tuple_at`` for nonempty tuples."""
+    """Inverse of ``tuple_at`` for nonempty tuples.  Public API: the
+    library itself only needs the forward direction."""
     if not t:
         return 0
     n = t[0]

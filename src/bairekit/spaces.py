@@ -13,11 +13,11 @@ as opens and delegates to the exact cylinder decision procedures.
 from __future__ import annotations
 
 from itertools import count, cycle
-from typing import Any, Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from . import cylinder
 from .cylinder import Atom, Expr, Inter, Union as ExprUnion, minimal_antichain
-from .grammar import expr_from_json, expr_to_text, parse_expr
+from .grammar import expr_to_text
 from .seq import BranchRule, seq_at
 
 # FiniteSpaceModel checks every pair of opens, so it rejects larger families
@@ -65,7 +65,6 @@ class SpaceModel(Protocol):
 
     def describe(self, o) -> str: ...
     def open_to_json(self, o): ...
-    def open_from_json(self, data): ...
 
 
 class FiniteSpaceModel:
@@ -163,11 +162,6 @@ class FiniteSpaceModel:
     def open_to_json(self, o: int) -> list[int]:
         return list(self.points_of(o))
 
-    def open_from_json(self, data: Any) -> int:
-        if not isinstance(data, list):
-            raise ValueError(f"finite open must be a point list: {data!r}")
-        return self.mask_of(data)
-
     def to_json(self) -> dict:
         return {"points": list(self.points),
                 "opens": [list(self.points_of(m)) for m in sorted(self.opens)]}
@@ -241,11 +235,6 @@ class BaireSpaceModel:
 
     def open_to_json(self, o: Expr) -> str:
         return expr_to_text(o)
-
-    def open_from_json(self, data: Any) -> Expr:
-        if isinstance(data, str):
-            return parse_expr(data)
-        return expr_from_json(data)
 
 
 BAIRE = BaireSpaceModel()

@@ -14,8 +14,9 @@ from itertools import chain, product
 from typing import Callable, Optional
 
 from . import cylinder as cy
-from .choquet import (copy_strategy, cylinder_strategy, extract_schemes,
-                      modify_strategy, remove_redundant, replay_branch)
+from .choquet import (IllegalMoveError, copy_strategy, cylinder_strategy,
+                      extract_schemes, modify_strategy, play_round,
+                      remove_redundant, replay_branch)
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
@@ -70,7 +71,7 @@ def load_space_file(path: str) -> FiniteSpaceModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return FiniteSpaceModel.from_json(json.load(fh))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot load space {path!r}: {exc}") from exc
 
 
@@ -304,6 +305,8 @@ def _chain_space() -> FiniteSpaceModel:
 
 
 def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
+    # a bad extra space fails before the exhaustive search; it reports last
+    extra = load_space_file(cfg.space_path) if cfg.space_path else None
     rep = Report("deflation")
     space = _chain_space()
     x, y, z = space.whole(), space.mask_of([1, 2]), space.mask_of([2])
@@ -320,8 +323,7 @@ def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
     rep.extend(_clause_dispatch_report(space, x, y, z))
 
     reports = [rep, _exhaustive_modified_report()]
-    if cfg.space_path:
-        extra = load_space_file(cfg.space_path)
+    if extra is not None:
         reports.append(_modified_wins_report(extra, "custom-space"))
     return reports
 
@@ -388,14 +390,15 @@ def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report) -> int:
         nonlocal failures
         limit = history[-1][1] if history else space.whole()
         for u in space.nonempty_opens_inside(limit):
-            v = modified(space, history, u)
-            if space.is_empty(v) or not space.subset(v, u):
+            try:
+                played = play_round(space, history, u, modified)
+            except IllegalMoveError:
                 failures += 1
                 rep.add("illegal-reply", VIOLATED,
                         f"history {history}, move {space.describe(u)}")
                 continue
             if moves_left > 1:
-                dfs(history + ((u, v),), moves_left - 1)
+                dfs(played, moves_left - 1)
 
     dfs((), 4)
     return failures

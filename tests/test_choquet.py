@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bairekit.choquet import (ExtractionError, IllegalMoveError, copy_strategy,
-                              cylinder_strategy, extract_schemes,
-                              modify_strategy, remove_redundant, replay_branch,
-                              run_game, scripted_player, transcript_json,
+from bairekit.choquet import (ExtractionError, IllegalMoveError, _fault,
+                              copy_strategy, cylinder_strategy,
+                              extract_schemes, modify_strategy, play_round,
+                              remove_redundant, replay_branch, run_game,
+                              scripted_player, transcript_json,
                               validate_history)
 from bairekit.cylinder import Atom, FULL, cyl, subset
 from bairekit.scheme import UNRESOLVED, Window, check_covers
@@ -207,6 +208,61 @@ def test_extract_rejects_rogue_strategy():
     _moves, replies = extract_schemes(sp, rogue)
     with pytest.raises(ExtractionError):
         replies.node((1,))
+
+
+def test_fault_is_the_legality_rule_on_small_topologies():
+    for n in range(1, 4):
+        for masks in all_topologies(n):
+            sp = FiniteSpaceModel(range(n), masks)
+            for limit in masks:
+                for o in range(1 << n):
+                    legal = o in masks and o != 0 and o & ~limit == 0
+                    assert (_fault(sp, "move", o, limit) is None) == legal
+
+
+def test_fault_wording():
+    sp = chain_space()
+    x, y, z = sp.whole(), sp.mask_of([1, 2]), sp.mask_of([2])
+    assert _fault(sp, "move", sp.mask_of([1]), x) == "move is not an open set"
+    assert _fault(sp, "reply", 0, x) == "reply is empty"
+    assert _fault(sp, "move", y, z) == "move escapes the previous reply"
+    assert _fault(sp, "reply", y, z) == "reply escapes the move"
+    with pytest.raises(ValueError, match="^pair 1: reply escapes the move$"):
+        validate_history(sp, ((x, y), (z, y)))
+
+
+def test_play_round_names_the_faulty_player():
+    sp = chain_space()
+    x, y, z = sp.whole(), sp.mask_of([1, 2]), sp.mask_of([2])
+    history = play_round(sp, (), y, copy_strategy())
+    assert history == ((y, y),)
+    with pytest.raises(IllegalMoveError) as err:
+        play_round(sp, history, x, copy_strategy())
+    assert (err.value.player, err.value.round_no) == ("I", 1)
+    assert str(err.value).endswith("move escapes the previous reply")
+
+    def rogue(space, history, u):
+        return space.whole()
+
+    with pytest.raises(IllegalMoveError) as err:
+        play_round(sp, history, z, rogue)
+    assert (err.value.player, err.value.round_no) == ("II", 1)
+    assert str(err.value).endswith("reply escapes the move")
+
+
+def test_extract_rejects_a_reply_that_is_not_open():
+    sp = chain_space()
+    one = sp.mask_of([1])
+
+    def rogue(space, history, u):
+        return u & one or u  # {1} is not open in the chain space
+
+    _moves, replies = extract_schemes(sp, rogue)
+    assert replies.node((1,)) == sp.mask_of([2])
+    # node (2,) plays the move {1,2}, answered with {1}
+    with pytest.raises(ExtractionError,
+                       match=r"node \(2,\): reply is not an open set"):
+        replies.node((2,))
 
 
 def test_extract_baire_replay():

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import bairekit.cli as cli
+from bairekit.choquet import IllegalMoveError
 from bairekit.cli import main
 from bairekit.spaces import FiniteSpaceModel
 
@@ -92,6 +94,25 @@ def test_choquet_extract_rejects_bad_space_before_enumerating(tmp_path,
     code, out = run_cli(["verify", "--suite", "choquet-extract",
                          "--space", str(space_file)])
     assert code == 2 and "configuration error" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "choquet-finite"],
+    ["verify", "--suite", "choquet-extract"],
+    ["extract"],
+], ids=["choquet-finite", "choquet-extract", "extract"])
+def test_deeply_nested_space_file_is_configuration_error(tmp_path, monkeypatch,
+                                                         argv):
+    def enumerate_topologies(n):
+        raise AssertionError("topologies enumerated before the space loaded")
+
+    monkeypatch.setattr("bairekit.suites.all_topologies", enumerate_topologies)
+    space_file = tmp_path / "space.json"
+    space_file.write_text("[" * 100_000)
+    code, out = run_cli(argv + ["--space", str(space_file)])
+    assert code == 2
+    [line] = out.splitlines()
+    assert line.startswith("configuration error: cannot load space")
 
 
 @pytest.mark.parametrize("line", [
@@ -195,7 +216,7 @@ def test_play_finite_game(tmp_path):
     assert "II[0]> {1}" in out
     assert "cannot parse move" in out
     # {0,1} is not inside the running reply {1} anymore
-    assert "inside the previous reply" in out
+    assert "move escapes the previous reply; try again" in out
     transcript = json.loads(dump.read_text())
     assert transcript == [{"player": "I", "set": [1]},
                           {"player": "II", "set": [1]}]
@@ -230,7 +251,7 @@ def test_play_rejects_illegal_and_keeps_state():
     script = "0\nS(4)\nS(4,0,1)\n:quit\n"
     code, out = run_cli(["play", "--space", "baire"], script)
     assert code == 0
-    assert "nonempty" in out
+    assert "move is empty; try again" in out
     assert "II[1]>" in out  # the two legal moves both got replies
 
 
@@ -278,3 +299,24 @@ def test_json_path_check_keeps_existing_and_leaves_no_new_file(tmp_path):
         assert code == 2
     assert existing.read_text() == "kept\n"
     assert not fresh.exists()
+
+
+def test_play_rejects_empty_move_with_one_line_and_goes_on(tmp_path):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(FiniteSpaceModel.sierpinski().to_json()))
+    code, out = run_cli(["play", "--space", str(space_file)],
+                        "{}\n1\n:quit\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert ("I[0]> illegal move by player I in round 0: move is empty; "
+            "try again") in lines
+    assert "I[0]> II[0]> {1}" in lines
+    assert out.endswith("game over after 1 rounds\n")
+
+
+def test_play_reraises_a_machine_fault(monkeypatch):
+    monkeypatch.setattr(cli, "_strategy",
+                        lambda name: lambda space, history, u: space.whole())
+    with pytest.raises(IllegalMoveError) as err:
+        run_cli(["play", "--space", "baire"], "S(0)\n:quit\n")
+    assert err.value.player == "II"

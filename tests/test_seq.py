@@ -2,19 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bairekit.seq import (BranchRule, append, concat, is_prefix, pair,
-                          restrict, seq_at, seq_from_text, seq_index,
-                          seq_to_text, tuple_at, tuple_index, unpair)
+from bairekit.seq import (BranchRule, is_prefix, pair, restrict, seq_at,
+                          seq_from_text, seq_index, seq_to_text, tuple_at,
+                          tuple_index, unpair)
 
 naturals = st.integers(0, 50)
 seqs = st.lists(naturals, max_size=6).map(tuple)
-
-
-def test_concat_examples():
-    assert concat((), (1, 2)) == (1, 2)
-    assert concat((0,), ()) == (0,)
-    assert concat((3, 1), (4,)) == (3, 1, 4)
-    assert append((3, 1), 4) == (3, 1, 4)
 
 
 def test_restrict_examples():
@@ -42,12 +35,6 @@ def test_branch_rules():
 
 
 @given(seqs, seqs, seqs)
-def test_concat_associative_with_identity(s, t, u):
-    assert concat(concat(s, t), u) == concat(s, concat(t, u))
-    assert concat(s, ()) == s == concat((), s)
-
-
-@given(seqs, seqs, seqs)
 def test_prefix_partial_order(s, t, u):
     assert is_prefix(s, s)
     if is_prefix(s, t) and is_prefix(t, s):
@@ -58,7 +45,7 @@ def test_prefix_partial_order(s, t, u):
 
 @given(seqs, seqs)
 def test_restrict_concat(s, t):
-    assert restrict(concat(s, t), len(s)) == s
+    assert restrict(s + t, len(s)) == s
 
 
 def test_pairing_round_trips():

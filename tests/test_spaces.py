@@ -78,7 +78,6 @@ def test_baire_model_delegates():
     assert BAIRE.equal(BAIRE.union(cyl(0), cyl(0)), cyl(0))
     assert BAIRE.contains(cyl(2), BranchRule.constant(2))
     assert BAIRE.is_open(cyl(1)) and not BAIRE.is_open(42)
-    assert BAIRE.open_from_json("S(1)\\S(1,0)") == cyl(1) - cyl(1, 0)
     assert BAIRE.overlapping_pairs([cyl(0), cyl(1), cyl(0, 1)]) == [(0, 2)]
 
 

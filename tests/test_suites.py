@@ -37,9 +37,13 @@ def test_run_suite_shape_and_reproducibility():
     assert different["ok"] is True
 
 
-# sha256 of `verify --json` reports: how the oracle suites compute their
-# answers must not change a byte of what they write
+# sha256 of `verify --json` reports: how the suites compute their answers
+# must not change a byte of what they write
 REPORT_DIGESTS = {
+    ("choquet-finite", 0):
+        "91cd475c133fdec14c7ade56109c8a8347e20eaeec696049ce52ed80c7d92eed",
+    ("choquet-finite", 1):
+        "72089f276095de7b3c439eceb21da181b29824497ac1dbcc1aebe880d8569a06",
     ("cylinders-oracle", 0):
         "d647431c5fa77f281f1588921d845b169ddbb39a97f570b51392a492dd064a8b",
     ("cylinders-oracle", 1):
@@ -57,6 +61,15 @@ def test_oracle_suite_report_digest(tmp_path, suite, seed):
     assert main(argv, stdout=io.StringIO()) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[suite, seed]
+
+
+def test_extract_baire_digest(tmp_path):
+    path = tmp_path / "extract.json"
+    argv = ["extract", "--space", "baire", "--depth", "3", "--breadth", "4",
+            "--json", str(path)]
+    assert main(argv, stdout=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "ce82f37ecca6efcc26cc893f51dc5af220a3246dda02550f6ef1dabf3bcce900"
 
 
 def test_cylinders_oracle_trace_budget(monkeypatch):
