@@ -57,6 +57,12 @@ def _fault(space: SpaceModel, name: str, o, limit) -> Optional[str]:
     return None
 
 
+def _last_reply(space: SpaceModel, history: History):
+    """The set the next move must lie in: the last reply, or the whole
+    space before the first round."""
+    return history[-1][1] if history else space.whole()
+
+
 def validate_history(space: SpaceModel, history: History) -> None:
     """Check the defining chain shape: nonempty opens, each inside the last."""
     limit = space.whole()
@@ -109,7 +115,7 @@ def modify_strategy(strategy: PlayerII) -> PlayerII:
     with the deflated history."""
 
     def reply(space: SpaceModel, history: History, u):
-        last = history[-1][1] if history else space.whole()
+        last = _last_reply(space, history)
         if space.equal(u, last):
             return last
         return strategy(space, remove_redundant(space, history), u)
@@ -137,8 +143,7 @@ def play_round(space: SpaceModel, history: History, u,
                player_two: PlayerII) -> History:
     """The history after one round: check player I's move ``u``, ask player
     II, check the reply.  A fault raises IllegalMoveError naming its player."""
-    limit = history[-1][1] if history else space.whole()
-    fault = _fault(space, "move", u, limit)
+    fault = _fault(space, "move", u, _last_reply(space, history))
     if fault:
         raise IllegalMoveError("I", len(history), fault)
     v = player_two(space, history, u)
@@ -183,34 +188,56 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     pi-base of its reply (element 0 being the reply itself), and each
     child's reply is the modified strategy's answer on the recorded branch
     history.  Along every branch the recorded pairs form a legal run; the
-    caller is responsible for the claim that the base strategy wins."""
-    modified = modify_strategy(strategy)
-    runs: dict[Seq, History] = {}
-    enums: dict[Seq, LazySeq] = {}
+    caller is responsible for the claim that the base strategy wins.
 
-    def run_to(a: Seq) -> History:
-        """The recorded pairs from the root to node ``a``, ``a`` included."""
-        if a in runs:
-            return runs[a]
-        if not a:
-            history, u = (), space.whole()
-        else:
-            parent = a[:-1]
-            history = run_to(parent)
-            enum = enums.get(parent)
-            if enum is None:
-                enum = enums[parent] = space.pi_base_enum(history[-1][1])
-            u = enum[a[-1]]
-        v = modified(space, history, u)
+    The modified strategy reads a history only through its deflation,
+    whose last reply is the history's last reply.  So a node's children,
+    and its whole subtree, depend only on its deflated history; its own
+    pair depends on its parent's deflated history and its index.  Each
+    step (child pair and child deflated history) is therefore computed, and
+    its reply checked, once per distinct (parent deflated history, child
+    index), with the deflation extended one pair at a time.  This assumes
+    the base strategy is a function of its arguments: it is called at most
+    once per distinct deflated history and child index, not once per
+    node."""
+    modified = modify_strategy(strategy)
+    # a step is a node's move, its reply and its deflated history; ``steps``
+    # is keyed by (the parent's deflated history, child index), ``at`` by node
+    steps: dict[tuple[History, int], tuple] = {}
+    at: dict[Seq, tuple] = {}
+    enums: dict[object, LazySeq] = {}
+
+    def step(deflated: History, u, a: Seq) -> tuple:
+        v = modified(space, deflated, u)
         # moves come from pi_base_enum, so only the reply is checked
         fault = _fault(space, "reply", v, u)
         if fault:
             raise ExtractionError(f"illegal reply at node {a}: {fault}")
-        runs[a] = history + ((u, v),)
-        return runs[a]
+        last = _last_reply(space, deflated)
+        if space.equal(u, last) and space.equal(v, last):
+            return u, v, deflated
+        return u, v, deflated + ((u, v),)
 
-    moves = Scheme(space, lambda a: run_to(a)[-1][0], label="extracted-moves")
-    replies = Scheme(space, lambda a: run_to(a)[-1][1], label="extracted-replies")
+    def step_at(a: Seq) -> tuple:
+        s = at.get(a)
+        if s is not None:
+            return s
+        if not a:
+            s = step((), space.whole(), a)
+        else:
+            deflated = step_at(a[:-1])[2]
+            key = (deflated, a[-1])
+            s = steps.get(key)
+            if s is None:
+                last = _last_reply(space, deflated)
+                if last not in enums:
+                    enums[last] = space.pi_base_enum(last)
+                s = steps[key] = step(deflated, enums[last][a[-1]], a)
+        at[a] = s
+        return s
+
+    moves = Scheme(space, lambda a: step_at(a)[0], label="extracted-moves")
+    replies = Scheme(space, lambda a: step_at(a)[1], label="extracted-replies")
     return moves, replies
 
 

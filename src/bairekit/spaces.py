@@ -168,9 +168,20 @@ class FiniteSpaceModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteSpaceModel":
+        """A space from its JSON form: a list of distinct integer points and
+        a list of opens, each a list of those points."""
         if not isinstance(data, dict) or "points" not in data or "opens" not in data:
             raise ValueError("space file must carry 'points' and 'opens'")
-        return cls(data["points"], data["opens"])
+        points, opens = data["points"], data["opens"]
+        if not (isinstance(points, list) and all(map(_is_point, points))):
+            raise ValueError("points must be a list of integers")
+        if len(set(points)) != len(points):
+            raise ValueError("points must be distinct")
+        if not (isinstance(opens, list)
+                and all(isinstance(o, list) and all(map(_is_point, o))
+                        for o in opens)):
+            raise ValueError("opens must be lists of points")
+        return cls(points, opens)
 
     @classmethod
     def sierpinski(cls) -> "FiniteSpaceModel":
@@ -180,6 +191,11 @@ class FiniteSpaceModel:
     def discrete(cls, n: int) -> "FiniteSpaceModel":
         pts = range(n)
         return cls(pts, [m for m in range(1 << n)])
+
+
+def _is_point(p) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(p, int) and not isinstance(p, bool)
 
 
 class BaireSpaceModel:

@@ -312,8 +312,9 @@ class _CountingSpace(FiniteSpaceModel):
 
 
 def test_extract_count_budget():
-    """One pi-base enumeration per parent node and a fixed number of base
-    strategy calls: a lost memo fails here on any machine."""
+    """One pi-base enumeration per distinct reply and at most one base
+    strategy call per distinct (deflated history, child index): a lost memo
+    fails here on any machine."""
     chain = chain_space()
     sp = _CountingSpace(chain.points, chain.opens)
     base_calls = 0
@@ -324,11 +325,56 @@ def test_extract_count_budget():
         base_calls += 1
         return base(space, history, u)
 
-    window = Window(3, 4)
     _moves, replies = extract_schemes(sp, counting)
-    for a in window.nodes():
+    for a in Window(3, 4).nodes():
         replies.node(a)
-    parents = Window(window.depth - 1, window.breadth).node_count()
-    assert sp.enums == parents
-    # recorded when the extraction rebuilt each history from the root
-    assert base_calls == 24
+    # the chain's three nonempty opens are its only replies; the base rule
+    # answers {2} after (), {1,2} after (), and {2} after ({1,2},{1,2}) at
+    # child indices 1 and 3 of the cycling enumeration
+    assert sp.enums == 3
+    assert base_calls == 4
+
+
+def _reply_by_length(space, history, u):
+    inside = space.nonempty_opens_inside(u)
+    return inside[len(history) % len(inside)]
+
+
+def _reply_by_xor(space, history, u):
+    inside = space.nonempty_opens_inside(u)
+    return inside[sum(m ^ r for m, r in history) % len(inside)]
+
+
+def _reply_from_top_by_length(space, history, u):
+    inside = space.nonempty_opens_inside(u)
+    return inside[-1 - len(history) % len(inside)]
+
+
+def _chain(n):
+    """The topology of the final segments of ``range(n)``."""
+    return FiniteSpaceModel(range(n), [0] + [(1 << n) - (1 << k)
+                                            for k in range(n)])
+
+
+@pytest.mark.parametrize("strategy", [_reply_by_length, _reply_by_xor,
+                                      _reply_from_top_by_length],
+                         ids=["length", "xor", "top-length"])
+@pytest.mark.parametrize("spaces, window", [
+    ([FiniteSpaceModel(range(3), m) for m in all_topologies(3)], Window(3, 4)),
+    ([FiniteSpaceModel(range(4), m) for m in all_topologies(4)], Window(2, 4)),
+    # two deflated histories with one last reply can differ in what they
+    # answer to a later move only if that move has an open strictly inside
+    # it, which takes five nested nonempty opens: only this case fails a
+    # memo keyed on the last reply instead of the deflated history
+    ([_chain(6)], Window(4, 6)),
+], ids=["3-points", "4-points", "6-chain"])
+def test_extract_matches_reference_for_history_reading_strategies(
+        strategy, spaces, window):
+    """Strategies that read the deflated history, not only the move: the
+    quotient by deflated history must still give every node its own run."""
+    for sp in spaces:
+        moves, replies = extract_schemes(sp, strategy)
+        expected = _reference_extraction(sp, strategy, window)
+        for a in window.nodes():
+            assert (moves.node(a), replies.node(a)) == expected[a], \
+                (sorted(sp.opens), a)

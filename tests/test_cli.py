@@ -67,6 +67,32 @@ def test_malformed_space_file_is_configuration_error(tmp_path, opens, argv):
     assert code == 2 and "configuration error" in out
 
 
+@pytest.mark.parametrize("space", [
+    {"points": [0, 1], "opens": [[], [0, 1], [0], 2]},
+    {"points": [True, 1, 2], "opens": [[], [1], [True, 1, 2]]},
+    {"points": [0, 1], "opens": [[], [False], [0, 1]]},
+    {"points": [0, 1.0], "opens": [[], [0, 1.0]]},
+    {"points": ["0", "1"], "opens": [[], ["0", "1"]]},
+    {"points": [0, 0, 1], "opens": [[], [0, 1]]},
+    {"points": 2, "opens": [[], [0, 1]]},
+    {"points": [0, 1], "opens": 3},
+], ids=["open-as-mask", "bool-point", "bool-in-open", "float-point",
+        "string-points", "repeated-point", "points-not-list",
+        "opens-not-list"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "choquet-finite"],
+    ["verify", "--suite", "choquet-extract", "--depth", "1", "--breadth", "1"],
+    ["extract", "--depth", "1", "--breadth", "1"],
+], ids=["choquet-finite", "choquet-extract", "extract"])
+def test_ill_typed_space_file_is_configuration_error(tmp_path, space, argv):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(space))
+    code, out = run_cli(argv + ["--space", str(space_file)])
+    assert code == 2
+    [line] = out.splitlines()
+    assert line.startswith("configuration error: cannot load space")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "choquet-finite"],
     ["verify", "--suite", "choquet-extract", "--depth", "1", "--breadth", "1"],

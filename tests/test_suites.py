@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_extract_baire_digest(tmp_path):
     assert main(argv, stdout=io.StringIO()) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "ce82f37ecca6efcc26cc893f51dc5af220a3246dda02550f6ef1dabf3bcce900"
+
+
+def test_extract_chain_space_digest(tmp_path):
+    # recorded when every node's history was rebuilt and deflated in full
+    space_file = tmp_path / "chain.json"
+    space_file.write_text(json.dumps(
+        {"points": [0, 1, 2], "opens": [[], [2], [1, 2], [0, 1, 2]]}))
+    path = tmp_path / "extract.json"
+    argv = ["extract", "--space", str(space_file), "--depth", "3",
+            "--breadth", "4", "--json", str(path)]
+    assert main(argv, stdout=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "362cb507ab1bc5a347f090a2bc3d73987426d2470c50c3f8d83c4148a7164465"
 
 
 def test_cylinders_oracle_trace_budget(monkeypatch):
