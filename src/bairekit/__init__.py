@@ -9,7 +9,8 @@ from .cylinder import (Atom, Diff, EMPTY, EmptySetError, Expr, FULL, Inter,
                        nd_witness, strict_witness, subset, trace_window,
                        witness_cylinder)
 from .choquet import (ExtractionError, GameResult, IllegalMoveError,
-                      copy_strategy, cylinder_strategy, extract_schemes,
+                      copy_strategy, cylinder_strategy,
+                      deflated_representatives, extract_schemes,
                       modify_strategy, play_round, remove_redundant,
                       run_game, scripted_player)
 from .grammar import ExprSyntaxError, expr_from_json, expr_to_json, \
@@ -17,10 +18,10 @@ from .grammar import ExprSyntaxError, expr_from_json, expr_to_json, \
 from .lusin import LusinBase, base_from_lines, build_lusin, \
     check_lusin_conditions, standard_base
 from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
-                     check_partitions, check_relabel_identities,
-                     dense_in_itself_probe, dump_scheme, fruit_prefix,
-                     pi_net_probe, relabel, standard_scheme,
-                     strict_branch_probe)
+                     check_covers_at, check_partitions,
+                     check_relabel_identities, dense_in_itself_probe,
+                     dump_scheme, fruit_prefix, pi_net_probe, relabel,
+                     standard_scheme, strict_branch_probe)
 from .selector import (PrefixMap, SigmaBasic, StrictnessError,
                        basic_intersect, check_image_identity,
                        check_selector_identity, fiber_stem, pi_space_probe,

@@ -16,12 +16,13 @@ Baire model a finite run only reports that player II is still alive.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import cylinder as cy
 from .cylinder import Atom
-from .scheme import Scheme
+from .scheme import Scheme, Window
 from .seq import Seq
 from .spaces import FiniteSpaceModel, LazySeq, SpaceModel
 
@@ -199,7 +200,8 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     index), with the deflation extended one pair at a time.  This assumes
     the base strategy is a function of its arguments: it is called at most
     once per distinct deflated history and child index, not once per
-    node."""
+    node.  ``replies.meta["deflated"]`` maps a node to its deflated
+    history (see ``deflated_representatives``)."""
     modified = modify_strategy(strategy)
     # a step is a node's move, its reply and its deflated history; ``steps``
     # is keyed by (the parent's deflated history, child index), ``at`` by node
@@ -238,7 +240,34 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
 
     moves = Scheme(space, lambda a: step_at(a)[0], label="extracted-moves")
     replies = Scheme(space, lambda a: step_at(a)[1], label="extracted-replies")
+    replies.meta["deflated"] = lambda a: step_at(a)[2]
     return moves, replies
+
+
+def deflated_representatives(replies: Scheme, window: Window) -> list[Seq]:
+    """One window node per distinct deflated history of an extracted replies
+    scheme, the first met breadth-first.
+
+    A node's reply is the last reply of its deflated history, and its child
+    ``n`` is the step of (that history, ``n``).  So a window check that reads
+    only a node and its children gives every node the verdict of its
+    representative.  Breadth-first order makes each representative the
+    shallowest node of its history; only representatives are expanded,
+    which still reaches every history the window holds."""
+    deflated = replies.meta["deflated"]
+    seen: set[History] = set()
+    out: list[Seq] = []
+    queue = deque([()])
+    while queue:
+        a = queue.popleft()
+        history = deflated(a)
+        if history in seen:
+            continue
+        seen.add(history)
+        out.append(a)
+        if len(a) < window.depth:
+            queue.extend(a + (n,) for n in range(window.breadth))
+    return out
 
 
 def replay_branch(space: SpaceModel, strategy: PlayerII, moves: Scheme,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
 from .seq import BranchRule, Seq, restrict, seq_at, seq_to_text
@@ -103,6 +103,9 @@ class Report:
                 f"unresolved {c[UNRESOLVED]}, breach {c[BREACH]})")
 
 
+_MISSING = object()
+
+
 class Scheme:
     """A lazy, memoized total rule from index sequences to open sets."""
 
@@ -115,11 +118,11 @@ class Scheme:
         self._memo: dict[Seq, object] = {}
 
     def node(self, a: Seq):
-        try:
-            return self._memo[a]
-        except KeyError:
-            value = self.rule(a)
-            return self._memo.setdefault(a, value)
+        value = self._memo.get(a, _MISSING)
+        if value is _MISSING:
+            # a rule may re-enter ``node``; the first value stored wins
+            value = self._memo.setdefault(a, self.rule(a))
+        return value
 
     def child(self, a: Seq, n: int):
         return self.node(a + (n,))
@@ -136,6 +139,13 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
     """Children inside their node (exact), node inside the finite child
     union (one-sided: verified or unresolved), and root equal to the space.
     """
+    return check_covers_at(scheme, window.nodes(), window.breadth)
+
+
+def check_covers_at(scheme: Scheme, nodes: Iterable[Seq],
+                    breadth: int) -> Report:
+    """``check_covers`` on the given nodes, in their order, each with
+    ``breadth`` budgeted children; the root is always checked."""
     rep = Report("covers")
     space = scheme.space
     root = scheme.node(())
@@ -143,10 +153,10 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
         rep.add("root", VERIFIED, "root equals the whole space")
     else:
         rep.add("root", VIOLATED, "root differs from the whole space")
-    for a in window.nodes():
+    for a in nodes:
         va = scheme.node(a)
         key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(window.breadth)]
+        children = [scheme.child(a, n) for n in range(breadth)]
         broken = False
         for n, child in enumerate(children):
             if not space.subset(child, va):

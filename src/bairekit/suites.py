@@ -15,15 +15,17 @@ from typing import Callable, Optional
 
 from . import cylinder as cy
 from .choquet import (IllegalMoveError, copy_strategy, cylinder_strategy,
-                      extract_schemes, modify_strategy, play_round,
-                      remove_redundant, replay_branch)
+                      deflated_representatives, extract_schemes,
+                      modify_strategy, play_round, remove_redundant,
+                      replay_branch)
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
 from .scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                     Window, check_covers, compose_index, dump_scheme,
-                     check_relabel_identities, dense_in_itself_probe,
-                     pi_net_probe, preimage_table, relabel, standard_scheme)
+                     Window, check_covers, check_covers_at, compose_index,
+                     dump_scheme, check_relabel_identities,
+                     dense_in_itself_probe, pi_net_probe, preimage_table,
+                     relabel, standard_scheme)
 from .selector import (PrefixMap, SigmaBasic, basic_is_empty,
                        check_image_identity, check_selector_identity,
                        pi_space_probe, preset_maps, pushforward_scheme)
@@ -429,11 +431,15 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     for space in space_models:
         spaces += 1
         moves, replies = extract_schemes(space, strategy)
-        cover = check_covers(replies, window)
+        # every window node has its representative's verdicts; the per-node
+        # report is built only to describe a failure
+        nodes = deflated_representatives(replies, window)
+        cover = check_covers_at(replies, nodes, window.breadth)
         if cover.violations or cover.with_status(UNRESOLVED):
             bad_cover += 1
-            rep.add(f"covers:{spaces}", VIOLATED, str(cover))
-        if not _children_form_pi_base(space, replies, window):
+            rep.add(f"covers:{spaces}", VIOLATED,
+                    str(check_covers(replies, window)))
+        if not _children_form_pi_base(space, replies, nodes):
             bad_net += 1
             rep.add(f"pi-base:{spaces}", VIOLATED, "a child pi-base misses")
         if not all(replay_branch(space, strategy, moves, replies, p)
@@ -451,8 +457,8 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
 
 
 def _children_form_pi_base(space: FiniteSpaceModel, replies: Scheme,
-                           window: Window) -> bool:
-    for a in window.nodes():
+                           nodes: list[Seq]) -> bool:
+    for a in nodes:
         inside = space.nonempty_opens_inside(replies.node(a))
         for u in inside:
             if not any(space.subset(replies.child(a, m), u)

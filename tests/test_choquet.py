@@ -1,16 +1,20 @@
+from itertools import cycle, repeat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bairekit.choquet import (ExtractionError, IllegalMoveError, _fault,
                               copy_strategy, cylinder_strategy,
-                              extract_schemes, modify_strategy, play_round,
+                              deflated_representatives, extract_schemes,
+                              modify_strategy, play_round,
                               remove_redundant, replay_branch, run_game,
                               scripted_player, transcript_json,
                               validate_history)
 from bairekit.cylinder import Atom, FULL, cyl, subset
-from bairekit.scheme import UNRESOLVED, Window, check_covers
-from bairekit.spaces import BAIRE, FiniteSpaceModel, all_topologies
+from bairekit.scheme import UNRESOLVED, Window, check_covers, check_covers_at
+from bairekit.spaces import BAIRE, FiniteSpaceModel, LazySeq, all_topologies
+from bairekit.suites import _children_form_pi_base
 
 
 def chain_space():
@@ -378,3 +382,80 @@ def test_extract_matches_reference_for_history_reading_strategies(
         for a in window.nodes():
             assert (moves.node(a), replies.node(a)) == expected[a], \
                 (sorted(sp.opens), a)
+
+
+class _NoSelfSpace(FiniteSpaceModel):
+    """An enumeration that lacks the open itself wherever the open has a
+    proper nonempty sub-open: budgeted children may leave a node uncovered."""
+
+    def pi_base_enum(self, o):
+        return LazySeq(cycle(self.nonempty_opens_inside(o)[:-1] or (o,)))
+
+
+class _StuckSpace(FiniteSpaceModel):
+    """An enumeration of the open alone: no pi-base of an open that has a
+    proper nonempty sub-open."""
+
+    def pi_base_enum(self, o):
+        return LazySeq(repeat(o))
+
+
+def _pi_base_per_node(space, replies, window):
+    """The pi-base property at every window node, node by node: the
+    reference for the suite's walk over representatives."""
+    for a in window.nodes():
+        inside = space.nonempty_opens_inside(replies.node(a))
+        for u in inside:
+            if not any(space.subset(replies.child(a, m), u)
+                       for m in range(len(inside) + 1)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("space_cls", [FiniteSpaceModel, _NoSelfSpace,
+                                       _StuckSpace],
+                         ids=["pi-base", "no-self", "stuck"])
+@pytest.mark.parametrize("n, tops, window", [
+    (3, all_topologies(3), Window(3, 4)),
+    (4, all_topologies(4), Window(2, 4)),
+    # the only case here where two deflated histories with one last reply
+    # have different children
+    (6, [_chain(6).opens], Window(4, 6)),
+], ids=["3-points", "4-points", "6-chain"])
+def test_deflated_representatives_match_the_per_node_walk(n, tops, window,
+                                                          space_cls):
+    """Every window node has a representative with its reply and budgeted
+    children, so the verdicts on the representatives are the per-node ones."""
+    verdicts = set()
+    for masks in tops:
+        sp = space_cls(range(n), masks)
+        for strategy in (copy_strategy(), _reply_by_length, _reply_by_xor,
+                         _reply_from_top_by_length):
+            _moves, replies = extract_schemes(sp, strategy)
+            nodes = deflated_representatives(replies, window)
+            deflated = [replies.meta["deflated"](a) for a in nodes]
+            assert len(set(deflated)) == len(nodes)
+            assert set(deflated) == {replies.meta["deflated"](a)
+                                     for a in window.nodes()}
+
+            def local(among):
+                return {(replies.node(a),
+                         tuple(replies.child(a, k)
+                               for k in range(window.breadth)))
+                        for a in among}
+
+            assert local(nodes) == local(window.nodes()), sorted(sp.opens)
+            cover = check_covers_at(replies, nodes, window.breadth)
+            every = check_covers(replies, window)
+            covered = not (every.violations or every.with_status(UNRESOLVED))
+            assert covered == \
+                (not (cover.violations or cover.with_status(UNRESOLVED)))
+            pi_base = _pi_base_per_node(sp, replies, window)
+            assert _children_form_pi_base(sp, replies, nodes) == pi_base
+            verdicts.add((covered, pi_base))
+    if n < 6:
+        # the broken enumerations make each verdict fail somewhere
+        assert verdicts == {
+            FiniteSpaceModel: {(True, True)},
+            _NoSelfSpace: {(True, True), (False, True)},
+            _StuckSpace: {(True, True), (True, False)}}[space_cls]

@@ -105,6 +105,16 @@ def test_lazy_seq():
     assert it[5] == 5 and it[2] == 2 and it[10] == 10
 
 
+def test_all_topologies_refuses_five_points(monkeypatch):
+    def closed_family(fam):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("bairekit.spaces._closed_family", closed_family)
+    for n in (5, 0):
+        with pytest.raises(ValueError, match=r"1\.\.4 points"):
+            all_topologies(n)
+
+
 def test_all_topologies_counts():
     assert [len(all_topologies(n)) for n in range(1, 5)] == [1, 4, 29, 355]
     for masks in all_topologies(3):
