@@ -11,8 +11,8 @@ from .cylinder import (Atom, Diff, EMPTY, EmptySetError, Expr, FULL, Inter,
 from .choquet import (ExtractionError, GameResult, IllegalMoveError,
                       copy_strategy, cylinder_strategy,
                       deflated_representatives, extract_schemes,
-                      modify_strategy, play_round, remove_redundant,
-                      run_game, scripted_player)
+                      last_reply, modify_strategy, play_round,
+                      remove_redundant, run_game, scripted_player)
 from .grammar import ExprSyntaxError, expr_from_json, expr_to_json, \
     expr_to_text, parse_expr
 from .lusin import LusinBase, base_from_lines, build_lusin, \

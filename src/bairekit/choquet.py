@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 from . import cylinder as cy
@@ -58,10 +59,19 @@ def _fault(space: SpaceModel, name: str, o, limit) -> Optional[str]:
     return None
 
 
-def _last_reply(space: SpaceModel, history: History):
+def last_reply(space: SpaceModel, history: History):
     """The set the next move must lie in: the last reply, or the whole
     space before the first round."""
     return history[-1][1] if history else space.whole()
+
+
+def _deflate(space: SpaceModel, deflated: History, u, v) -> History:
+    """The deflated history ``deflated`` after the pair ``(u, v)``: the pair
+    is dropped when both its sets repeat the last reply."""
+    last = last_reply(space, deflated)
+    if space.equal(u, last) and space.equal(v, last):
+        return deflated
+    return deflated + ((u, v),)
 
 
 def validate_history(space: SpaceModel, history: History) -> None:
@@ -76,16 +86,12 @@ def validate_history(space: SpaceModel, history: History) -> None:
 
 def remove_redundant(space: SpaceModel, history: History) -> History:
     """Drop every pair whose two moves merely repeat the reply before them
-    (the zeroth pair repeats the whole space).  Removal is judged against
-    the original history, and on legal histories it is idempotent."""
+    (the zeroth pair repeats the whole space); idempotent on legal
+    histories.  A dropped pair repeats that reply, so a history and its
+    deflation share their last reply, and each pair is judged against it."""
     validate_history(space, history)
-    kept = []
-    previous = space.whole()
-    for u, v in history:
-        if not (space.equal(u, previous) and space.equal(v, previous)):
-            kept.append((u, v))
-        previous = v
-    return tuple(kept)
+    return reduce(lambda deflated, pair: _deflate(space, deflated, *pair),
+                  history, ())
 
 
 def copy_strategy() -> PlayerII:
@@ -116,7 +122,7 @@ def modify_strategy(strategy: PlayerII) -> PlayerII:
     with the deflated history."""
 
     def reply(space: SpaceModel, history: History, u):
-        last = _last_reply(space, history)
+        last = last_reply(space, history)
         if space.equal(u, last):
             return last
         return strategy(space, remove_redundant(space, history), u)
@@ -144,7 +150,7 @@ def play_round(space: SpaceModel, history: History, u,
                player_two: PlayerII) -> History:
     """The history after one round: check player I's move ``u``, ask player
     II, check the reply.  A fault raises IllegalMoveError naming its player."""
-    fault = _fault(space, "move", u, _last_reply(space, history))
+    fault = _fault(space, "move", u, last_reply(space, history))
     if fault:
         raise IllegalMoveError("I", len(history), fault)
     v = player_two(space, history, u)
@@ -215,10 +221,7 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
         fault = _fault(space, "reply", v, u)
         if fault:
             raise ExtractionError(f"illegal reply at node {a}: {fault}")
-        last = _last_reply(space, deflated)
-        if space.equal(u, last) and space.equal(v, last):
-            return u, v, deflated
-        return u, v, deflated + ((u, v),)
+        return u, v, _deflate(space, deflated, u, v)
 
     def step_at(a: Seq) -> tuple:
         s = at.get(a)
@@ -231,7 +234,7 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
             key = (deflated, a[-1])
             s = steps.get(key)
             if s is None:
-                last = _last_reply(space, deflated)
+                last = last_reply(space, deflated)
                 if last not in enums:
                     enums[last] = space.pi_base_enum(last)
                 s = steps[key] = step(deflated, enums[last][a[-1]], a)

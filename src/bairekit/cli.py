@@ -20,7 +20,7 @@ import sys
 from typing import Optional, TextIO
 
 from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
-    extract_schemes, modify_strategy, play_round, transcript_json
+    extract_schemes, last_reply, modify_strategy, play_round, transcript_json
 from .grammar import ExprSyntaxError, parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
@@ -191,7 +191,7 @@ def play_repl(space: SpaceModel, strategy_name: str,
     stdout.write("Moves: nonempty opens inside the previous reply. "
                  ":quit to stop, :dump FILE to save the transcript.\n")
     while True:
-        limit = history[-1][1] if history else space.whole()
+        limit = last_reply(space, history)
         if finite:
             legal = [space.describe(m)
                      for m in space.nonempty_opens_inside(limit)]
@@ -219,7 +219,7 @@ def play_repl(space: SpaceModel, strategy_name: str,
                     json.dump(transcript_json(space, history), fh, indent=2,
                               sort_keys=True)
                 stdout.write(f"transcript written to {parts[1]}\n")
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 stdout.write(f"cannot write transcript: {exc}\n")
             continue
         try:

@@ -201,11 +201,13 @@ def expr_from_json(obj: Any) -> Expr:
 def _from_json(obj: Any, depth: int) -> Expr:
     if depth > MAX_EXPR_DEPTH:
         raise ValueError(f"expression nests deeper than {MAX_EXPR_DEPTH}")
-    if not isinstance(obj, dict) or "op" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("op"), str)
+            and isinstance(obj.get("args", []), list)):
         raise ValueError(f"bad expression object: {obj!r}")
     op, args = obj["op"], obj.get("args", [])
     if op == "atom":
-        if not all(isinstance(v, int) and v >= 0 for v in args):
+        # JSON true and false load as bool, which isinstance counts as int
+        if not all(type(v) is int and v >= 0 for v in args):
             raise ValueError(f"atom entries must be naturals: {args!r}")
         return Atom(tuple(args))
     if op == "full":

@@ -126,7 +126,6 @@ def build_lusin(base: LusinBase) -> Scheme:
 
     scheme = Scheme(BAIRE, rule, label=f"lusin[{base.label}]")
     scheme.meta["carve"] = {}
-    scheme.meta["base"] = base.label
     return scheme
 
 

@@ -98,7 +98,7 @@ class PrefixMap:
 def pushforward_scheme(pm: PrefixMap) -> Scheme:
     """The scheme of exact cylinder images, over the discrete model of the
     target points."""
-    space = FiniteSpaceModel(pm.points, range(1 << len(pm.points)))
+    space = FiniteSpaceModel.discrete(pm.points)
     return Scheme(space, lambda a: space.mask_of(pm.image(a)),
                   label="pushforward")
 

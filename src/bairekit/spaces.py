@@ -12,7 +12,7 @@ as opens and delegates to the exact cylinder decision procedures.
 
 from __future__ import annotations
 
-from itertools import count, cycle
+from itertools import count, cycle, product
 from typing import Iterable, Iterator, Protocol
 
 from . import cylinder
@@ -188,9 +188,8 @@ class FiniteSpaceModel:
         return cls([0, 1], [[], [1], [0, 1]])
 
     @classmethod
-    def discrete(cls, n: int) -> "FiniteSpaceModel":
-        pts = range(n)
-        return cls(pts, [m for m in range(1 << n)])
+    def discrete(cls, points: tuple[int, ...]) -> "FiniteSpaceModel":
+        return cls(points, range(1 << len(points)))
 
 
 def _is_point(p) -> bool:
@@ -257,27 +256,19 @@ BAIRE = BaireSpaceModel()
 
 
 def all_topologies(n: int) -> list[list[int]]:
-    """Every topology on ``n`` labelled points, as sorted lists of masks."""
-    # five points would loop over 2**30 candidate families
+    """Every topology on ``n`` labelled points, as sorted lists of masks.
+    Each is fixed by its points' least open neighbourhoods (Alexandroff):
+    ``hoods[i]`` holds ``i`` and the hood of every point in it, and a mask
+    is open when it holds the hood of each of its points."""
+    # five points would try 16**5 hood tuples
     if not 1 <= n <= 4:
         raise ValueError("exhaustive enumeration supported for 1..4 points")
-    full = (1 << n) - 1
-    optional = [m for m in range(full + 1) if m not in (0, full)]
-    out: list[list[int]] = []
-    for bits in range(1 << len(optional)):
-        fam = {0, full}
-        for i, m in enumerate(optional):
-            if bits >> i & 1:
-                fam.add(m)
-        if _closed_family(fam):
-            out.append(sorted(fam))
+    masks, points = range(1 << n), range(n)
+    out = []
+    for hoods in product(*([m for m in masks if m >> i & 1] for i in points)):
+        if all(hoods[j] & ~h == 0 for h in hoods for j in points if h >> j & 1):
+            out.append([m for m in masks if all(
+                hoods[i] & ~m == 0 for i in points if m >> i & 1)])
+    # each family's rank as a bit set over its masks other than 0 and full
+    out.sort(key=lambda fam: sum(1 << m for m in fam[1:-1]))
     return out
-
-
-def _closed_family(fam: set[int]) -> bool:
-    members = sorted(fam)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a | b not in fam or a & b not in fam:
-                return False
-    return True

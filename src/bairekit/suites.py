@@ -16,8 +16,8 @@ from typing import Callable, Optional
 from . import cylinder as cy
 from .choquet import (IllegalMoveError, copy_strategy, cylinder_strategy,
                       deflated_representatives, extract_schemes,
-                      modify_strategy, play_round, remove_redundant,
-                      replay_branch)
+                      last_reply, modify_strategy, play_round,
+                      remove_redundant, replay_branch)
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
@@ -390,7 +390,7 @@ def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report) -> int:
 
     def dfs(history, moves_left: int) -> None:
         nonlocal failures
-        limit = history[-1][1] if history else space.whole()
+        limit = last_reply(space, history)
         for u in space.nonempty_opens_inside(limit):
             try:
                 played = play_round(space, history, u, modified)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bairekit.choquet import (ExtractionError, IllegalMoveError, _fault,
                               copy_strategy, cylinder_strategy,
                               deflated_representatives, extract_schemes,
-                              modify_strategy, play_round,
+                              last_reply, modify_strategy, play_round,
                               remove_redundant, replay_branch, run_game,
                               scripted_player, transcript_json,
                               validate_history)
@@ -70,6 +70,43 @@ def test_remove_redundant_idempotent(case):
     sp, history = case
     once = remove_redundant(sp, history)
     assert remove_redundant(sp, once) == once
+
+
+def _remove_redundant_by_original_prefix(space, history):
+    # the pairwise loop deflation had before it folded one step rule
+    validate_history(space, history)
+    kept = []
+    previous = space.whole()
+    for u, v in history:
+        if not (space.equal(u, previous) and space.equal(v, previous)):
+            kept.append((u, v))
+        previous = v
+    return tuple(kept)
+
+
+def _legal_histories(sp, length, history=()):
+    yield history
+    if len(history) < length:
+        for u in sp.nonempty_opens_inside(last_reply(sp, history)):
+            for v in sp.nonempty_opens_inside(u):
+                yield from _legal_histories(sp, length, history + ((u, v),))
+
+
+def test_remove_redundant_matches_the_original_prefix_rule():
+    checked = 0
+    for masks in all_topologies(3):
+        sp = FiniteSpaceModel(range(3), masks)
+        for history in _legal_histories(sp, 3):
+            assert remove_redundant(sp, history) == \
+                _remove_redundant_by_original_prefix(sp, history)
+            checked += 1
+    assert checked == 1904
+    # over the Baire model a dropped pair may spell its sets differently
+    a, again = cyl(0), cyl(0, 0) | cyl(0) - cyl(0, 0)
+    for history in [((a, a), (again, again), (a, cyl(0, 1))),
+                    ((FULL, a), (again, a), (cyl(0, 2), cyl(0, 2)))]:
+        assert remove_redundant(BAIRE, history) == \
+            _remove_redundant_by_original_prefix(BAIRE, history)
 
 
 def test_modified_clauses():

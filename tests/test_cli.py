@@ -257,6 +257,14 @@ def test_play_dump_to_missing_directory_keeps_the_game(tmp_path):
     assert "II[0]>" in out and "game over after 1 rounds" in out
 
 
+def test_play_dump_to_a_path_with_a_nul_byte_keeps_the_game():
+    script = ":dump a\x00b\nS(0)\n:quit\n"
+    code, out = run_cli(["play", "--space", "baire"], script)
+    assert code == 0
+    assert out.count("cannot write transcript:") == 1
+    assert "II[0]>" in out and "game over after 1 rounds" in out
+
+
 def test_play_baire_game():
     script = "S(0,1)\n:quit\n"
     code, out = run_cli(["play", "--space", "baire"], script)

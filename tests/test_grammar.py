@@ -77,6 +77,23 @@ def test_json_validation():
         expr_from_json(["union"])
 
 
+@pytest.mark.parametrize("obj", [
+    {"op": "union", "args": {"0": {"op": "full"}, "1": {"op": "full"}}},
+    {"op": "union", "args": None},
+    {"op": "atom", "args": None},
+    {"op": "atom", "args": "01"},
+    {"op": "atom", "args": [True, 1]},
+    {"op": "atom", "args": [False]},
+    {"op": "inter", "args": [{"op": "full"}, {"op": "atom", "args": [True]}]},
+    {"op": ["union"], "args": []},
+    {"args": []},
+    None,
+])
+def test_json_malformed_is_value_error(obj):
+    with pytest.raises(ValueError):
+        expr_from_json(obj)
+
+
 def _deep_union_json(levels):
     obj = {"op": "atom", "args": [0]}
     for _ in range(levels - 1):

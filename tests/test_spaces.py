@@ -106,10 +106,10 @@ def test_lazy_seq():
 
 
 def test_all_topologies_refuses_five_points(monkeypatch):
-    def closed_family(fam):
+    def hood_tuples(*choices):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr("bairekit.spaces._closed_family", closed_family)
+    monkeypatch.setattr("bairekit.spaces.product", hood_tuples)
     for n in (5, 0):
         with pytest.raises(ValueError, match=r"1\.\.4 points"):
             all_topologies(n)
@@ -119,3 +119,25 @@ def test_all_topologies_counts():
     assert [len(all_topologies(n)) for n in range(1, 5)] == [1, 4, 29, 355]
     for masks in all_topologies(3):
         FiniteSpaceModel(range(3), masks)  # closure validated on construction
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_topologies_are_the_families_the_model_accepts(n):
+    # every family holding 0 and the whole set, in the order of its bits
+    # over the other masks; the model's own closure check is the oracle
+    full = (1 << n) - 1
+    optional = range(1, full)
+    accepted = []
+    for bits in range(1 << len(optional)):
+        fam = [0] + [m for m in optional if bits >> (m - 1) & 1] + [full]
+        try:
+            FiniteSpaceModel(range(n), fam)
+        except ValueError:
+            continue
+        accepted.append(fam)
+    assert all_topologies(n) == accepted
+
+
+def test_discrete_model_opens_every_set_of_its_points():
+    sp = FiniteSpaceModel.discrete((3, 7, 9))
+    assert sp.points == (3, 7, 9) and sp.opens == frozenset(range(8))
