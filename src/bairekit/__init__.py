@@ -9,23 +9,22 @@ from .cylinder import (Atom, Diff, EMPTY, EmptySetError, Expr, FULL, Inter,
                        nd_witness, strict_witness, subset, trace_window,
                        witness_cylinder)
 from .choquet import (ExtractionError, GameResult, IllegalMoveError,
-                      copy_strategy, cylinder_strategy,
-                      deflated_representatives, extract_schemes,
+                      copy_strategy, cylinder_strategy, extract_schemes,
                       last_reply, modify_strategy, play_round,
-                      remove_redundant, run_game, scripted_player)
+                      reachable_states, remove_redundant, run_game,
+                      scripted_player)
 from .grammar import ExprSyntaxError, expr_from_json, expr_to_json, \
     expr_to_text, parse_expr
 from .lusin import LusinBase, base_from_lines, build_lusin, \
     check_lusin_conditions, standard_base
 from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
-                     check_covers_at, check_partitions,
-                     check_relabel_identities, dense_in_itself_probe,
-                     dump_scheme, fruit_prefix, pi_net_probe, relabel,
-                     standard_scheme, strict_branch_probe)
-from .selector import (PrefixMap, SigmaBasic, StrictnessError,
-                       basic_intersect, check_image_identity,
-                       check_selector_identity, fiber_stem, pi_space_probe,
-                       preset_maps, pushforward_scheme, trivial_selector)
+                     check_partitions, check_relabel_identities,
+                     dense_in_itself_probe, dump_scheme, fruit_prefix,
+                     pi_net_probe, relabel, standard_scheme,
+                     strict_branch_probe)
+from .selector import (PrefixMap, SigmaBasic, check_image_identity,
+                       check_selector_identity, pi_space_probe, preset_maps,
+                       pushforward_scheme)
 from .seq import (BranchRule, Seq, is_prefix, pair, restrict, seq_at,
                   seq_from_text, seq_index, seq_to_text, tuple_at, unpair)
 from .spaces import BAIRE, BaireSpaceModel, FiniteSpaceModel, LazySeq, \

@@ -7,6 +7,9 @@ nonempty.  Every game loop plays its rounds through one referee,
 (dropping the repeat pairs), derives the modified reply rule that echoes
 repeat moves and consults the base strategy on the deflated history, and
 extracts the scheme pair whose branches replay it against pi-base enumerations.
+Over a finite space the modified strategy reads a history only through its
+deflation, so the game has finitely many states, and ``reachable_states``
+walks them all.
 
 Verdicts are exact only where they can be: in a finite space every legal
 infinite continuation has an eventually constant chain of replies, so a
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 from . import cylinder as cy
 from .cylinder import Atom
-from .scheme import Scheme, Window
+from .scheme import Scheme
 from .seq import Seq
 from .spaces import FiniteSpaceModel, LazySeq, SpaceModel
 
@@ -207,7 +210,7 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     the base strategy is a function of its arguments: it is called at most
     once per distinct deflated history and child index, not once per
     node.  ``replies.meta["deflated"]`` maps a node to its deflated
-    history (see ``deflated_representatives``)."""
+    history (see ``reachable_states``)."""
     modified = modify_strategy(strategy)
     # a step is a node's move, its reply and its deflated history; ``steps``
     # is keyed by (the parent's deflated history, child index), ``at`` by node
@@ -247,29 +250,29 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     return moves, replies
 
 
-def deflated_representatives(replies: Scheme, window: Window) -> list[Seq]:
-    """One window node per distinct deflated history of an extracted replies
-    scheme, the first met breadth-first.
+def reachable_states(replies: Scheme, limit: int) -> list[Seq]:
+    """One node per deflated history that an extracted replies scheme over a
+    finite space reaches, the first met breadth-first from the root.
 
-    A node's reply is the last reply of its deflated history, and its child
-    ``n`` is the step of (that history, ``n``).  So a window check that reads
-    only a node and its children gives every node the verdict of its
-    representative.  Breadth-first order makes each representative the
-    shallowest node of its history; only representatives are expanded,
-    which still reaches every history the window holds."""
+    A node's children are the steps of its deflated history, and
+    ``pi_base_enum`` cycles with period ``p``, the number of nonempty opens
+    inside the node's reply; so children ``0..p-1`` are all of them, and
+    the walk visits every state of the game, not a window of it.  Past
+    ``limit`` states the walk stops, returning ``limit + 1`` of them."""
+    space = replies.space
     deflated = replies.meta["deflated"]
     seen: set[History] = set()
     out: list[Seq] = []
     queue = deque([()])
-    while queue:
+    while queue and len(out) <= limit:
         a = queue.popleft()
         history = deflated(a)
         if history in seen:
             continue
         seen.add(history)
         out.append(a)
-        if len(a) < window.depth:
-            queue.extend(a + (n,) for n in range(window.breadth))
+        p = len(space.nonempty_opens_inside(replies.node(a)))
+        queue.extend(a + (n,) for n in range(p))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
 from .seq import BranchRule, Seq, restrict, seq_at, seq_to_text
@@ -139,13 +139,6 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
     """Children inside their node (exact), node inside the finite child
     union (one-sided: verified or unresolved), and root equal to the space.
     """
-    return check_covers_at(scheme, window.nodes(), window.breadth)
-
-
-def check_covers_at(scheme: Scheme, nodes: Iterable[Seq],
-                    breadth: int) -> Report:
-    """``check_covers`` on the given nodes, in their order, each with
-    ``breadth`` budgeted children; the root is always checked."""
     rep = Report("covers")
     space = scheme.space
     root = scheme.node(())
@@ -153,10 +146,10 @@ def check_covers_at(scheme: Scheme, nodes: Iterable[Seq],
         rep.add("root", VERIFIED, "root equals the whole space")
     else:
         rep.add("root", VIOLATED, "root differs from the whole space")
-    for a in nodes:
+    for a in window.nodes():
         va = scheme.node(a)
         key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(breadth)]
+        children = [scheme.child(a, n) for n in range(window.breadth)]
         broken = False
         for n, child in enumerate(children):
             if not space.subset(child, va):

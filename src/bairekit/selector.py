@@ -19,10 +19,6 @@ from .seq import BranchRule, Seq, restrict, seq_at, seq_from_text, seq_to_text
 from .spaces import FiniteSpaceModel
 
 
-class StrictnessError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PrefixMap:
     points: tuple[int, ...]
@@ -63,9 +59,6 @@ class PrefixMap:
                        for tail in product(self.alphabet,
                                            repeat=self.depth - len(a))}
         return frozenset(completions | {self.default})
-
-    def fresh(self) -> int:
-        return max(self.alphabet) + 1 if self.alphabet else 0
 
     def stem_alphabet(self, a: Seq) -> tuple[int, ...]:
         """Alphabet values, values of ``a``, and one fresh representative;
@@ -147,19 +140,6 @@ class SigmaBasic:
     stem: Seq
 
 
-def basic_intersect(b1: SigmaBasic, b2: SigmaBasic) -> Optional[SigmaBasic]:
-    """Exact intersection: meet the opens, keep the longer stem; stems that
-    are not comparable give disjoint cylinders."""
-    from .seq import is_prefix
-    if is_prefix(b1.stem, b2.stem):
-        stem = b2.stem
-    elif is_prefix(b2.stem, b1.stem):
-        stem = b1.stem
-    else:
-        return None
-    return SigmaBasic(frozenset(b1.u & b2.u), stem)
-
-
 def basic_members(pm: PrefixMap, b: SigmaBasic) -> frozenset[Seq]:
     """Stem classes (at resolution length) realizing membership in the basic."""
     return frozenset(w for w in _stem_class_words(pm, b.stem)
@@ -180,44 +160,6 @@ def pi_space_probe(pm: PrefixMap, b: SigmaBasic, budget: int) -> Optional[Seq]:
         if pm.image(c) <= b.u:
             return c
     return None
-
-
-def fiber_stem(pm: PrefixMap, a: Seq, x: int) -> Optional[Seq]:
-    """A stem extending ``a`` that resolves to ``x``, when ``x`` is in the
-    image of the cylinder at ``a``; the finite form of fiber density."""
-    if x not in pm.image(a):
-        return None
-    if len(a) >= pm.depth:
-        return a
-    for tail in product(pm.alphabet, repeat=pm.depth - len(a)):
-        candidate = a + tail
-        if pm.resolve(candidate) == x:
-            return candidate
-    if x == pm.default:
-        return a + (pm.fresh(),) * (pm.depth - len(a))
-    return None
-
-
-def trivial_selector(scheme: Scheme, depth_limit: int):
-    """The branch-to-point map of a finite-model scheme whose fruits are
-    singletons: intersect node values along the branch until the limit and
-    demand a single surviving point."""
-    space = scheme.space
-    if not isinstance(space, FiniteSpaceModel):
-        raise TypeError("trivial selectors are computed over finite models")
-
-    def select(branch: BranchRule) -> int:
-        mask = scheme.node(())
-        for k in range(1, depth_limit + 1):
-            mask = space.intersect(mask, scheme.node(restrict(branch, k)))
-            if mask == 0:
-                raise StrictnessError(f"fruit emptied at depth {k}")
-        pts = space.points_of(mask)
-        if len(pts) != 1:
-            raise StrictnessError(f"fruit not a singleton: {set(pts)}")
-        return pts[0]
-
-    return select
 
 
 def preset_maps() -> dict[str, PrefixMap]:

@@ -10,19 +10,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, product
 from typing import Callable, Optional
 
 from . import cylinder as cy
-from .choquet import (IllegalMoveError, copy_strategy, cylinder_strategy,
-                      deflated_representatives, extract_schemes,
-                      last_reply, modify_strategy, play_round,
+from .choquet import (ExtractionError, copy_strategy, cylinder_strategy,
+                      extract_schemes, modify_strategy, reachable_states,
                       remove_redundant, replay_branch)
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
 from .scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                     Window, check_covers, check_covers_at, compose_index,
+                     Window, check_covers, compose_index,
                      dump_scheme, check_relabel_identities,
                      dense_in_itself_probe, pi_net_probe, preimage_table,
                      relabel, standard_scheme)
@@ -35,6 +35,9 @@ from .spaces import BAIRE, FiniteSpaceModel, all_topologies
 MAX_DEPTH = 8
 MAX_BREADTH = 16
 MAX_WINDOW_NODES = 500_000
+# the finite suites walk every game state of a space; a discrete space on 8
+# points has 545,835 of them, on 7 points 47,293
+MAX_GAME_STATES = 100_000
 
 
 class ConfigError(ValueError):
@@ -326,7 +329,9 @@ def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
 
     reports = [rep, _exhaustive_modified_report()]
     if extra is not None:
-        reports.append(_modified_wins_report(extra, "custom-space"))
+        custom = Report("custom-space")
+        _add_every_run(custom, [_every_run(extra, custom)])
+        reports.append(custom)
     return reports
 
 
@@ -366,8 +371,7 @@ def _clause_dispatch_report(space: FiniteSpaceModel, x, y, z) -> Report:
 def _exhaustive_modified_report() -> Report:
     rep = Report("modified-copy-wins")
     expected_counts = {1: 1, 2: 4, 3: 29, 4: 355}
-    total_runs = 0
-    failures = 0
+    walks = []
     for n in range(1, 5):
         tops = all_topologies(n)
         if len(tops) != expected_counts[n]:
@@ -376,51 +380,59 @@ def _exhaustive_modified_report() -> Report:
             continue
         rep.add(f"count:{n}", VERIFIED, f"{len(tops)} topologies")
         for masks in tops:
-            space = FiniteSpaceModel(range(n), masks)
-            failures += _dfs_modified_copy(space, rep)
-            total_runs += 1
-    rep.add("exhaustive", VERIFIED if not failures else VIOLATED,
-            f"all I-sequences of length <= 4 over {total_runs} spaces")
+            walks.append(_every_run(FiniteSpaceModel(range(n), masks), rep))
+    _add_every_run(rep, walks, f" over {len(walks)} spaces")
     return rep
 
 
-def _dfs_modified_copy(space: FiniteSpaceModel, rep: Report) -> int:
-    modified = modify_strategy(copy_strategy())
-    failures = 0
+def _every_run(space: FiniteSpaceModel, rep: Report) -> tuple[str, int]:
+    """Walk every game state of the modified copy strategy on ``space``:
+    each reply must be legal, and each legal player-I move must be played.
+    The verdict and the number of states; a fault is recorded in ``rep``,
+    and a walk past MAX_GAME_STATES states is unresolved."""
+    moves, replies = extract_schemes(space, copy_strategy())
+    try:
+        states = reachable_states(replies, MAX_GAME_STATES)
+    except ExtractionError as exc:
+        rep.add("illegal-reply", VIOLATED, str(exc))
+        return VIOLATED, 0
+    if len(states) > MAX_GAME_STATES:
+        return UNRESOLVED, 0
+    for a in states:
+        legal = space.nonempty_opens_inside(replies.node(a))
+        played = {moves.child(a, n) for n in range(len(legal))}
+        # p plays that are not the p legal moves leave a legal move out
+        missed = next((u for u in legal if u not in played), None)
+        if missed is not None:
+            rep.add("unplayed-move", VIOLATED,
+                    f"node {a}: move {space.describe(missed)} is never played")
+            return VIOLATED, 0
+    return VERIFIED, len(states)
 
-    def dfs(history, moves_left: int) -> None:
-        nonlocal failures
-        limit = last_reply(space, history)
-        for u in space.nonempty_opens_inside(limit):
-            try:
-                played = play_round(space, history, u, modified)
-            except IllegalMoveError:
-                failures += 1
-                rep.add("illegal-reply", VIOLATED,
-                        f"history {history}, move {space.describe(u)}")
-                continue
-            if moves_left > 1:
-                dfs(played, moves_left - 1)
 
-    dfs((), 4)
-    return failures
-
-
-def _modified_wins_report(space: FiniteSpaceModel, label: str) -> Report:
-    rep = Report(label)
-    failures = _dfs_modified_copy(space, rep)
-    rep.add("exhaustive", VERIFIED if not failures else VIOLATED,
-            "all I-sequences of length <= 4")
-    return rep
+def _add_every_run(rep: Report, walks: list[tuple[str, int]],
+                   over: str = "") -> None:
+    """The ``exhaustive`` entry for the walks of ``_every_run``."""
+    statuses = {status for status, _ in walks}
+    if VIOLATED in statuses:
+        rep.add("exhaustive", VIOLATED, f"every infinite run{over}")
+    elif UNRESOLVED in statuses:
+        rep.add("exhaustive", UNRESOLVED,
+                f"a game graph exceeds {MAX_GAME_STATES} states{over}")
+    else:
+        rep.add("exhaustive", VERIFIED,
+                f"every infinite run: {sum(n for _, n in walks)} game "
+                f"states{over}")
 
 
 # -- suite: choquet-extract ---------------------------------------------------
 
 def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
-    window = cfg.window(2, 6)
+    # the window is checked, but the finite verdicts read every game state
+    cfg.window(2, 6)
     rep = Report("extract-finite")
     strategy = copy_strategy()
-    bad_cover = bad_net = bad_replay = spaces = 0
+    bad_cover = bad_net = bad_replay = cut = spaces = 0
     # the extra space is loaded first, so that a bad file fails fast, and
     # each enumerated model is built only when the loop reaches it
     extra = [load_space_file(cfg.space_path)] if cfg.space_path else []
@@ -431,24 +443,28 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     for space in space_models:
         spaces += 1
         moves, replies = extract_schemes(space, strategy)
-        # every window node has its representative's verdicts; the per-node
-        # report is built only to describe a failure
-        nodes = deflated_representatives(replies, window)
-        cover = check_covers_at(replies, nodes, window.breadth)
-        if cover.violations or cover.with_status(UNRESOLVED):
-            bad_cover += 1
-            rep.add(f"covers:{spaces}", VIOLATED,
-                    str(check_covers(replies, window)))
-        if not _children_form_pi_base(space, replies, nodes):
-            bad_net += 1
-            rep.add(f"pi-base:{spaces}", VIOLATED, "a child pi-base misses")
+        states = reachable_states(replies, MAX_GAME_STATES)
+        if len(states) > MAX_GAME_STATES:
+            cut += 1
+            rep.add(f"states:{spaces}", UNRESOLVED,
+                    f"the game graph exceeds {MAX_GAME_STATES} states")
+        else:
+            cover_fault, pi_base = _decide_states(space, replies, states)
+            if cover_fault:
+                bad_cover += 1
+                rep.add(f"covers:{spaces}", VIOLATED, cover_fault)
+            if not pi_base:
+                bad_net += 1
+                rep.add(f"pi-base:{spaces}", VIOLATED,
+                        "a child pi-base misses")
         if not all(replay_branch(space, strategy, moves, replies, p)
                    for p in branches):
             bad_replay += 1
             rep.add(f"replay:{spaces}", VIOLATED, "branch replay mismatch")
-    rep.add("covers", VERIFIED if not bad_cover else VIOLATED,
+    unsure = UNRESOLVED if cut else VERIFIED
+    rep.add("covers", VIOLATED if bad_cover else unsure,
             f"verified cover at every node over {spaces} spaces")
-    rep.add("pi-base", VERIFIED if not bad_net else VIOLATED,
+    rep.add("pi-base", VIOLATED if bad_net else unsure,
             "children form a pi-base of every node")
     rep.add("replay", VERIFIED if not bad_replay else VIOLATED,
             f"{len(branches)} branches per space replay identically")
@@ -456,15 +472,30 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     return [rep, _baire_extract_report(cfg)]
 
 
-def _children_form_pi_base(space: FiniteSpaceModel, replies: Scheme,
-                           nodes: list[Seq]) -> bool:
-    for a in nodes:
-        inside = space.nonempty_opens_inside(replies.node(a))
-        for u in inside:
-            if not any(space.subset(replies.child(a, m), u)
-                       for m in range(len(inside) + 1)):
-                return False
-    return True
+def _decide_states(space: FiniteSpaceModel, replies: Scheme,
+                   states: list[Seq]) -> tuple[Optional[str], bool]:
+    """Decide at every game state, on all ``p`` of its children: each child
+    lies inside the node, their union is the node, and every nonempty open
+    inside the node contains a child.  The first cover fault, which names
+    its node, and whether the children form a pi-base at every state."""
+    cover_fault: Optional[str] = None
+    pi_base = True
+    for a in states:
+        va = replies.node(a)
+        inside = space.nonempty_opens_inside(va)
+        children = [replies.child(a, n) for n in range(len(inside))]
+        if cover_fault is None:
+            out = next((n for n, child in enumerate(children)
+                        if not space.subset(child, va)), None)
+            if out is not None:
+                cover_fault = f"node {a}: child {out} escapes the node"
+            elif not space.equal(reduce(space.union, children), va):
+                cover_fault = (f"node {a} is not the union of its "
+                               f"{len(children)} children")
+        pi_base = pi_base and all(any(space.subset(child, u)
+                                      for child in children)
+                                  for u in inside)
+    return cover_fault, pi_base
 
 
 def _cylinder_length(node) -> Optional[int]:

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from bairekit.choquet import (ExtractionError, IllegalMoveError, _fault,
                               copy_strategy, cylinder_strategy,
-                              deflated_representatives, extract_schemes,
-                              last_reply, modify_strategy, play_round,
-                              remove_redundant, replay_branch, run_game,
-                              scripted_player, transcript_json,
-                              validate_history)
+                              extract_schemes, last_reply, modify_strategy,
+                              play_round, reachable_states, remove_redundant,
+                              replay_branch, run_game, scripted_player,
+                              transcript_json, validate_history)
 from bairekit.cylinder import Atom, FULL, cyl, subset
-from bairekit.scheme import UNRESOLVED, Window, check_covers, check_covers_at
+from bairekit.scheme import UNRESOLVED, Window, check_covers
 from bairekit.spaces import BAIRE, FiniteSpaceModel, LazySeq, all_topologies
-from bairekit.suites import _children_form_pi_base
+from bairekit.suites import MAX_GAME_STATES, _decide_states
 
 
 def chain_space():
@@ -437,62 +436,111 @@ class _StuckSpace(FiniteSpaceModel):
         return LazySeq(repeat(o))
 
 
-def _pi_base_per_node(space, replies, window):
-    """The pi-base property at every window node, node by node: the
-    reference for the suite's walk over representatives."""
+def _game_graph(space, strategy):
+    """Every deflated history that a run against the modified strategy
+    reaches, built round by round with ``play_round`` over every nonempty
+    open inside the last reply."""
+    modified = modify_strategy(strategy)
+    seen, todo = {()}, [()]
+    while todo:
+        history = todo.pop()
+        for u in space.nonempty_opens_inside(last_reply(space, history)):
+            state = remove_redundant(space,
+                                     play_round(space, history, u, modified))
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return seen
+
+
+def _verdicts_per_node(space, replies, window):
+    """Covers and the pi-base property at every window node, node by node,
+    each on the ``p`` children of the node: the reference for the suite's
+    decision on the game states."""
+    covered = pi_base = True
     for a in window.nodes():
-        inside = space.nonempty_opens_inside(replies.node(a))
-        for u in inside:
-            if not any(space.subset(replies.child(a, m), u)
-                       for m in range(len(inside) + 1)):
-                return False
-    return True
+        node = replies.node(a)
+        inside = space.nonempty_opens_inside(node)
+        children = [replies.child(a, k) for k in range(len(inside))]
+        union = 0
+        for child in children:
+            covered = covered and space.subset(child, node)
+            union |= child
+        covered = covered and union == node
+        pi_base = pi_base and all(any(space.subset(c, u) for c in children)
+                                  for u in inside)
+    return covered, pi_base
 
 
 @pytest.mark.parametrize("space_cls", [FiniteSpaceModel, _NoSelfSpace,
                                        _StuckSpace],
                          ids=["pi-base", "no-self", "stuck"])
-@pytest.mark.parametrize("n, tops, window", [
-    (3, all_topologies(3), Window(3, 4)),
-    (4, all_topologies(4), Window(2, 4)),
+@pytest.mark.parametrize("n, tops", [
+    (3, all_topologies(3)),
+    (4, all_topologies(4)),
     # the only case here where two deflated histories with one last reply
     # have different children
-    (6, [_chain(6).opens], Window(4, 6)),
+    (6, [_chain(6).opens]),
 ], ids=["3-points", "4-points", "6-chain"])
-def test_deflated_representatives_match_the_per_node_walk(n, tops, window,
+def test_deflated_representatives_match_the_per_node_walk(n, tops,
                                                           space_cls):
-    """Every window node has a representative with its reply and budgeted
-    children, so the verdicts on the representatives are the per-node ones."""
+    """The walk's representatives, one per deflated history, are the states
+    of the game graph that the enumeration lets player I reach; on 3 points
+    the verdicts decided on them are those of every node of a window deep
+    enough to hold them all."""
     verdicts = set()
     for masks in tops:
         sp = space_cls(range(n), masks)
         for strategy in (copy_strategy(), _reply_by_length, _reply_by_xor,
                          _reply_from_top_by_length):
             _moves, replies = extract_schemes(sp, strategy)
-            nodes = deflated_representatives(replies, window)
-            deflated = [replies.meta["deflated"](a) for a in nodes]
-            assert len(set(deflated)) == len(nodes)
-            assert set(deflated) == {replies.meta["deflated"](a)
-                                     for a in window.nodes()}
-
-            def local(among):
-                return {(replies.node(a),
-                         tuple(replies.child(a, k)
-                               for k in range(window.breadth)))
-                        for a in among}
-
-            assert local(nodes) == local(window.nodes()), sorted(sp.opens)
-            cover = check_covers_at(replies, nodes, window.breadth)
-            every = check_covers(replies, window)
-            covered = not (every.violations or every.with_status(UNRESOLVED))
-            assert covered == \
-                (not (cover.violations or cover.with_status(UNRESOLVED)))
-            pi_base = _pi_base_per_node(sp, replies, window)
-            assert _children_form_pi_base(sp, replies, nodes) == pi_base
-            verdicts.add((covered, pi_base))
+            states = reachable_states(replies, MAX_GAME_STATES)
+            deflated = [replies.meta["deflated"](a) for a in states]
+            assert len(set(deflated)) == len(states)
+            if space_cls is _StuckSpace:
+                # every child repeats its node's reply: no state but the root
+                assert deflated == [()]
+            else:
+                assert set(deflated) == _game_graph(sp, strategy), \
+                    sorted(sp.opens)
+            cover_fault, pi_base = _decide_states(sp, replies, states)
+            verdict = (cover_fault is None, pi_base)
+            if n == 3:
+                window = Window(max(map(len, states)),
+                                len(sp.nonempty_opens_inside(sp.whole())))
+                assert verdict == _verdicts_per_node(sp, replies, window), \
+                    sorted(sp.opens)
+            verdicts.add(verdict)
     if n < 6:
         # the broken enumerations make each verdict fail somewhere
         assert verdicts == {
             FiniteSpaceModel: {(True, True)},
             _NoSelfSpace: {(True, True), (False, True)},
             _StuckSpace: {(True, True), (True, False)}}[space_cls]
+
+
+class _EscapingSpace(FiniteSpaceModel):
+    """An enumeration of ``{0}`` that offers ``{1}`` instead."""
+
+    def pi_base_enum(self, o):
+        if o == self.mask_of([0]):
+            return LazySeq(repeat(self.mask_of([1])))
+        return super().pi_base_enum(o)
+
+
+def test_decide_states_names_a_child_that_escapes():
+    sp = _EscapingSpace([0, 1], range(4))
+    _moves, replies = extract_schemes(sp, copy_strategy())
+    states = reachable_states(replies, MAX_GAME_STATES)
+    assert states == [(), (1,), (2,), (1, 0)]
+    assert _decide_states(sp, replies, states) == \
+        ("node (1,): child 0 escapes the node", False)
+
+
+def test_reachable_states_stop_past_the_limit():
+    sp = FiniteSpaceModel.discrete((0, 1, 2))
+    _moves, replies = extract_schemes(sp, copy_strategy())
+    states = reachable_states(replies, MAX_GAME_STATES)
+    assert len(states) == len(_game_graph(sp, copy_strategy())) > 6
+    assert reachable_states(replies, 5) == states[:6]
+    assert reachable_states(replies, len(states)) == states

@@ -3,11 +3,9 @@ from itertools import product
 import pytest
 
 from bairekit.scheme import Scheme, VIOLATED, Window, check_covers
-from bairekit.selector import (PrefixMap, SigmaBasic, StrictnessError,
-                               basic_intersect, basic_is_empty,
+from bairekit.selector import (PrefixMap, SigmaBasic, basic_is_empty,
                                check_image_identity, check_selector_identity,
-                               fiber_stem, pi_space_probe, preset_maps,
-                               pushforward_scheme, trivial_selector)
+                               pi_space_probe, preset_maps, pushforward_scheme)
 from bairekit.seq import BranchRule
 from bairekit.suites import RunConfig, suite_selectors
 
@@ -77,37 +75,6 @@ def test_image_identity_examples():
             assert check_image_identity(THREE, u, a)
 
 
-def test_basic_intersection():
-    u = frozenset({1})
-    whole = frozenset(TWO.points)
-    got = basic_intersect(SigmaBasic(u, ()), SigmaBasic(whole, (1,)))
-    assert got == SigmaBasic(u, (1,))
-    assert basic_intersect(SigmaBasic(u, (0,)), SigmaBasic(u, (1,))) is None
-
-
-def test_basic_intersection_matches_pointwise_membership():
-    import random
-
-    pm = preset_maps()["three"]
-    rng = random.Random(5)
-    stems = [t for ln in range(3) for t in product(range(3), repeat=ln)]
-    letters = tuple(sorted(set(pm.alphabet) | {2, 3}))
-
-    def pick_basic():
-        u = frozenset(p for p in pm.points if rng.random() < 0.6)
-        return SigmaBasic(u, rng.choice(stems))
-
-    for _ in range(60):
-        b1, b2 = pick_basic(), pick_basic()
-        meet = basic_intersect(b1, b2)
-        for w in product(letters, repeat=3):
-            inside = all(w[: len(b.stem)] == b.stem and pm.resolve(w) in b.u
-                         for b in (b1, b2))
-            got = (meet is not None and w[: len(meet.stem)] == meet.stem
-                   and pm.resolve(w) in meet.u)
-            assert got == inside, (b1, b2, w)
-
-
 def test_pi_space_probe_examples():
     assert pi_space_probe(TWO, SigmaBasic(frozenset({1}), ()), 50) == (1,)
     whole = frozenset(TWO.points)
@@ -130,47 +97,6 @@ def test_pi_space_probe_hits_every_preset_basic():
                 hit = pi_space_probe(pm, basic, 50)
                 assert hit is not None, (name, sorted(u), a)
                 assert hit[: len(a)] == a and pm.image(hit) <= u
-
-
-def test_fiber_stems_cover_window():
-    for pm in preset_maps().values():
-        for a in [t for ln in range(3) for t in product(range(3), repeat=ln)]:
-            for x in pm.image(a):
-                stem = fiber_stem(pm, a, x)
-                assert stem is not None and stem[: len(a)] == a
-                padded = stem + (0,) * max(0, pm.depth - len(stem))
-                assert pm.resolve(padded) == x
-
-
-def test_trivial_selector():
-    sch = pushforward_scheme(TWO)
-    select = trivial_selector(sch, 4)
-    assert select(BranchRule.constant(0)) == 0
-    assert select(BranchRule.constant(9)) == 1
-    assert select(BranchRule.padded((0, 3), 3)) == 0
-
-    sp = sch.space
-    fat = Scheme(sp, lambda a: sp.whole())
-    with pytest.raises(StrictnessError):
-        trivial_selector(fat, 4)(BranchRule.constant(0))
-
-    def clashing(a):
-        return sp.mask_of([0]) if len(a) % 2 else sp.mask_of([1])
-
-    with pytest.raises(StrictnessError):
-        trivial_selector(Scheme(sp, clashing), 4)(BranchRule.constant(0))
-
-    with pytest.raises(TypeError):
-        from bairekit.scheme import standard_scheme
-        trivial_selector(standard_scheme(), 4)
-
-
-def test_trivial_selector_agrees_with_prefix_map():
-    sch = pushforward_scheme(THREE)
-    select = trivial_selector(sch, 5)
-    for word in product(range(3), repeat=2):
-        branch = BranchRule.padded(word, 0)
-        assert select(branch) == THREE.apply(branch)
 
 
 def test_image_identity_reads_the_image(monkeypatch):

@@ -1,7 +1,7 @@
 import hashlib
 import io
 import json
-from itertools import cycle
+from itertools import cycle, repeat
 
 import pytest
 
@@ -44,10 +44,12 @@ def test_run_suite_shape_and_reproducibility():
 # sha256 of `verify --json` reports: how the suites compute their answers
 # must not change a byte of what they write
 REPORT_DIGESTS = {
+    # recorded when the exhaustive entry counted every game state, not the
+    # runs of at most four rounds
     ("choquet-finite", 0):
-        "91cd475c133fdec14c7ade56109c8a8347e20eaeec696049ce52ed80c7d92eed",
+        "a66b58e24c720abe00729c7002481a4bc6ad55519a732ecb8d0dadc4c16ea777",
     ("choquet-finite", 1):
-        "72089f276095de7b3c439eceb21da181b29824497ac1dbcc1aebe880d8569a06",
+        "69b50d17a9da180375270a68beff25f16ec0655725418744425f1ab8bc3786b0",
     # recorded when every window node was checked, not one per deflated
     # history
     ("choquet-extract", 0):
@@ -96,10 +98,11 @@ def test_extract_chain_space_digest(tmp_path):
 
 
 def test_choquet_extract_node_budget(tmp_path, monkeypatch):
-    """The suite builds the replies of one node per deflated history, of its
-    budgeted children and of the replayed branches: 28 nodes on the chain
-    at d3/b6, where checking every window node builds all 1,555 up to depth
-    4."""
+    """The suite builds the replies of the 4 game states of the chain, of
+    their children and of the replayed branches: 14 nodes at any window.
+    One node per deflated history of the d3/b6 window with its 6 budgeted
+    children built 28, and every window node with its children all 1,555
+    up to depth 4."""
     monkeypatch.setattr(suites, "all_topologies", lambda n: [])
     extract_schemes = suites.extract_schemes
     built = []
@@ -124,13 +127,14 @@ def test_choquet_extract_node_budget(tmp_path, monkeypatch):
     out = run_suite(RunConfig("choquet-extract", depth=3, breadth=6,
                               space_path=str(space_file)))
     assert out["ok"]
-    assert len(built) == 28
+    assert len(built) == 14
 
 
 def test_choquet_extract_describes_a_failed_cover(monkeypatch):
     """An enumeration without the open itself (unless it has no proper
-    nonempty sub-open) leaves nodes uncovered.  The report, per-node detail
-    included, is the one recorded when every window node was checked."""
+    nonempty sub-open) leaves 366 spaces with a node that is not the union
+    of its children, at every window; the detail names the first such
+    node."""
     def without_self(space, o):
         return LazySeq(cycle(space.nonempty_opens_inside(o)[:-1] or (o,)))
 
@@ -138,14 +142,110 @@ def test_choquet_extract_describes_a_failed_cover(monkeypatch):
     out = run_suite(RunConfig("choquet-extract", depth=2, breadth=3))
     entries = out["reports"][0]["entries"]
     covers = [e for e in entries if e["key"].startswith("covers:")]
-    assert len(covers) == 374
+    assert len(covers) == 366
     assert covers[0] == {
         "key": "covers:3", "status": "violated",
-        "detail": "covers: ok (verified 13, violated 0, unresolved 1, "
-                  "breach 0)"}
+        "detail": "node () is not the union of its 2 children"}
     text = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == \
-        "d15a185c2ff74f7e7d1e0e3f07217888dbf62b2060cba4e1b3df69894dc84c79"
+        "72e98b63e35766950bc831722a31435fb7aef2f01752d9b2d25f12f7feb193b6"
+    for depth, breadth in ((2, 6), (0, 1)):
+        other = run_suite(RunConfig("choquet-extract", depth=depth,
+                                    breadth=breadth))
+        assert other["reports"] == out["reports"]
+
+
+def _chain_file(tmp_path, n):
+    """A space file of the final segments of ``range(n)``."""
+    space = FiniteSpaceModel(range(n), [0] + [(1 << n) - (1 << k)
+                                             for k in range(n)])
+    path = tmp_path / f"chain{n}.json"
+    path.write_text(json.dumps(space.to_json()))
+    return path
+
+
+def _custom_space_entries(space_file):
+    out = run_suite(RunConfig("choquet-finite", space_path=str(space_file)))
+    custom = out["reports"][-1]
+    assert custom["name"] == "custom-space"
+    return out["ok"], custom["entries"]
+
+
+def test_choquet_finite_catches_a_deep_illegal_reply(tmp_path, monkeypatch):
+    """A reply that turns illegal once the deflated history holds four
+    pairs.  On the 6-point chain that first happens five rounds deep, past
+    every run of at most four rounds; on at most 4 points, never."""
+    def whole_when_deep(space, history, u):
+        return space.whole() if len(history) >= 4 else u
+
+    monkeypatch.setattr(suites, "copy_strategy", lambda: whole_when_deep)
+    ok, entries = _custom_space_entries(_chain_file(tmp_path, 6))
+    assert not ok
+    assert entries == [
+        {"key": "illegal-reply", "status": "violated",
+         "detail": "illegal reply at node (5, 4, 3, 2, 1): "
+                   "reply escapes the move"},
+        {"key": "exhaustive", "status": "violated",
+         "detail": "every infinite run"}]
+
+
+def test_choquet_finite_needs_every_legal_move_played(monkeypatch):
+    """An enumeration of the open alone offers player I no move but the
+    reply itself: every space with a proper nonempty sub-open (all 389 but
+    the 4 indiscrete ones) has a legal move that is never played."""
+    monkeypatch.setattr(FiniteSpaceModel, "pi_base_enum",
+                        lambda space, o: LazySeq(repeat(o)))
+    out = run_suite(RunConfig("choquet-finite"))
+    wins = out["reports"][1]
+    unplayed = [e for e in wins["entries"] if e["key"] == "unplayed-move"]
+    assert len(unplayed) == 385
+    assert unplayed[0]["detail"] == "node (): move {0} is never played"
+    assert wins["entries"][-1] == {"key": "exhaustive", "status": "violated",
+                                   "detail": "every infinite run over 389 "
+                                             "spaces"}
+
+
+def test_choquet_finite_walks_every_state_of_a_long_chain(tmp_path):
+    """The 8-point chain has one game state per set of its 7 proper nonempty
+    opens; 29 of them hold more than 4 pairs."""
+    path = tmp_path / "report.json"
+    argv = ["verify", "--suite", "choquet-finite", "--space",
+            str(_chain_file(tmp_path, 8)), "--json", str(path)]
+    assert main(argv, stdout=io.StringIO()) == 0
+    custom = json.loads(path.read_text())["reports"][-1]
+    assert custom["entries"] == [
+        {"key": "exhaustive", "status": "verified",
+         "detail": "every infinite run: 128 game states"}]
+    space = suites.load_space_file(str(_chain_file(tmp_path, 8)))
+    _moves, replies = suites.extract_schemes(space, suites.copy_strategy())
+    states = suites.reachable_states(replies, suites.MAX_GAME_STATES)
+    pairs = [len(replies.meta["deflated"](a)) for a in states]
+    assert len(pairs) == 128 and sum(k > 4 for k in pairs) == 29
+
+
+def test_game_walk_stops_past_the_state_bound(tmp_path, monkeypatch):
+    """The discrete 6-point space has 4,683 game states: past a bound of
+    1,000 both finite suites leave it unresolved, not verified."""
+    space_file = tmp_path / "discrete6.json"
+    space_file.write_text(json.dumps(
+        FiniteSpaceModel.discrete(tuple(range(6))).to_json()))
+    assert _custom_space_entries(space_file)[1] == [
+        {"key": "exhaustive", "status": "verified",
+         "detail": "every infinite run: 4683 game states"}]
+
+    monkeypatch.setattr(suites, "MAX_GAME_STATES", 1_000)
+    ok, entries = _custom_space_entries(space_file)
+    assert ok and entries == [
+        {"key": "exhaustive", "status": "unresolved",
+         "detail": "a game graph exceeds 1000 states"}]
+    out = run_suite(RunConfig("choquet-extract",
+                              space_path=str(space_file)))
+    finite = {e["key"]: (e["status"], e["detail"])
+              for e in out["reports"][0]["entries"]}
+    assert finite["states:390"] == ("unresolved",
+                                    "the game graph exceeds 1000 states")
+    assert finite["covers"][0] == finite["pi-base"][0] == "unresolved"
+    assert not any(k.startswith(("covers:", "pi-base:")) for k in finite)
 
 
 def test_cylinders_oracle_trace_budget(monkeypatch):
