@@ -75,6 +75,8 @@ def base_from_lines(text: str) -> LusinBase:
 class _SplitPlan:
     """Children = antichain members extended by all next-length sequences."""
 
+    witness = None  # a split carves nothing
+
     def __init__(self, chain: Antichain, ext_len: int):
         self.chain = chain
         self.ext_len = ext_len
@@ -98,25 +100,23 @@ class _CarvePlan:
 
 
 def build_lusin(base: LusinBase) -> Scheme:
+    """The scheme refined against ``base``.  ``scheme.meta["plan"]`` maps a
+    node to its plan, built on demand: a carve plan's ``witness`` is the
+    cylinder it carves, a split plan's is None."""
     plans: dict[Seq, object] = {}
     scheme: Scheme
 
     def plan_for(a: Seq):
         plan = plans.get(a)
-        if plan is not None:
-            return plan
-        va = scheme.node(a)
-        k = len(a)
-        if k % 2 == 1:
-            meet = Inter(va, base.target(k))
-            if not cy.is_empty(meet):
-                witness = cy.strict_witness(meet)
-                scheme.meta["carve"][a] = witness
-                plan = _CarvePlan(va, witness)
-                plans[a] = plan
-                return plan
-        plan = _SplitPlan(minimal_antichain(va), k + 1)
-        plans[a] = plan
+        if plan is None:
+            va = scheme.node(a)
+            k = len(a)
+            meet = Inter(va, base.target(k)) if k % 2 == 1 else None
+            if meet is not None and not cy.is_empty(meet):
+                plan = _CarvePlan(va, cy.strict_witness(meet))
+            else:
+                plan = _SplitPlan(minimal_antichain(va), k + 1)
+            plans[a] = plan
         return plan
 
     def rule(a: Seq) -> Expr:
@@ -125,7 +125,7 @@ def build_lusin(base: LusinBase) -> Scheme:
         return plan_for(a[:-1]).child(a[-1])
 
     scheme = Scheme(BAIRE, rule, label=f"lusin[{base.label}]")
-    scheme.meta["carve"] = {}
+    scheme.meta["plan"] = plan_for
     return scheme
 
 
@@ -133,11 +133,11 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
                            window: Window) -> Report:
     """Per-node checks of (a), (b), (c) on the window, plus the partition
     check.  For schemes built here, (c) is certified by the one inclusion
-    of the recorded witness in the target, which covers every positive
-    child at once; foreign schemes fall back to per-child evidence."""
+    of the plan's witness in the target, which covers every positive child
+    at once; foreign schemes fall back to per-child evidence."""
     rep = check_partitions(scheme, window)
     rep.name = "lusin-conditions"
-    carve = scheme.meta.get("carve", {})
+    plan = scheme.meta.get("plan")
     for a in window.nodes():
         key = seq_to_text(a)
         va = scheme.node(a)
@@ -156,7 +156,7 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         target = base.target(k)
         if not cy.intersects(va, target):
             continue
-        witness = carve.get(a)
+        witness = plan(a).witness if plan else None
         if witness is not None:
             inside = cy.subset(Atom(witness), target)
             held = all(cy.subset(scheme.child(a, n), Atom(witness))

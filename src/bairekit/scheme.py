@@ -71,6 +71,20 @@ class Report:
     def extend(self, other: "Report") -> None:
         self.entries.extend(other.entries)
 
+    def summarize(self, key: str, items: tuple[str, ...], detail: str) -> None:
+        """Add ``key`` with the worst status among the entries whose keys
+        start with one of ``items``: violated, then unresolved, else
+        verified.  A verified summary reads ``detail``; a failing one counts
+        the entries of its status and names the first."""
+        for status in (VIOLATED, UNRESOLVED):
+            failed = [e.key for e in self.entries
+                      if e.status == status and e.key.startswith(items)]
+            if failed:
+                self.add(key, status, f"{len(failed)} {status}, "
+                                      f"first {failed[0]}")
+                return
+        self.add(key, VERIFIED, detail)
+
     def with_status(self, status: str) -> list[ReportEntry]:
         return [e for e in self.entries if e.status == status]
 

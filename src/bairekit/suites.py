@@ -82,8 +82,7 @@ def load_space_file(path: str) -> FiniteSpaceModel:
 
 # -- random generators --------------------------------------------------------
 
-ATOM_POOL: list[Seq] = [tuple(t) for ln in range(4)
-                        for t in product(range(3), repeat=ln)]
+ATOM_POOL: list[Seq] = list(Window(3, 3).nodes())
 
 
 def random_expr(rng: random.Random) -> Expr:
@@ -108,7 +107,7 @@ def random_expr(rng: random.Random) -> Expr:
 # -- suite: cylinders-oracle --------------------------------------------------
 
 def _grid_exprs() -> list[Expr]:
-    atoms = [Atom(t) for ln in range(3) for t in product(range(2), repeat=ln)]
+    atoms = [Atom(t) for t in Window(2, 2).nodes()]
     ops = (Union, Inter, Diff)
     single = [op(a, b) for op in ops for a in atoms for b in atoms]
     small = atoms[:4]
@@ -127,15 +126,12 @@ def suite_cylinders_oracle(cfg: RunConfig) -> list[Report]:
     exprs += [random_expr(rng) for _ in range(500)]
     # each expression is traced once; every oracle answer below reads it
     traces = [cy.trace_window(e, d, b) for e in exprs]
-    empty_bad = inclusion_bad = member_bad = 0
     for i, e in enumerate(exprs):
         if cy.is_empty(e) != (not traces[i]):
-            empty_bad += 1
             rep.add(f"emptiness:{i}", VIOLATED, expr_to_text(e))
         if i + 1 < len(exprs):
             other = exprs[i + 1]
             if cy.subset(e, other) != (traces[i] <= traces[i + 1]):
-                inclusion_bad += 1
                 rep.add(f"inclusion:{i}", VIOLATED,
                         f"{expr_to_text(e)} vs {expr_to_text(other)}")
     words = list(product(range(b + 1), repeat=d))
@@ -143,15 +139,14 @@ def suite_cylinders_oracle(cfg: RunConfig) -> list[Report]:
         e, trace = exprs[i], traces[i]
         for w in words:
             if cy.contains_branch(e, BranchRule.periodic(w)) != (w in trace):
-                member_bad += 1
                 rep.add(f"membership:{i}", VIOLATED,
                         f"{expr_to_text(e)} at {w}")
-    rep.add("emptiness", VERIFIED if not empty_bad else VIOLATED,
-            f"{len(exprs)} expressions against the window oracle")
-    rep.add("inclusion", VERIFIED if not inclusion_bad else VIOLATED,
-            f"{len(exprs) - 1} pairs against the window oracle")
-    rep.add("membership", VERIFIED if not member_bad else VIOLATED,
-            "60 expressions, all window words")
+    rep.summarize("emptiness", ("emptiness:",),
+                  f"{len(exprs)} expressions against the window oracle")
+    rep.summarize("inclusion", ("inclusion:",),
+                  f"{len(exprs) - 1} pairs against the window oracle")
+    rep.summarize("membership", ("membership:",),
+                  "60 expressions, all window words")
 
     return [rep, _nd_witness_report(rng)]
 
@@ -161,7 +156,6 @@ def _nd_witness_report(rng: random.Random) -> Report:
     the witness ``c`` all lie in the source's trace, and none of them has
     all its prefixes in the tree."""
     rep = Report("nd-witness")
-    bad = 0
     done = 0
     while done < 100:
         u = random_expr(rng)
@@ -176,15 +170,13 @@ def _nd_witness_report(rng: random.Random) -> Report:
         words = [c + tail for tail in product(range(breadth + 1),
                                               repeat=depth - len(c))]
         if not all(w in trace for w in words):
-            bad += 1
             rep.add(f"inside:{done}", VIOLATED, f"{c} vs {expr_to_text(u)}")
         if any(all(tree.member(w[: j]) for j in range(1, len(w) + 1))
                for w in words):
-            bad += 1
             rep.add(f"avoids:{done}", VIOLATED, f"{c} vs caps {caps}")
         done += 1
-    rep.add("nd-witness", VERIFIED if not bad else VIOLATED,
-            "100 random source/tree pairs, window-verified")
+    rep.summarize("nd-witness", ("inside:", "avoids:"),
+                  "100 random source/tree pairs, window-verified")
     return rep
 
 
@@ -428,58 +420,51 @@ def _add_every_run(rep: Report, walks: list[tuple[str, int]],
 # -- suite: choquet-extract ---------------------------------------------------
 
 def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
-    # the window is checked, but the finite verdicts read every game state
-    cfg.window(2, 6)
+    # the finite verdicts read every game state, not a window
     rep = Report("extract-finite")
     strategy = copy_strategy()
-    bad_cover = bad_net = bad_replay = cut = spaces = 0
+    spaces = 0
     # the extra space is loaded first, so that a bad file fails fast, and
     # each enumerated model is built only when the loop reaches it
     extra = [load_space_file(cfg.space_path)] if cfg.space_path else []
     space_models = chain((FiniteSpaceModel(range(n), masks)
                           for n in range(1, 5) for masks in all_topologies(n)),
                          extra)
-    branches = [t for ln in range(3) for t in product(range(3), repeat=ln)]
+    branches = list(Window(2, 3).nodes())
     for space in space_models:
         spaces += 1
         moves, replies = extract_schemes(space, strategy)
         states = reachable_states(replies, MAX_GAME_STATES)
         if len(states) > MAX_GAME_STATES:
-            cut += 1
             rep.add(f"states:{spaces}", UNRESOLVED,
                     f"the game graph exceeds {MAX_GAME_STATES} states")
         else:
-            cover_fault, pi_base = _decide_states(space, replies, states)
+            cover_fault, base_fault = _decide_states(space, replies, states)
             if cover_fault:
-                bad_cover += 1
                 rep.add(f"covers:{spaces}", VIOLATED, cover_fault)
-            if not pi_base:
-                bad_net += 1
-                rep.add(f"pi-base:{spaces}", VIOLATED,
-                        "a child pi-base misses")
+            if base_fault:
+                rep.add(f"pi-base:{spaces}", VIOLATED, base_fault)
         if not all(replay_branch(space, strategy, moves, replies, p)
                    for p in branches):
-            bad_replay += 1
             rep.add(f"replay:{spaces}", VIOLATED, "branch replay mismatch")
-    unsure = UNRESOLVED if cut else VERIFIED
-    rep.add("covers", VIOLATED if bad_cover else unsure,
-            f"verified cover at every node over {spaces} spaces")
-    rep.add("pi-base", VIOLATED if bad_net else unsure,
-            "children form a pi-base of every node")
-    rep.add("replay", VERIFIED if not bad_replay else VIOLATED,
-            f"{len(branches)} branches per space replay identically")
+    rep.summarize("covers", ("covers:", "states:"),
+                  f"verified cover at every node over {spaces} spaces")
+    rep.summarize("pi-base", ("pi-base:", "states:"),
+                  "children form a pi-base of every node")
+    rep.summarize("replay", ("replay:",),
+                  f"{len(branches)} branches per space replay identically")
 
     return [rep, _baire_extract_report(cfg)]
 
 
 def _decide_states(space: FiniteSpaceModel, replies: Scheme,
-                   states: list[Seq]) -> tuple[Optional[str], bool]:
+                   states: list[Seq]) -> tuple[Optional[str], Optional[str]]:
     """Decide at every game state, on all ``p`` of its children: each child
     lies inside the node, their union is the node, and every nonempty open
-    inside the node contains a child.  The first cover fault, which names
-    its node, and whether the children form a pi-base at every state."""
+    inside the node contains a child.  The first cover fault and the first
+    pi-base fault, each naming its node."""
     cover_fault: Optional[str] = None
-    pi_base = True
+    base_fault: Optional[str] = None
     for a in states:
         va = replies.node(a)
         inside = space.nonempty_opens_inside(va)
@@ -492,10 +477,13 @@ def _decide_states(space: FiniteSpaceModel, replies: Scheme,
             elif not space.equal(reduce(space.union, children), va):
                 cover_fault = (f"node {a} is not the union of its "
                                f"{len(children)} children")
-        pi_base = pi_base and all(any(space.subset(child, u)
-                                      for child in children)
-                                  for u in inside)
-    return cover_fault, pi_base
+        if base_fault is None:
+            missed = next((u for u in inside if not any(
+                space.subset(child, u) for child in children)), None)
+            if missed is not None:
+                base_fault = (f"node {a}: open {space.describe(missed)} "
+                              f"contains no child")
+    return cover_fault, base_fault
 
 
 def _cylinder_length(node) -> Optional[int]:
@@ -511,21 +499,18 @@ def _baire_extract_report(cfg: RunConfig) -> Report:
     rng = random.Random(cfg.seed)
     strategy = cylinder_strategy()
     moves, replies = extract_schemes(BAIRE, strategy)
-    bad = 0
     for i in range(20):
         branch = tuple(rng.randint(1, 8) for _ in range(6))
         for k in range(len(branch) + 1):
             node = replies.node(branch[: k])
             length = _cylinder_length(node)
             if length is None or length < k:
-                bad += 1
                 rep.add(f"length:{i}:{k}", VIOLATED,
                         f"node {expr_to_text(node)} at depth {k}")
         if not replay_branch(BAIRE, strategy, moves, replies, branch):
-            bad += 1
             rep.add(f"replay:{i}", VIOLATED, seq_to_text(branch))
-    rep.add("cylinder-growth", VERIFIED if not bad else VIOLATED,
-            "20 random branches to depth 6: reply length tracks depth")
+    rep.summarize("cylinder-growth", ("length:", "replay:"),
+                  "20 random branches to depth 6: reply length tracks depth")
     return rep
 
 
@@ -548,8 +533,8 @@ def _all_prefix_maps(n_points: int, depth: int,
 
 def suite_selectors(cfg: RunConfig) -> list[Report]:
     rep = Report("selector-identities")
-    stems = [t for ln in range(3) for t in product(range(3), repeat=ln)]
-    maps = checked = bad = 0
+    stems = list(Window(2, 3).nodes())
+    maps = checked = 0
     for n_points in range(1, 5):
         subsets = _subsets(range(n_points))
         for depth in (1, 2):
@@ -560,20 +545,18 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
                         for u in subsets:
                             checked += 1
                             if not check_image_identity(pm, u, a):
-                                bad += 1
                                 rep.add(f"image:{maps}", VIOLATED,
                                         f"{pm.to_json()} u={sorted(u)} a={a}")
                     ident = check_selector_identity(
                         pm, pushforward_scheme(pm), Window(2, 3))
                     if not ident.ok:
-                        bad += 1
                         rep.add(f"pushforward:{maps}", VIOLATED, str(ident))
-    rep.add("image-identity", VERIFIED if not bad else VIOLATED,
-            f"{checked} instances over {maps} maps")
+    rep.summarize("image-identity", ("image:", "pushforward:"),
+                  f"{checked} instances over {maps} maps")
 
     probe = Report("pi-space-probe")
-    missing = 0
-    for name, pm in preset_maps().items():
+    presets = preset_maps()
+    for name, pm in presets.items():
         for u in _subsets(pm.points):
             for a in stems:
                 basic = SigmaBasic(u, a)
@@ -581,11 +564,10 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
                     continue
                 hit = pi_space_probe(pm, basic, 50)
                 if hit is None or not (pm.image(hit) <= u and hit[: len(a)] == a):
-                    missing += 1
                     probe.add(f"{name}:{sorted(u)}:{seq_to_text(a)}", VIOLATED,
                               f"probe returned {hit}")
-    probe.add("probe", VERIFIED if not missing else VIOLATED,
-              "every nonempty basic admits a cylinder within budget 50")
+    probe.summarize("probe", tuple(f"{name}:" for name in presets),
+                    "every nonempty basic admits a cylinder within budget 50")
     return [rep, probe]
 
 
@@ -612,6 +594,9 @@ def run_suite(cfg: RunConfig) -> dict:
     if cfg.suite not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {cfg.suite!r}; "
                           f"choose from {', '.join(SUITES)}")
+    # every suite rejects an out-of-range window before any work, also one
+    # that reads none; a flag left out takes its least value
+    cfg.window(0, 1)
     reports = _SUITE_FNS[cfg.suite](cfg)
     violations = sum(len(r.violations) for r in reports)
     breaches = sum(len(r.breaches) for r in reports)

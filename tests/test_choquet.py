@@ -503,8 +503,8 @@ def test_deflated_representatives_match_the_per_node_walk(n, tops,
             else:
                 assert set(deflated) == _game_graph(sp, strategy), \
                     sorted(sp.opens)
-            cover_fault, pi_base = _decide_states(sp, replies, states)
-            verdict = (cover_fault is None, pi_base)
+            cover_fault, base_fault = _decide_states(sp, replies, states)
+            verdict = (cover_fault is None, base_fault is None)
             if n == 3:
                 window = Window(max(map(len, states)),
                                 len(sp.nonempty_opens_inside(sp.whole())))
@@ -534,7 +534,8 @@ def test_decide_states_names_a_child_that_escapes():
     states = reachable_states(replies, MAX_GAME_STATES)
     assert states == [(), (1,), (2,), (1, 0)]
     assert _decide_states(sp, replies, states) == \
-        ("node (1,): child 0 escapes the node", False)
+        ("node (1,): child 0 escapes the node",
+         "node (1,): open {0} contains no child")
 
 
 def test_reachable_states_stop_past_the_limit():

@@ -29,13 +29,27 @@ def test_carve_step_frozen_example():
     sch = build_lusin(base)
     assert sch.node((0,)) == cyl(0)
     first_child = sch.node((0, 0))
-    witness = sch.meta["carve"][(0,)]
+    witness = sch.meta["plan"]((0,)).witness
     assert witness == (0, 1, 0, 0)
     assert first_child == Diff(cyl(0), Atom(witness))
     assert sch.node((0, 1)) == Atom(witness + (0,))
     assert subset(Atom(witness), cyl(0, 1))          # certifies the refinement
     assert not is_empty(sch.node((0, 0)))            # strictness pays off here
     assert not intersects(sch.node((0, 0)), sch.node((0, 1)))
+
+
+def test_carve_witness_is_read_from_the_plan_before_any_child():
+    """The plan of a node states its witness before any of its children
+    is built; the children then follow from it."""
+    calls = []
+    sch = build_lusin(base_from_lines("S(0,1)"))
+    rule = sch.rule
+    sch.rule = lambda a: calls.append(a) or rule(a)
+    plan = sch.meta["plan"]((0,))
+    assert sorted(calls) == [(), (0,)]  # the node and its parent only
+    assert plan.witness == (0, 1, 0, 0)
+    assert sch.meta["plan"](()).witness is None
+    assert sch.node((0, 1)) == Atom(plan.witness + (0,))
 
 
 def test_odd_nodes_are_long_cylinders():

@@ -1,8 +1,8 @@
 import pytest
 
 from bairekit.cylinder import Atom, EMPTY, FULL, cyl, equal
-from bairekit.scheme import (BREACH, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                             Window, branch_nodes, check_covers,
+from bairekit.scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED,
+                             VIOLATED, Window, branch_nodes, check_covers,
                              check_partitions, check_relabel_identities,
                              dense_in_itself_probe, dump_scheme, fruit_prefix,
                              pi_net_probe, relabel, standard_scheme,
@@ -21,6 +21,25 @@ def test_window_nodes():
         Window(-1, 2)
     with pytest.raises(ValueError):
         Window(2, 0)
+
+
+def test_summary_takes_the_worst_status_of_its_items():
+    rep = Report("r")
+    rep.add("a:1", VERIFIED)
+    rep.add("ab:1", VIOLATED)
+    rep.add("b:1", UNRESOLVED)
+    rep.add("b:2", VIOLATED)
+    rep.add("c:1", UNRESOLVED)
+    rep.add("c:2", UNRESOLVED)
+    rep.summarize("a", ("a:",), "all of a")
+    rep.summarize("b", ("b:",), "all of b")
+    rep.summarize("c", ("a:", "c:"), "all of c")
+    rep.summarize("d", ("d:",), "nothing to fail")
+    assert [(e.key, e.status, e.detail) for e in rep.entries[-4:]] == [
+        ("a", VERIFIED, "all of a"),
+        ("b", VIOLATED, "1 violated, first b:2"),
+        ("c", UNRESOLVED, "2 unresolved, first c:1"),
+        ("d", VERIFIED, "nothing to fail")]
 
 
 def test_standard_scheme_nodes():

@@ -17,6 +17,24 @@ def test_unknown_suite():
         run_suite(RunConfig(suite="nonsense"))
 
 
+@pytest.mark.parametrize("suite", suites.SUITES)
+@pytest.mark.parametrize("depth, breadth, message", [
+    ("99", "0", "depth 99 out of range 0..8"),
+    ("3", "0", "breadth 0 out of range 1..16"),
+    ("8", "16", "window Window(depth=8, breadth=16) has too many nodes"),
+])
+def test_every_suite_rejects_a_bad_window_before_any_work(
+        monkeypatch, suite, depth, breadth, message):
+    def no_work(cfg):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(suites._SUITE_FNS, suite, no_work)
+    out = io.StringIO()
+    argv = ["verify", "--suite", suite, "--depth", depth, "--breadth", breadth]
+    assert main(argv, stdout=out) == 2
+    assert out.getvalue() == f"configuration error: {message}\n"
+
+
 def test_window_guardrails():
     cfg = RunConfig(suite="lusin", depth=9)
     with pytest.raises(ConfigError):
@@ -147,12 +165,43 @@ def test_choquet_extract_describes_a_failed_cover(monkeypatch):
         "key": "covers:3", "status": "violated",
         "detail": "node () is not the union of its 2 children"}
     text = json.dumps(out, sort_keys=True).encode()
+    # recorded when the covers aggregate named its first failing space
     assert hashlib.sha256(text).hexdigest() == \
-        "72e98b63e35766950bc831722a31435fb7aef2f01752d9b2d25f12f7feb193b6"
+        "a87bb06eff490ab1bd3b81044ae3a5124a7f794494a0848b9eec78b010e6fe7d"
     for depth, breadth in ((2, 6), (0, 1)):
         other = run_suite(RunConfig("choquet-extract", depth=depth,
                                     breadth=breadth))
         assert other["reports"] == out["reports"]
+
+
+def _without_self(space, o):
+    return LazySeq(cycle(space.nonempty_opens_inside(o)[:-1] or (o,)))
+
+
+@pytest.mark.parametrize("enum, item, aggregate", [
+    # every child is the node itself: no proper sub-open holds a child
+    (lambda space, o: LazySeq(repeat(o)),
+     {"key": "pi-base:3", "status": "violated",
+      "detail": "node (): open {0} contains no child"},
+     {"key": "pi-base", "status": "violated",
+      "detail": "385 violated, first pi-base:3"}),
+    (_without_self,
+     {"key": "covers:3", "status": "violated",
+      "detail": "node () is not the union of its 2 children"},
+     {"key": "covers", "status": "violated",
+      "detail": "366 violated, first covers:3"}),
+])
+def test_choquet_extract_aggregates_name_their_first_fault(monkeypatch, enum,
+                                                          item, aggregate):
+    monkeypatch.setattr(FiniteSpaceModel, "pi_base_enum", enum)
+    out = run_suite(RunConfig("choquet-extract"))
+    entries = out["reports"][0]["entries"]
+    assert not out["ok"]
+    assert entries[0] == item
+    assert next(e for e in entries if e["key"] == aggregate["key"]) \
+        == aggregate
+    failed = [e for e in entries if e["status"] != "verified"]
+    assert not any(e["detail"].startswith("verified") for e in failed)
 
 
 def _chain_file(tmp_path, n):
