@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
-from typing import Callable, Iterator, Optional
+from itertools import product
+from typing import Callable, Optional
 
 from .seq import BranchRule, Seq, unpair
 
@@ -266,11 +266,6 @@ class Antichain:
         else:
             i, j = n % len(self.concrete), n // len(self.concrete)
         return self.member(i), j
-
-    def members(self) -> Iterator[Seq]:
-        if self.families:
-            return (self.member(i) for i in count())
-        return iter(self.concrete)
 
     def denotes(self, s: Seq) -> bool:
         if s in self.concrete:

@@ -41,7 +41,11 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            try:
+                tokens.append(("num", int(text[i:j])))
+            except ValueError as exc:
+                # past the interpreter's digit limit, or a digit int rejects
+                raise ExprSyntaxError(f"bad number at {i}: {exc}") from None
             i = j
         else:
             raise ExprSyntaxError(f"unexpected character {ch!r} at {i}")

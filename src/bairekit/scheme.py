@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
 from .seq import BranchRule, Seq, restrict, seq_at, seq_to_text
@@ -25,6 +25,14 @@ VERIFIED = "verified"
 VIOLATED = "violated"
 UNRESOLVED = "unresolved"
 BREACH = "breach"
+# the verdict order, worst first
+_ORDER = (VIOLATED, BREACH, UNRESOLVED, VERIFIED)
+
+
+def worst(statuses: Iterable[str]) -> str:
+    """The worst of ``statuses`` in the verdict order: violated, then
+    breach, then unresolved, then verified; verified when there are none."""
+    return min(statuses, key=_ORDER.index, default=VERIFIED)
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,8 @@ class ReportEntry:
 
 
 class Report:
-    """A keyed list of per-check statuses; pass means no hard violation."""
+    """A keyed list of per-check statuses; pass means no violation and no
+    breach."""
 
     def __init__(self, name: str):
         self.name = name
@@ -73,17 +82,15 @@ class Report:
 
     def summarize(self, key: str, items: tuple[str, ...], detail: str) -> None:
         """Add ``key`` with the worst status among the entries whose keys
-        start with one of ``items``: violated, then unresolved, else
-        verified.  A verified summary reads ``detail``; a failing one counts
-        the entries of its status and names the first."""
-        for status in (VIOLATED, UNRESOLVED):
-            failed = [e.key for e in self.entries
-                      if e.status == status and e.key.startswith(items)]
-            if failed:
-                self.add(key, status, f"{len(failed)} {status}, "
-                                      f"first {failed[0]}")
-                return
-        self.add(key, VERIFIED, detail)
+        start with one of ``items``.  A verified summary reads ``detail``;
+        a failing one counts the entries of its status and names the
+        first."""
+        matched = [e for e in self.entries if e.key.startswith(items)]
+        status = worst(e.status for e in matched)
+        if status != VERIFIED:
+            failed = [e.key for e in matched if e.status == status]
+            detail = f"{len(failed)} {status}, first {failed[0]}"
+        self.add(key, status, detail)
 
     def with_status(self, status: str) -> list[ReportEntry]:
         return [e for e in self.entries if e.status == status]
@@ -98,7 +105,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return worst(e.status for e in self.entries) in (UNRESOLVED, VERIFIED)
 
     def to_json(self) -> dict:
         return {

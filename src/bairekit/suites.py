@@ -21,11 +21,11 @@ from .choquet import (ExtractionError, copy_strategy, cylinder_strategy,
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
-from .scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                     Window, check_covers, compose_index,
+from .scheme import (BREACH, EmptyTargetError, Report, Scheme, UNRESOLVED,
+                     VERIFIED, VIOLATED, Window, check_covers, compose_index,
                      dump_scheme, check_relabel_identities,
                      dense_in_itself_probe, pi_net_probe, preimage_table,
-                     relabel, standard_scheme)
+                     relabel, standard_scheme, worst)
 from .selector import (PrefixMap, SigmaBasic, basic_is_empty,
                        check_image_identity, check_selector_identity,
                        pi_space_probe, preset_maps, pushforward_scheme)
@@ -191,10 +191,7 @@ G_PRESETS: dict[str, Callable[[int], int]] = {
 
 def _lusin_probe_branch(scheme: Scheme, picks: Seq) -> BranchRule:
     """A concrete branch inside the node chain selected by ``picks``."""
-    a: Seq = ()
-    for n in picks:
-        a += (n,)
-    stem = cy.witness_cylinder(scheme.node(a))
+    stem = cy.witness_cylinder(scheme.node(picks))
     return BranchRule.padded(stem, 0)
 
 
@@ -228,19 +225,16 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
 
             reports.append(_pi_net_replay(base_scheme, moved, g, g_name, window))
 
-        dense = Report(f"dense[{base_scheme.label}/half]")
         moved = relabel(base_scheme, G_PRESETS["half"])
         if base_scheme.label == "standard":
             x = BranchRule.constant(0)
         else:
             x = _lusin_probe_branch(base_scheme, (1, 1, 1))
         probe = dense_in_itself_probe(moved, x, window)
-        if probe.breaches or probe.with_status(UNRESOLVED) or not probe.entries:
-            dense.add("dense", VIOLATED,
-                      "duplicated-fiber relabeling missed a sibling pair")
-        else:
-            dense.add("dense", VERIFIED,
-                      f"{len(probe.entries)} nodes, two siblings each")
+        probe.summarize("dense", ("",),
+                        f"{len(probe.entries)} nodes, two siblings each")
+        dense = Report(f"dense[{base_scheme.label}/half]")
+        dense.entries.append(probe.entries[-1])
         reports.append(dense)
     return reports
 
@@ -255,9 +249,10 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
         ga = compose_index(g, a)
         for t in range(3):
             target = base_scheme.node(ga + (t,))
-            if space.is_empty(space.intersect(target, base_scheme.node(ga))):
+            try:
+                hit = pi_net_probe(base_scheme, ga, target, 64)
+            except EmptyTargetError:
                 continue
-            hit = pi_net_probe(base_scheme, ga, target, 64)
             key = f"{seq_to_text(a)}:{t}"
             if hit is None:
                 rep.add(key, UNRESOLVED, "no base hit within budget")
@@ -405,16 +400,12 @@ def _every_run(space: FiniteSpaceModel, rep: Report) -> tuple[str, int]:
 def _add_every_run(rep: Report, walks: list[tuple[str, int]],
                    over: str = "") -> None:
     """The ``exhaustive`` entry for the walks of ``_every_run``."""
-    statuses = {status for status, _ in walks}
-    if VIOLATED in statuses:
-        rep.add("exhaustive", VIOLATED, f"every infinite run{over}")
-    elif UNRESOLVED in statuses:
-        rep.add("exhaustive", UNRESOLVED,
-                f"a game graph exceeds {MAX_GAME_STATES} states{over}")
-    else:
-        rep.add("exhaustive", VERIFIED,
-                f"every infinite run: {sum(n for _, n in walks)} game "
-                f"states{over}")
+    status = worst(s for s, _ in walks)
+    detail = {VIOLATED: "every infinite run",
+              UNRESOLVED: f"a game graph exceeds {MAX_GAME_STATES} states",
+              VERIFIED: f"every infinite run: {sum(n for _, n in walks)} "
+                        "game states"}[status]
+    rep.add("exhaustive", status, detail + over)
 
 
 # -- suite: choquet-extract ---------------------------------------------------
@@ -598,15 +589,13 @@ def run_suite(cfg: RunConfig) -> dict:
     # that reads none; a flag left out takes its least value
     cfg.window(0, 1)
     reports = _SUITE_FNS[cfg.suite](cfg)
-    violations = sum(len(r.violations) for r in reports)
-    breaches = sum(len(r.breaches) for r in reports)
     return {
         "suite": cfg.suite,
         "seed": cfg.seed,
         "config": {"depth": cfg.depth, "breadth": cfg.breadth,
                    "space": cfg.space_path},
-        "ok": violations == 0 and breaches == 0,
-        "violations": violations,
-        "breaches": breaches,
+        "ok": all(r.ok for r in reports),
+        "violations": sum(len(r.violations) for r in reports),
+        "breaches": sum(len(r.breaches) for r in reports),
         "reports": [r.to_json() for r in reports],
     }

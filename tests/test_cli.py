@@ -1,12 +1,19 @@
 import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bairekit.cli as cli
+import bairekit.suites as suites
 from bairekit.choquet import IllegalMoveError
 from bairekit.cli import main
-from bairekit.spaces import FiniteSpaceModel
+from bairekit.scheme import Report
+from bairekit.spaces import FiniteSpaceModel, all_topologies
 
 
 def run_cli(argv, stdin_text=""):
@@ -289,6 +296,19 @@ def test_play_rejects_illegal_and_keeps_state():
     assert "II[1]>" in out  # the two legal moves both got replies
 
 
+@pytest.mark.parametrize("number", ["1" * 5000, "\u00b2"],
+                         ids=["past-digit-limit", "superscript-digit"])
+def test_build_lusin_unreadable_number_is_configuration_error(tmp_path,
+                                                              number):
+    base = tmp_path / "base.txt"
+    base.write_text(f"S({number})\n", encoding="utf-8")
+    code, out = run_cli(["build-lusin", "--base", str(base)])
+    assert code == 2
+    [line] = out.splitlines()
+    assert line.startswith("configuration error: ")
+    assert "bad number at 2" in line
+
+
 def test_build_lusin_non_utf8_base(tmp_path):
     base = tmp_path / "base.txt"
     base.write_bytes(b"S(0)\n\xff\xfe\n")
@@ -354,3 +374,63 @@ def test_play_reraises_a_machine_fault(monkeypatch):
     with pytest.raises(IllegalMoveError) as err:
         run_cli(["play", "--space", "baire"], "S(0)\n:quit\n")
     assert err.value.player == "II"
+
+
+# -- boundary fuzz ------------------------------------------------------------
+
+_TOKENS = ("S(", "S()", ")", "(", "|", "&", "\\", ",", "0", "2", "7", " ",
+           "\n", "x", "{", "}", "[", "]", ":", '"points"', '"opens"',
+           "\u00b2", "1" * 5000, "(" * 300)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(
+        st.sampled_from(("points", "opens", "x")), sub, max_size=3),
+    max_leaves=8)
+
+_SMALL_SPACES = st.fixed_dictionaries({
+    "points": st.lists(st.integers(0, 3), max_size=4),
+    "opens": st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=6)})
+
+_SPACES = st.sampled_from([FiniteSpaceModel(range(n), masks).to_json()
+                           for n in range(1, 4)
+                           for masks in all_topologies(n)])
+
+_FILES = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+    .map(str.encode),
+    _JSON.map(json.dumps).map(str.encode),
+    st.one_of(_SMALL_SPACES, _SPACES).map(json.dumps).map(str.encode),
+    st.sampled_from((b"S(" + b"1" * 5000 + b")\n",
+                     b"[" * 5000 + b"]" * 5000,
+                     b'{"points": [' + b"1" * 5000 + b'], "opens": []}',
+                     b"S(0)\n\xff\xfe\n")),
+    st.binary(max_size=24))
+
+_COMMANDS = (
+    ["build-lusin", "--depth", "1", "--breadth", "2", "--base"],
+    ["extract", "--depth", "1", "--breadth", "2", "--space"],
+    ["play", "--space"],
+    ["verify", "--suite", "choquet-finite", "--depth", "1", "--breadth", "1",
+     "--space"],
+)
+
+
+@given(command=st.sampled_from(_COMMANDS), content=_FILES,
+       moves=st.lists(st.sampled_from(_TOKENS), max_size=4))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_malformed_input_files_end_in_an_exit_code(command, content, moves):
+    """Any base or space file ends in exit 0, 1 or 2, and a configuration
+    error is one line.  The exhaustive topology walk of ``choquet-finite``
+    is stubbed: it reads no input, and the file is loaded before it."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(suites, "_exhaustive_modified_report",
+                              lambda: Report("modified-copy-wins")):
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        code, out = run_cli(command + [path], "\n".join(moves) + "\n")
+    assert code in (0, 1, 2)
+    if code == 2:
+        [line] = out.splitlines()
+        assert line.startswith("configuration error: ")

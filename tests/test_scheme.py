@@ -31,15 +31,29 @@ def test_summary_takes_the_worst_status_of_its_items():
     rep.add("b:2", VIOLATED)
     rep.add("c:1", UNRESOLVED)
     rep.add("c:2", UNRESOLVED)
+    rep.add("e:1", UNRESOLVED)
+    rep.add("e:2", BREACH)
     rep.summarize("a", ("a:",), "all of a")
     rep.summarize("b", ("b:",), "all of b")
     rep.summarize("c", ("a:", "c:"), "all of c")
     rep.summarize("d", ("d:",), "nothing to fail")
-    assert [(e.key, e.status, e.detail) for e in rep.entries[-4:]] == [
+    rep.summarize("e", ("e:",), "all of e")
+    assert [(e.key, e.status, e.detail) for e in rep.entries[-5:]] == [
         ("a", VERIFIED, "all of a"),
         ("b", VIOLATED, "1 violated, first b:2"),
         ("c", UNRESOLVED, "2 unresolved, first c:1"),
-        ("d", VERIFIED, "nothing to fail")]
+        ("d", VERIFIED, "nothing to fail"),
+        ("e", BREACH, "1 breach, first e:2")]
+
+
+def test_a_report_passes_without_violations_and_breaches():
+    rep = Report("r")
+    rep.add("a", VERIFIED)
+    rep.add("b", UNRESOLVED)
+    assert rep.ok
+    rep.add("c", BREACH)
+    assert not rep.ok and not rep.violations
+    assert rep.to_json()["ok"] is False
 
 
 def test_standard_scheme_nodes():

@@ -8,6 +8,7 @@ import pytest
 import bairekit.cylinder as cy
 import bairekit.suites as suites
 from bairekit.cli import main
+from bairekit.scheme import Report
 from bairekit.spaces import FiniteSpaceModel, LazySeq
 from bairekit.suites import ConfigError, RunConfig, run_suite
 
@@ -202,6 +203,38 @@ def test_choquet_extract_aggregates_name_their_first_fault(monkeypatch, enum,
         == aggregate
     failed = [e for e in entries if e["status"] != "verified"]
     assert not any(e["detail"].startswith("verified") for e in failed)
+
+
+@pytest.mark.parametrize("status, ok", [
+    ("unresolved", True),   # a miss within the budget is no violation
+    ("breach", False),
+])
+def test_schemes_vg_dense_is_the_summary_of_its_probe(monkeypatch, status,
+                                                      ok):
+    def probe(scheme, x, window):
+        rep = Report("dense-in-itself")
+        rep.add("1.1", status, "patched probe")
+        return rep
+
+    monkeypatch.setattr(suites, "dense_in_itself_probe", probe)
+    out = run_suite(RunConfig("schemes-vg"))
+    dense = [r["entries"] for r in out["reports"]
+             if r["name"].startswith("dense[")]
+    assert dense == [[{"key": "dense", "status": status,
+                       "detail": f"1 {status}, first 1.1"}]] * 2
+    assert out["ok"] is ok
+    assert out["violations"] == 0
+
+
+def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
+    """At depth 2 and breadth 3 the Lusin scheme's probe finds only one
+    child through its point at three nodes; that is not a violation."""
+    out = run_suite(RunConfig("schemes-vg", depth=2, breadth=3))
+    dense = next(r for r in out["reports"]
+                 if r["name"] == "dense[lusin[std]/half]")
+    assert dense["entries"] == [{"key": "dense", "status": "unresolved",
+                                 "detail": "3 unresolved, first ε"}]
+    assert out["ok"]
 
 
 def _chain_file(tmp_path, n):
