@@ -77,15 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(data, path: Optional[str], out: TextIO) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Stream ``data`` as the text of ``json.dumps(data, indent=2,
+    sort_keys=True)`` plus a newline, without holding the whole text."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.writelines(chunks)
+                fh.write("\n")
         except OSError as exc:
             raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     else:
-        out.write(text + "\n")
+        out.writelines(chunks)
+        out.write("\n")
 
 
 def _check_writable(path: str) -> None:

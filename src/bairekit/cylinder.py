@@ -151,7 +151,7 @@ def subset(e1: Expr, e2: Expr) -> bool:
 
 
 def equal(e1: Expr, e2: Expr) -> bool:
-    return normal_form(e1) == normal_form(e2)
+    return e1 is e2 or normal_form(e1) == normal_form(e2)
 
 
 def intersects(e1: Expr, e2: Expr) -> bool:
@@ -332,6 +332,30 @@ def overlapping_pairs(children: list[Expr]) -> list[tuple[int, int]]:
     forms = [normal_form(c) for c in children]
     return [(n, m) for n in range(len(forms)) for m in range(n + 1, len(forms))
             if _meet(forms[n], forms[m])]
+
+
+def uncovered(opens: list[Expr], cover: list[Expr]) -> list[int]:
+    """The indices ``n``, ascending, whose ``opens[n]`` is not inside the
+    union of ``cover``.
+
+    An open that is one of the cover's own objects is inside it.  For the
+    others the union's form ``U`` is folded once, each open's form ``f``
+    is taken once, and the open is inside exactly when ``f ∧ U == f``.
+    """
+    members = {id(c) for c in cover}
+    rest = [n for n, o in enumerate(opens) if id(o) not in members]
+    if not rest:
+        return []
+    u: frozenset[Seq] = frozenset()
+    for c in cover:
+        f = normal_form(c)
+        u = u ^ f ^ _meet(u, f)
+    out = []
+    for n in rest:
+        f = normal_form(opens[n])
+        if _meet(f, u) != f:
+            out.append(n)
+    return out
 
 
 # -- window oracle ------------------------------------------------------------

@@ -171,14 +171,12 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
         va = scheme.node(a)
         key = seq_to_text(a)
         children = [scheme.child(a, n) for n in range(window.breadth)]
-        broken = False
-        for n, child in enumerate(children):
-            if not space.subset(child, va):
-                rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
-                broken = True
-        if broken:
+        escaped = space.uncovered(children, [va])
+        for n in escaped:
+            rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
+        if escaped:
             continue
-        if space.subset(va, _fold_union(space, children)):
+        if not space.uncovered([va], children):
             rep.add(key, VERIFIED)
         else:
             rep.add(key, UNRESOLVED, "node not covered by budgeted children")
@@ -321,10 +319,8 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
         if not surjective:
             continue
         direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
-        ok1 = space.subset(_fold_union(space, lifted[:m]),
-                           _fold_union(space, direct[:direct_hi]))
-        ok2 = space.subset(_fold_union(space, direct[:m]),
-                           _fold_union(space, lifted[:n_hi]))
+        ok1 = not space.uncovered(lifted[:m], direct[:direct_hi])
+        ok2 = not space.uncovered(direct[:m], lifted[:n_hi])
         if ok1 and ok2:
             rep.add(f"union:{key}", VERIFIED)
         else:
@@ -340,13 +336,6 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
         else:
             rep.add(f"fruit:const{v}", VIOLATED)
     return rep
-
-
-def _fold_union(space: SpaceModel, items: list):
-    out = items[0]
-    for o in items[1:]:
-        out = space.union(out, o)
-    return out
 
 
 def dense_in_itself_probe(scheme: Scheme, x, window: Window) -> Report:

@@ -55,6 +55,10 @@ class SpaceModel(Protocol):
     def overlapping_pairs(self, opens: list) -> list[tuple[int, int]]:
         """The index pairs ``(n, m)``, ``n < m`` ascending, of opens that meet."""
 
+    def uncovered(self, opens: list, cover: list) -> list[int]:
+        """The indices ``n``, ascending, of ``opens[n]`` not inside the
+        union of ``cover``."""
+
     def pi_base_enum(self, o) -> LazySeq:
         """Fair enumeration of nonempty opens forming a pi-base of ``o``.
 
@@ -147,6 +151,12 @@ class FiniteSpaceModel:
         return [(n, m) for n in range(len(opens))
                 for m in range(n + 1, len(opens)) if opens[n] & opens[m]]
 
+    def uncovered(self, opens: list[int], cover: list[int]) -> list[int]:
+        union = 0
+        for c in cover:
+            union |= c
+        return [n for n, o in enumerate(opens) if o & ~union]
+
     def nonempty_opens_inside(self, o: int) -> tuple[int, ...]:
         return self._inside[o]
 
@@ -228,6 +238,9 @@ class BaireSpaceModel:
 
     def overlapping_pairs(self, opens: list[Expr]) -> list[tuple[int, int]]:
         return cylinder.overlapping_pairs(opens)
+
+    def uncovered(self, opens: list[Expr], cover: list[Expr]) -> list[int]:
+        return cylinder.uncovered(opens, cover)
 
     def pi_base_enum(self, o: Expr) -> LazySeq:
         """All cylinders inside ``o``: fair extensions of its minimal antichain."""

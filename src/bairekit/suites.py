@@ -243,7 +243,7 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
                    window: Window) -> Report:
     rep = Report(f"pi-net-replay[{base_scheme.label}/{g_name}]")
     space = moved.space
-    pre = preimage_table(g, window.breadth, 4 * window.breadth + 16)
+    bound = 4 * window.breadth + 16
     roots = [(), (0,), (1, 0)]
     for a in roots:
         ga = compose_index(g, a)
@@ -258,6 +258,7 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
                 rep.add(key, UNRESOLVED, "no base hit within budget")
                 continue
             suffix = hit[len(ga):]
+            pre = preimage_table(g, 1 + max(suffix, default=-1), bound)
             if any(v not in pre for v in suffix):
                 rep.add(key, BREACH, "missing preimage for replay")
                 continue

@@ -1,7 +1,10 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -39,6 +42,48 @@ def test_verify_reports_are_reproducible(tmp_path):
                            "--json", str(p)])
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_report_bytes_match_json_dumps(tmp_path):
+    report = tmp_path / "report.json"
+    code, _ = run_cli(["verify", "--suite", "lusin", "--depth", "2",
+                       "--breadth", "3", "--json", str(report)])
+    assert code == 0
+    text = report.read_text(encoding="utf-8")
+    expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert report.read_bytes() == expected.encode("utf-8")
+    code, out = run_cli(["verify", "--suite", "lusin", "--depth", "2",
+                         "--breadth", "3"])
+    assert code == 0
+    assert out == expected + "suite lusin: pass (0 violations, 0 breaches)\n"
+
+
+def test_verify_schemes_vg_replays_past_the_breadth(tmp_path):
+    # the probe's hits use child index 2, past a breadth-2 window; each
+    # hit's preimages are looked up for its own entries
+    report = tmp_path / "report.json"
+    code, out = run_cli(["verify", "--suite", "schemes-vg", "--depth", "1",
+                         "--breadth", "2", "--json", str(report)])
+    assert code == 0 and "0 breaches" in out
+    data = json.loads(report.read_text())
+    replays = [r for r in data["reports"]
+               if r["name"].startswith("pi-net-replay[")]
+    assert len(replays) == 6
+    assert all(r["counts"] == {"breach": 0, "unresolved": 0, "verified": 9,
+                               "violated": 0} for r in replays)
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bairekit", "verify", "--suite", "lusin",
+         "--json", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "suite lusin: pass (0 violations, 0 breaches)\n"
 
 
 def test_verify_guardrails():

@@ -14,7 +14,7 @@ from bairekit.cylinder import (Antichain, Atom, EMPTY, EmptySetError,
                                intersects, is_empty, mentions,
                                minimal_antichain, nd_witness, normal_form,
                                overlapping_pairs, strict_witness, subset,
-                               trace_window, witness_cylinder)
+                               trace_window, uncovered, witness_cylinder)
 from bairekit.seq import BranchRule, is_prefix, unpair
 
 
@@ -345,6 +345,70 @@ def test_overlapping_pairs_match_the_window_oracle(children):
     assert overlapping_pairs(children) == [
         (n, m) for n in range(len(traces)) for m in range(n + 1, len(traces))
         if traces[n] & traces[m]]
+
+
+# -- opens outside a union ----------------------------------------------------
+
+def folded_uncovered(opens, cover):
+    union = EMPTY
+    for c in cover:
+        union = Union(union, c)
+    return [n for n, o in enumerate(opens) if not subset(o, union)]
+
+
+def test_uncovered_examples():
+    assert uncovered([], [cyl(0)]) == []
+    assert uncovered([cyl(0), EMPTY], []) == [0]
+    assert uncovered([cyl(0, 1), cyl(1), cyl(0)], [cyl(0)]) == [1]
+    # S(0) is covered by S(0) minus S(0,0) together with S(0,0)
+    assert uncovered([cyl(0)], [cyl(0) - cyl(0, 0), cyl(0, 0)]) == []
+    # a cover that cancels a shared member still covers both halves
+    assert uncovered([cyl(0), cyl(1)], [cyl(0) | cyl(1), cyl(1)]) == []
+
+
+def test_uncovered_takes_no_form_for_members_of_the_cover(monkeypatch):
+    calls = 0
+    real = cylinder.normal_form
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return real(e)
+
+    monkeypatch.setattr(cylinder, "normal_form", counted)
+    cover = [cyl(0), cyl(1) - cyl(1, 2)]
+    assert uncovered([cover[1], cover[0]], cover) == []
+    assert calls == 0
+
+
+@st.composite
+def opens_and_cover(draw):
+    """Opens and a cover that shares objects with them, holds copies equal
+    to them but distinct (``Union(x, EMPTY)``), and other expressions."""
+    opens = draw(st.lists(st.one_of(exprs, stemmed_exprs), max_size=5))
+    cover = draw(st.lists(st.one_of(exprs, stemmed_exprs), max_size=4))
+    for o in opens:
+        pick = draw(st.sampled_from(("skip", "same", "copy")))
+        if pick == "same":
+            cover.append(o)
+        elif pick == "copy":
+            cover.append(Union(o, EMPTY))
+    return opens, draw(st.permutations(cover))
+
+
+@given(opens_and_cover())
+@settings(max_examples=200)
+def test_uncovered_matches_subset_of_the_folded_union(case):
+    opens, cover = case
+    assert uncovered(opens, cover) == folded_uncovered(opens, cover)
+
+
+@given(st.lists(exprs, max_size=4), st.lists(exprs, max_size=4))
+@settings(max_examples=150)
+def test_uncovered_matches_the_window_oracle(opens, cover):
+    union = frozenset().union(*(trace_window(c, 3, 3) for c in cover))
+    assert uncovered(opens, cover) == [
+        n for n, o in enumerate(opens) if not trace_window(o, 3, 3) <= union]
 
 
 # -- windows -------------------------------------------------------------------

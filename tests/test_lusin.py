@@ -88,7 +88,7 @@ def test_default_lusin_check_count_budget(monkeypatch):
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
-    assert calls == 14_943
+    assert calls == 4_058
 
 
 def test_union_of_children_stays_inside():

@@ -11,15 +11,25 @@ from typing import Callable
 
 import pytest
 
+import bairekit.cylinder as cylinder
 import bairekit.scheme as scheme_mod
 from bairekit.cli import main
+from bairekit.cylinder import EMPTY, Union
 from bairekit.lusin import build_lusin, standard_base
 from bairekit.scheme import (BREACH, Report, Scheme, VERIFIED, VIOLATED,
-                             Window, _fold_union, check_relabel_identities,
-                             compose_index, preimage_table, standard_scheme)
+                             Window, check_covers, check_relabel_identities,
+                             compose_index, preimage_table, relabel,
+                             standard_scheme)
 from bairekit.seq import BranchRule, restrict, seq_to_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _fold_union(space, items: list):
+    out = items[0]
+    for o in items[1:]:
+        out = space.union(out, o)
+    return out
 
 
 # The check as it was before it read relabel() and fruit_prefix(): indices
@@ -125,6 +135,52 @@ def test_relabel_identities_read_relabel(monkeypatch):
                                    Window(2, 4))
     index = [e for e in rep.entries if e.key.startswith("index:")]
     assert index and all(e.status == VIOLATED for e in index)
+
+
+def copying_relabel(scheme, g):
+    """A relabel whose nodes equal the base nodes at ``g`` but are distinct
+    objects, so no check can decide them by identity."""
+    return Scheme(scheme.space,
+                  lambda a: Union(scheme.node(compose_index(g, a)), EMPTY))
+
+
+@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+def test_relabel_identities_hold_for_equal_distinct_nodes(monkeypatch,
+                                                          scheme_name):
+    monkeypatch.setattr(scheme_mod, "relabel", copying_relabel)
+    rep = check_relabel_identities(SCHEMES[scheme_name](), G_MAPS["half"],
+                                   Window(2, 4))
+    assert rep.entries and all(e.status == VERIFIED for e in rep.entries)
+
+
+def test_relabel_identities_reject_wrong_distinct_nodes(monkeypatch):
+    # copies of the base children themselves, not of the children at g(n)
+    monkeypatch.setattr(scheme_mod, "relabel",
+                        lambda scheme, g: copying_relabel(scheme, lambda n: n))
+    rep = check_relabel_identities(standard_scheme(), G_MAPS["half"],
+                                   Window(2, 4))
+    for kind in ("index:", "union:"):
+        found = [e for e in rep.entries if e.key.startswith(kind)]
+        assert found and all(e.status == VIOLATED for e in found)
+
+
+def test_window_checks_normal_form_count(monkeypatch):
+    # every normal form the cover and identity checks of the lusin scheme
+    # take under the half relabeling, synthesis included; each cover family
+    # is decided against one union form, identical opens without one
+    calls = 0
+    real = cylinder.normal_form
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return real(e)
+
+    monkeypatch.setattr(cylinder, "normal_form", counted)
+    base, window, half = build_lusin(standard_base()), Window(3, 4), G_MAPS["half"]
+    assert check_covers(relabel(base, half), window).ok
+    assert check_relabel_identities(base, half, window).ok
+    assert calls == 1_396
 
 
 def _load_workloads():

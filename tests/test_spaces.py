@@ -71,6 +71,19 @@ def test_finite_overlapping_pairs_match_pairwise_and():
                     if opens[i] & opens[j] != 0]
 
 
+def test_finite_uncovered_matches_point_sets():
+    # every cover drawn from the opens of every topology on at most 3 points
+    for n in range(1, 4):
+        for masks in all_topologies(n):
+            sp = FiniteSpaceModel(range(n), masks)
+            for bits in range(1 << len(masks)):
+                cover = [m for i, m in enumerate(masks) if bits >> i & 1]
+                union = set().union(*(sp.points_of(c) for c in cover))
+                assert sp.uncovered(masks, cover) == [
+                    i for i, o in enumerate(masks)
+                    if not set(sp.points_of(o)) <= union]
+
+
 def test_baire_model_delegates():
     assert BAIRE.whole() is FULL
     assert BAIRE.subset(cyl(0, 1), cyl(0))
@@ -79,6 +92,7 @@ def test_baire_model_delegates():
     assert BAIRE.contains(cyl(2), BranchRule.constant(2))
     assert BAIRE.is_open(cyl(1)) and not BAIRE.is_open(42)
     assert BAIRE.overlapping_pairs([cyl(0), cyl(1), cyl(0, 1)]) == [(0, 2)]
+    assert BAIRE.uncovered([cyl(0, 1), cyl(1)], [cyl(0)]) == [1]
 
 
 def test_baire_pi_base_enum():
