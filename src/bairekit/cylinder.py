@@ -323,15 +323,26 @@ def minimal_antichain(e: Expr) -> Antichain:
     return Antichain(tuple(concrete), tuple(families))
 
 
-def overlapping_pairs(children: list[Expr]) -> list[tuple[int, int]]:
-    """The pairs ``(n, m)``, ``n < m`` ascending, whose children meet.
+def family(node: Expr, children: list[Expr], pairs: bool
+           ) -> tuple[list[int], bool, list[tuple[int, int]]]:
+    """The children not inside ``node``, whether ``node`` is inside their
+    union, and, when ``pairs`` is asked, the pairs ``n < m`` that meet.
 
-    Each child's normal form is taken once; a pair meets when the meet
-    of its two forms is not empty.
+    The node's form ``N`` and each child's form ``f`` are taken once; a
+    child is inside the node exactly when ``f ∧ N == f``.  When the pairs
+    were asked and none meets, the union's form is the XOR of the child
+    forms, because a disjoint union is a symmetric difference; otherwise
+    it is folded as ``U ^ f ^ (U ∧ f)``.
     """
+    top = normal_form(node)
     forms = [normal_form(c) for c in children]
-    return [(n, m) for n in range(len(forms)) for m in range(n + 1, len(forms))
-            if _meet(forms[n], forms[m])]
+    escaped = [n for n, f in enumerate(forms) if _meet(f, top) != f]
+    met = [(n, m) for n in range(len(forms)) for m in range(n + 1, len(forms))
+           if _meet(forms[n], forms[m])] if pairs else []
+    u: frozenset[Seq] = frozenset()
+    for f in forms:
+        u = u ^ f if pairs and not met else u ^ f ^ _meet(u, f)
+    return escaped, _meet(top, u) == top, met
 
 
 def uncovered(opens: list[Expr], cover: list[Expr]) -> list[int]:

@@ -13,6 +13,7 @@ share only after the nodes of interest have been evaluated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional
@@ -59,7 +60,7 @@ class Window:
         return {"depth": self.depth, "breadth": self.breadth}
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportEntry:
     key: str
     status: str
@@ -107,18 +108,22 @@ class Report:
     def ok(self) -> bool:
         return worst(e.status for e in self.entries) in (UNRESOLVED, VERIFIED)
 
+    def counts(self) -> dict[str, int]:
+        """The number of entries of each status."""
+        c = Counter(e.status for e in self.entries)
+        return {s: c[s] for s in (VERIFIED, VIOLATED, UNRESOLVED, BREACH)}
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "ok": self.ok,
-            "counts": {s: len(self.with_status(s))
-                       for s in (VERIFIED, VIOLATED, UNRESOLVED, BREACH)},
+            "counts": self.counts(),
             "entries": [{"key": e.key, "status": e.status, "detail": e.detail}
                         for e in self.entries],
         }
 
     def __str__(self) -> str:
-        c = self.to_json()["counts"]
+        c = self.counts()
         return (f"{self.name}: {'ok' if self.ok else 'VIOLATED'} "
                 f"(verified {c[VERIFIED]}, violated {c[VIOLATED]}, "
                 f"unresolved {c[UNRESOLVED]}, breach {c[BREACH]})")
@@ -138,11 +143,15 @@ class Scheme:
         self.meta: dict = {}
         self._memo: dict[Seq, object] = {}
 
-    def node(self, a: Seq):
+    def node(self, a: Seq, store: bool = True):
+        """The value at ``a``; with ``store`` false a value not yet in the
+        memo is computed and returned without being kept."""
         value = self._memo.get(a, _MISSING)
         if value is _MISSING:
-            # a rule may re-enter ``node``; the first value stored wins
-            value = self._memo.setdefault(a, self.rule(a))
+            value = self.rule(a)
+            if store:
+                # a rule may re-enter ``node``; the first value stored wins
+                value = self._memo.setdefault(a, value)
         return value
 
     def child(self, a: Seq, n: int):
@@ -160,43 +169,46 @@ def check_covers(scheme: Scheme, window: Window) -> Report:
     """Children inside their node (exact), node inside the finite child
     union (one-sided: verified or unresolved), and root equal to the space.
     """
-    rep = Report("covers")
+    return _walk(scheme, window, "covers", pairs=False)
+
+
+def check_partitions(scheme: Scheme, window: Window) -> Report:
+    """Pairwise disjointness of budgeted children, on top of the cover check.
+
+    Every meeting pair ``n < m`` of a node is one violation ``key:n^m``,
+    in ascending order, after all the cover entries.
+    """
+    return _walk(scheme, window, "partitions", pairs=True)
+
+
+def _walk(scheme: Scheme, window: Window, name: str, pairs: bool) -> Report:
+    """One pass over the window: each node's budgeted children are read
+    once and the space model decides the family at once.  Children of the
+    deepest window nodes are read without being stored."""
+    rep = Report(name)
     space = scheme.space
     root = scheme.node(())
     if space.equal(root, space.whole()):
         rep.add("root", VERIFIED, "root equals the whole space")
     else:
         rep.add("root", VIOLATED, "root differs from the whole space")
+    overlaps = Report(name)
     for a in window.nodes():
-        va = scheme.node(a)
+        store = len(a) < window.depth
+        children = [scheme.node(a + (n,), store=store)
+                    for n in range(window.breadth)]
+        escaped, covered, met = space.family(scheme.node(a), children, pairs)
         key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(window.breadth)]
-        escaped = space.uncovered(children, [va])
-        for n in escaped:
-            rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
         if escaped:
-            continue
-        if not space.uncovered([va], children):
+            for n in escaped:
+                rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
+        elif covered:
             rep.add(key, VERIFIED)
         else:
             rep.add(key, UNRESOLVED, "node not covered by budgeted children")
-    return rep
-
-
-def check_partitions(scheme: Scheme, window: Window) -> Report:
-    """Pairwise disjointness of budgeted children, on top of the cover check.
-
-    The space model decides each child family at once; every meeting pair
-    ``n < m`` of a node is one violation ``key:n^m``, in ascending order.
-    """
-    rep = check_covers(scheme, window)
-    rep.name = "partitions"
-    space = scheme.space
-    for a in window.nodes():
-        key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(window.breadth)]
-        for n, m in space.overlapping_pairs(children):
-            rep.add(f"{key}:{n}^{m}", VIOLATED, "children overlap")
+        for n, m in met:
+            overlaps.add(f"{key}:{n}^{m}", VIOLATED, "children overlap")
+    rep.extend(overlaps)
     return rep
 
 

@@ -52,8 +52,12 @@ class SpaceModel(Protocol):
     def equal(self, a, b) -> bool: ...
     def contains(self, o, x) -> bool: ...
 
-    def overlapping_pairs(self, opens: list) -> list[tuple[int, int]]:
-        """The index pairs ``(n, m)``, ``n < m`` ascending, of opens that meet."""
+    def family(self, node, children: list, pairs: bool
+               ) -> tuple[list[int], bool, list[tuple[int, int]]]:
+        """How ``children`` sit in ``node``: the indices, ascending, of the
+        children not inside it; whether it is inside their union; and,
+        when ``pairs`` is asked, the index pairs ``(n, m)``, ``n < m``
+        ascending, of children that meet (else none)."""
 
     def uncovered(self, opens: list, cover: list) -> list[int]:
         """The indices ``n``, ascending, of ``opens[n]`` not inside the
@@ -147,9 +151,13 @@ class FiniteSpaceModel:
     def contains(self, o: int, x: int) -> bool:
         return bool(o >> self._index[x] & 1)
 
-    def overlapping_pairs(self, opens: list[int]) -> list[tuple[int, int]]:
-        return [(n, m) for n in range(len(opens))
-                for m in range(n + 1, len(opens)) if opens[n] & opens[m]]
+    def family(self, node: int, children: list[int], pairs: bool
+               ) -> tuple[list[int], bool, list[tuple[int, int]]]:
+        met = [(n, m) for n in range(len(children))
+               for m in range(n + 1, len(children))
+               if children[n] & children[m]] if pairs else []
+        return (self.uncovered(children, [node]),
+                not self.uncovered([node], children), met)
 
     def uncovered(self, opens: list[int], cover: list[int]) -> list[int]:
         union = 0
@@ -236,8 +244,9 @@ class BaireSpaceModel:
     def contains(self, o: Expr, x: BranchRule) -> bool:
         return cylinder.contains_branch(o, x)
 
-    def overlapping_pairs(self, opens: list[Expr]) -> list[tuple[int, int]]:
-        return cylinder.overlapping_pairs(opens)
+    def family(self, node: Expr, children: list[Expr], pairs: bool
+               ) -> tuple[list[int], bool, list[tuple[int, int]]]:
+        return cylinder.family(node, children, pairs)
 
     def uncovered(self, opens: list[Expr], cover: list[Expr]) -> list[int]:
         return cylinder.uncovered(opens, cover)

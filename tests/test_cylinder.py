@@ -10,10 +10,10 @@ from conftest import exprs, seqs
 from bairekit.cylinder import (Antichain, Atom, EMPTY, EmptySetError,
                                FULL, Family, Inter, NdTree, Union,
                                WindowError, contains_branch, cyl,
-                               enclosing_stem, equal, fresh_value,
+                               enclosing_stem, equal, family, fresh_value,
                                intersects, is_empty, mentions,
                                minimal_antichain, nd_witness, normal_form,
-                               overlapping_pairs, strict_witness, subset,
+                               strict_witness, subset,
                                trace_window, uncovered, witness_cylinder)
 from bairekit.seq import BranchRule, is_prefix, unpair
 
@@ -311,7 +311,7 @@ def test_antichain_of_a_long_cylinder_is_one_subset_call(monkeypatch):
     assert calls == {"subset": 1, "intersects": 0}
 
 
-# -- overlapping children ------------------------------------------------------
+# -- child families -------------------------------------------------------------
 
 def brute_overlapping_pairs(children):
     return [(n, m) for n in range(len(children))
@@ -319,7 +319,20 @@ def brute_overlapping_pairs(children):
             if not is_empty(Inter(children[n], children[m]))]
 
 
-def test_overlapping_pairs_examples():
+def folded_family(node, children, pairs):
+    union = EMPTY
+    for c in children:
+        union = Union(union, c)
+    return ([n for n, c in enumerate(children) if not subset(c, node)],
+            subset(node, union),
+            brute_overlapping_pairs(children) if pairs else [])
+
+
+def overlapping_pairs(children):
+    return family(FULL, children, True)[2]
+
+
+def test_family_overlap_examples():
     assert overlapping_pairs([]) == []
     assert overlapping_pairs([cyl(0), cyl(1), FULL - cyl(0)]) == [(1, 2)]
     # comparable stems that overlap
@@ -332,19 +345,44 @@ def test_overlapping_pairs_examples():
                               cyl(1, 0)]) == [(0, 1), (0, 2)]
 
 
-@given(st.lists(st.one_of(exprs, stemmed_exprs), max_size=6))
+def test_family_examples():
+    assert family(cyl(0), [], True) == ([], False, [])
+    assert family(EMPTY, [], False) == ([], True, [])
+    # a disjoint family that covers its node: the XOR of the child forms
+    assert family(cyl(0), [cyl(0) - cyl(0, 0), cyl(0, 0)], True) == \
+        ([], True, [])
+    assert family(cyl(0), [cyl(0, 1), cyl(1), cyl(0)], False) == \
+        ([1], True, [])
+    assert family(FULL, [cyl(0), cyl(1)], True) == ([], False, [])
+
+
+def test_family_folds_the_union_of_meeting_children():
+    # the XOR of two copies of S(0) is empty, their union is S(0)
+    assert family(cyl(0), [cyl(0), cyl(0)], True) == ([], True, [(0, 1)])
+    assert family(cyl(0), [cyl(0), cyl(0)], False) == ([], True, [])
+    assert family(cyl(0), [cyl(0), cyl(0, 1), cyl(0) - cyl(0, 1)], True) \
+        == ([], True, [(0, 1), (0, 2)])
+
+
+@given(st.one_of(exprs, stemmed_exprs),
+       st.lists(st.one_of(exprs, stemmed_exprs), max_size=6), st.booleans())
 @settings(max_examples=300)
-def test_overlapping_pairs_match_pairwise_meets(children):
-    assert overlapping_pairs(children) == brute_overlapping_pairs(children)
+def test_family_matches_pairwise_meets(node, children, pairs):
+    assert family(node, children, pairs) == \
+        folded_family(node, children, pairs)
 
 
-@given(st.lists(exprs, max_size=5))
+@given(exprs, st.lists(exprs, max_size=5), st.booleans())
 @settings(max_examples=150)
-def test_overlapping_pairs_match_the_window_oracle(children):
+def test_family_matches_the_window_oracle(node, children, pairs):
+    top = trace_window(node, 3, 3)
     traces = [trace_window(c, 3, 3) for c in children]
-    assert overlapping_pairs(children) == [
-        (n, m) for n in range(len(traces)) for m in range(n + 1, len(traces))
-        if traces[n] & traces[m]]
+    met = [(n, m) for n in range(len(traces))
+           for m in range(n + 1, len(traces)) if traces[n] & traces[m]]
+    assert family(node, children, pairs) == (
+        [n for n, t in enumerate(traces) if not t <= top],
+        top <= frozenset().union(*traces),
+        met if pairs else [])
 
 
 # -- opens outside a union ----------------------------------------------------

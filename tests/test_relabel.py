@@ -166,8 +166,9 @@ def test_relabel_identities_reject_wrong_distinct_nodes(monkeypatch):
 
 def test_window_checks_normal_form_count(monkeypatch):
     # every normal form the cover and identity checks of the lusin scheme
-    # take under the half relabeling, synthesis included; each cover family
-    # is decided against one union form, identical opens without one
+    # take under the half relabeling, synthesis included; the cover walk
+    # takes each node's and each child's form once, and the identity checks
+    # decide each family against one union form, identical opens without one
     calls = 0
     real = cylinder.normal_form
 
@@ -180,7 +181,7 @@ def test_window_checks_normal_form_count(monkeypatch):
     base, window, half = build_lusin(standard_base()), Window(3, 4), G_MAPS["half"]
     assert check_covers(relabel(base, half), window).ok
     assert check_relabel_identities(base, half, window).ok
-    assert calls == 1_396
+    assert calls == 811
 
 
 def _load_workloads():

@@ -58,17 +58,23 @@ def test_finite_sub_open_tables_match_definitions():
                 assert [enum[i] for i in range(3 * len(cycle))] == cycle * 3
 
 
-def test_finite_overlapping_pairs_match_pairwise_and():
+def test_finite_family_matches_pairwise_and():
     rng = random.Random(4)
     for n in range(1, 4):
         for masks in all_topologies(n):
             sp = FiniteSpaceModel(range(n), masks)
             for _ in range(20):
+                node = rng.choice(masks)
                 opens = [rng.choice(masks) for _ in range(rng.randint(0, 6))]
-                assert sp.overlapping_pairs(opens) == [
-                    (i, j) for i in range(len(opens))
-                    for j in range(i + 1, len(opens))
-                    if opens[i] & opens[j] != 0]
+                pairs = [(i, j) for i in range(len(opens))
+                         for j in range(i + 1, len(opens))
+                         if opens[i] & opens[j] != 0]
+                union = set().union(*(sp.points_of(o) for o in opens))
+                escaped = [i for i, o in enumerate(opens)
+                           if not set(sp.points_of(o)) <= set(sp.points_of(node))]
+                covered = set(sp.points_of(node)) <= union
+                assert sp.family(node, opens, True) == (escaped, covered, pairs)
+                assert sp.family(node, opens, False) == (escaped, covered, [])
 
 
 def test_finite_uncovered_matches_point_sets():
@@ -91,7 +97,8 @@ def test_baire_model_delegates():
     assert BAIRE.equal(BAIRE.union(cyl(0), cyl(0)), cyl(0))
     assert BAIRE.contains(cyl(2), BranchRule.constant(2))
     assert BAIRE.is_open(cyl(1)) and not BAIRE.is_open(42)
-    assert BAIRE.overlapping_pairs([cyl(0), cyl(1), cyl(0, 1)]) == [(0, 2)]
+    assert BAIRE.family(cyl(0), [cyl(0), cyl(1), cyl(0, 1)], True) == \
+        ([1], True, [(0, 2)])
     assert BAIRE.uncovered([cyl(0, 1), cyl(1)], [cyl(0)]) == [1]
 
 
