@@ -17,14 +17,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
     extract_schemes, last_reply, modify_strategy, play_round, transcript_json
 from .grammar import ExprSyntaxError, parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
-from .scheme import dump_scheme, relabel, standard_scheme
+from .scheme import Report, dump_scheme, relabel, standard_scheme
 from .suites import G_PRESETS, SUITES, ConfigError, RunConfig, \
     checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
@@ -76,19 +76,91 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_escape = json.encoder.encode_basestring_ascii
+_NESTED = (dict, list, tuple, Report)
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
+def _flat(value, pad: str) -> Optional[str]:
+    """The text of ``value`` at indentation ``pad`` in one piece when it is
+    a scalar or a container of scalars, such as a report entry; else
+    None."""
+    if isinstance(value, dict):
+        parts = []
+        for k in sorted(value):
+            v = value[k]
+            if isinstance(v, _NESTED):
+                return None
+            parts.append(_escape(k) + ": " + _scalar(v))
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        parts = []
+        for v in value:
+            if isinstance(v, _NESTED):
+                return None
+            parts.append(_scalar(v))
+        ends = "[]"
+    elif isinstance(value, Report):
+        return None
+    else:
+        return _scalar(value)
+    if not parts:
+        return ends
+    inner = pad + "  "
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
+
+
+def _dump(value, pad: str, write: Callable[[str], object]) -> None:
+    """Write the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
+    ``value`` at indentation ``pad``; dict keys are strings.  A container
+    that holds containers is written member by member, and a ``Report`` is
+    converted through ``to_json`` only when it is reached, so one report's
+    dicts exist at a time."""
+    if isinstance(value, Report):
+        value = value.to_json()
+    text = _flat(value, pad)
+    if text is not None:
+        write(text)
+        return
+    if isinstance(value, dict):
+        members = ((_escape(k) + ": ", value[k]) for k in sorted(value))
+        ends = "{}"
+    else:
+        members = (("", v) for v in value)
+        ends = "[]"
+    inner = pad + "  "
+    sep = ends[0] + inner
+    for head, v in members:
+        write(sep + head)
+        _dump(v, inner, write)
+        sep = "," + inner
+    write(pad + ends[1])
+
+
 def _write_json(data, path: Optional[str], out: TextIO) -> None:
     """Stream ``data`` as the text of ``json.dumps(data, indent=2,
-    sort_keys=True)`` plus a newline, without holding the whole text."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    sort_keys=True)`` plus a newline, without holding the whole text; each
+    ``Report`` in it is written as its ``to_json()``."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+                _dump(data, "\n", fh.write)
                 fh.write("\n")
         except OSError as exc:
             raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     else:
-        out.writelines(chunks)
+        _dump(data, "\n", out.write)
         out.write("\n")
 
 
@@ -145,7 +217,7 @@ def cmd_build_lusin(args, out: TextIO) -> int:
     scheme = build_lusin(base)
     report = check_lusin_conditions(scheme, base, window)
     payload = dump_scheme(scheme, window)
-    payload["conditions"] = report.to_json()
+    payload["conditions"] = report
     _write_json(payload, args.out, out)
     out.write(str(report) + "\n")
     return 0 if report.ok else 1

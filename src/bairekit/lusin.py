@@ -157,10 +157,12 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         if not cy.intersects(va, target):
             continue
         witness = plan(a).witness if plan else None
+        # below the window's last level the children are read, not stored
+        children = (scheme.node(a + (n,), store=False)
+                    for n in range(1, window.breadth))
         if witness is not None:
             inside = cy.subset(Atom(witness), target)
-            held = all(cy.subset(scheme.child(a, n), Atom(witness))
-                       for n in range(1, window.breadth))
+            held = all(cy.subset(c, Atom(witness)) for c in children)
             if inside and held:
                 rep.add(f"refine:{key}", VERIFIED,
                         "witness inclusion covers all positive children")
@@ -168,8 +170,7 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
                 rep.add(f"refine:{key}", VIOLATED,
                         f"witness inclusion {inside}, budgeted children {held}")
         else:
-            held = all(cy.subset(scheme.child(a, n), target)
-                       for n in range(1, window.breadth))
+            held = all(cy.subset(c, target) for c in children)
             if held:
                 rep.add(f"refine:{key}", UNRESOLVED,
                         "no witness recorded; budgeted children only")

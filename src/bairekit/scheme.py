@@ -14,7 +14,7 @@ share only after the nodes of interest have been evaluated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -67,13 +67,13 @@ class ReportEntry:
     detail: str = ""
 
 
+@dataclass
 class Report:
     """A keyed list of per-check statuses; pass means no violation and no
-    breach."""
+    breach.  Two reports are equal when their names and entries are."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.entries: list[ReportEntry] = []
+    name: str
+    entries: list[ReportEntry] = field(default_factory=list)
 
     def add(self, key: str, status: str, detail: str = "") -> None:
         self.entries.append(ReportEntry(key, status, detail))

@@ -583,6 +583,11 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(cfg: RunConfig) -> dict:
+    """Run the suite ``cfg`` names.  The result is a dict of ``suite``,
+    ``seed``, ``config`` (``depth``, ``breadth``, ``space``), ``ok``,
+    ``violations``, ``breaches`` and ``reports``, the suite's ``Report``
+    objects in order; each report becomes JSON only when it is written
+    (``Report.to_json``)."""
     if cfg.suite not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {cfg.suite!r}; "
                           f"choose from {', '.join(SUITES)}")
@@ -598,6 +603,5 @@ def run_suite(cfg: RunConfig) -> dict:
         "ok": all(r.ok for r in reports),
         "violations": sum(len(r.violations) for r in reports),
         "breaches": sum(len(r.breaches) for r in reports),
-        # each report is released as soon as its entries are converted
-        "reports": [reports.pop(0).to_json() for _ in range(len(reports))],
+        "reports": reports,
     }

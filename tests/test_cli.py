@@ -44,18 +44,92 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_verify_report_bytes_match_json_dumps(tmp_path):
+@pytest.mark.parametrize("argv, tail", [
+    (["verify", "--suite", "cylinders-oracle"], 1),
+    (["verify", "--suite", "schemes-vg", "--depth", "2", "--breadth", "3"], 1),
+    (["verify", "--suite", "lusin", "--depth", "2", "--breadth", "3"], 1),
+    (["verify", "--suite", "choquet-finite"], 1),
+    (["verify", "--suite", "choquet-extract", "--depth", "1",
+      "--breadth", "2"], 1),
+    (["verify", "--suite", "selectors"], 1),
+    (["build-lusin", "--depth", "2", "--breadth", "3"], 1),
+    (["extract", "--depth", "1", "--breadth", "2"], 0),
+    (["export", "--scheme", "lusin-std", "--g", "half", "--depth", "2",
+      "--breadth", "3"], 0),
+], ids=["cylinders-oracle", "schemes-vg", "lusin", "choquet-finite",
+        "choquet-extract", "selectors", "build-lusin", "extract", "export"])
+def test_verify_report_bytes_match_json_dumps(tmp_path, argv, tail):
+    """The JSON of every command, in the file and on stdout, is the text
+    of ``json.dumps(indent=2, sort_keys=True)`` and a newline; ``tail``
+    lines of summary follow it on stdout."""
     report = tmp_path / "report.json"
-    code, _ = run_cli(["verify", "--suite", "lusin", "--depth", "2",
-                       "--breadth", "3", "--json", str(report)])
+    code, _ = run_cli(argv + ["--json", str(report)])
     assert code == 0
     text = report.read_text(encoding="utf-8")
     expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert report.read_bytes() == expected.encode("utf-8")
-    code, out = run_cli(["verify", "--suite", "lusin", "--depth", "2",
-                         "--breadth", "3"])
+    code, out = run_cli(argv)
     assert code == 0
-    assert out == expected + "suite lusin: pass (0 violations, 0 breaches)\n"
+    assert out.startswith(expected)
+    assert out[len(expected):].count("\n") == tail
+    if argv[0] == "verify":
+        assert out[len(expected):] == \
+            f"suite {argv[2]}: pass (0 violations, 0 breaches)\n"
+
+
+_KEYS = st.text(st.sampled_from("aZ0 ε\"\\/\n\t\x00\x1f\x7f\u2028é"),
+                max_size=4)
+_TEXTS = _KEYS | st.text(max_size=6)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXTS,
+    lambda sub: st.lists(sub, max_size=4)
+    | st.dictionaries(_KEYS, sub, max_size=4),
+    max_leaves=24)
+
+
+@given(_VALUES)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_write_json_matches_json_dumps(value):
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        cli._write_json(value, path, None)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+    out = io.StringIO()
+    cli._write_json(value, None, out)
+    assert out.getvalue() == expected
+
+
+def test_write_json_converts_each_report_when_it_reaches_it(monkeypatch):
+    """Each ``Report`` becomes a dict only once the writer has written
+    everything before it, so one report's dicts exist at a time."""
+    reports = [Report(f"r{i}") for i in range(3)]
+    for i, rep in enumerate(reports):
+        for j in range(4):
+            rep.add(f"r{i}e{j}", "verified")
+    plain = [rep.to_json() for rep in reports]
+    written, calls = [], []
+    to_json = Report.to_json
+
+    def recorded(self):
+        calls.append((self.name, len(written)))
+        return to_json(self)
+
+    monkeypatch.setattr(Report, "to_json", recorded)
+    data = {"a": 1, "reports": reports, "tail": {"conditions": reports[0]}}
+    cli._write_json(data, None, mock.Mock(write=written.append))
+    assert [name for name, _ in calls] == ["r0", "r1", "r2", "r0"]
+    for i, (name, count) in enumerate(calls[:3]):
+        before = "".join(written[:count])
+        assert f'"{name}e' not in before
+        if i:
+            # the whole previous report, up to its closing brace
+            assert f'"r{i - 1}e3"' in before
+            assert before.endswith('"ok": true\n    },\n    ')
+    assert "".join(written) == json.dumps(
+        {"a": 1, "reports": plain, "tail": {"conditions": plain[0]}},
+        indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_schemes_vg_replays_past_the_breadth(tmp_path):

@@ -217,10 +217,13 @@ def test_antichain_denotes_exactly_the_minimal_cylinders(e):
     candidates = [()] + [c for ln in range(1, 4)
                          for c in product(range(4), repeat=ln)]
 
+    traces = {}   # e traced once per window
+
     def inside(c):
-        depth, breadth = max(3, len(c)), max(3, max(c, default=0) + 1)
-        return trace_window(Atom(c), depth, breadth) <= \
-            trace_window(e, depth, breadth)
+        window = max(3, len(c)), max(3, max(c, default=0) + 1)
+        if window not in traces:
+            traces[window] = trace_window(e, *window)
+        return trace_window(Atom(c), *window) <= traces[window]
 
     for c in candidates:
         minimal = inside(c) and not (c and inside(c[:-1]))

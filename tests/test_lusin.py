@@ -154,6 +154,14 @@ def test_foreign_scheme_refinement_is_budget_evidence_only():
     assert refine and refine[0].status == UNRESOLVED
 
 
+def test_conditions_store_no_node_below_the_window():
+    """The positive children of the deepest odd window nodes are read
+    without being stored."""
+    sch = build_lusin(standard_base())
+    assert check_lusin_conditions(sch, standard_base(), Window(3, 4)).ok
+    assert max(map(len, sch._memo)) == 3
+
+
 def test_empty_window_is_vacuous():
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(0, 1))

@@ -54,8 +54,8 @@ def test_run_suite_shape_and_reproducibility():
     two = run_suite(RunConfig(suite="cylinders-oracle", seed=11))
     assert one == two
     assert one["ok"] is True and one["violations"] == 0
-    assert {r["name"] for r in one["reports"]} == {"cylinders-oracle",
-                                                   "nd-witness"}
+    assert {r.name for r in one["reports"]} == {"cylinders-oracle",
+                                                 "nd-witness"}
     different = run_suite(RunConfig(suite="cylinders-oracle", seed=12))
     assert different["ok"] is True
 
@@ -159,13 +159,14 @@ def test_choquet_extract_describes_a_failed_cover(monkeypatch):
 
     monkeypatch.setattr(FiniteSpaceModel, "pi_base_enum", without_self)
     out = run_suite(RunConfig("choquet-extract", depth=2, breadth=3))
-    entries = out["reports"][0]["entries"]
+    entries = out["reports"][0].to_json()["entries"]
     covers = [e for e in entries if e["key"].startswith("covers:")]
     assert len(covers) == 366
     assert covers[0] == {
         "key": "covers:3", "status": "violated",
         "detail": "node () is not the union of its 2 children"}
-    text = json.dumps(out, sort_keys=True).encode()
+    text = json.dumps({**out, "reports": [r.to_json() for r in out["reports"]]},
+                      sort_keys=True).encode()
     # recorded when the covers aggregate named its first failing space
     assert hashlib.sha256(text).hexdigest() == \
         "a87bb06eff490ab1bd3b81044ae3a5124a7f794494a0848b9eec78b010e6fe7d"
@@ -196,7 +197,7 @@ def test_choquet_extract_aggregates_name_their_first_fault(monkeypatch, enum,
                                                           item, aggregate):
     monkeypatch.setattr(FiniteSpaceModel, "pi_base_enum", enum)
     out = run_suite(RunConfig("choquet-extract"))
-    entries = out["reports"][0]["entries"]
+    entries = out["reports"][0].to_json()["entries"]
     assert not out["ok"]
     assert entries[0] == item
     assert next(e for e in entries if e["key"] == aggregate["key"]) \
@@ -218,8 +219,8 @@ def test_schemes_vg_dense_is_the_summary_of_its_probe(monkeypatch, status,
 
     monkeypatch.setattr(suites, "dense_in_itself_probe", probe)
     out = run_suite(RunConfig("schemes-vg"))
-    dense = [r["entries"] for r in out["reports"]
-             if r["name"].startswith("dense[")]
+    dense = [r.to_json()["entries"] for r in out["reports"]
+             if r.name.startswith("dense[")]
     assert dense == [[{"key": "dense", "status": status,
                        "detail": f"1 {status}, first 1.1"}]] * 2
     assert out["ok"] is ok
@@ -231,8 +232,8 @@ def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
     child through its point at three nodes; that is not a violation."""
     out = run_suite(RunConfig("schemes-vg", depth=2, breadth=3))
     dense = next(r for r in out["reports"]
-                 if r["name"] == "dense[lusin[std]/half]")
-    assert dense["entries"] == [{"key": "dense", "status": "unresolved",
+                 if r.name == "dense[lusin[std]/half]")
+    assert dense.to_json()["entries"] == [{"key": "dense", "status": "unresolved",
                                  "detail": "3 unresolved, first ε"}]
     assert out["ok"]
 
@@ -248,7 +249,7 @@ def _chain_file(tmp_path, n):
 
 def _custom_space_entries(space_file):
     out = run_suite(RunConfig("choquet-finite", space_path=str(space_file)))
-    custom = out["reports"][-1]
+    custom = out["reports"][-1].to_json()
     assert custom["name"] == "custom-space"
     return out["ok"], custom["entries"]
 
@@ -278,7 +279,7 @@ def test_choquet_finite_needs_every_legal_move_played(monkeypatch):
     monkeypatch.setattr(FiniteSpaceModel, "pi_base_enum",
                         lambda space, o: LazySeq(repeat(o)))
     out = run_suite(RunConfig("choquet-finite"))
-    wins = out["reports"][1]
+    wins = out["reports"][1].to_json()
     unplayed = [e for e in wins["entries"] if e["key"] == "unplayed-move"]
     assert len(unplayed) == 385
     assert unplayed[0]["detail"] == "node (): move {0} is never played"
@@ -323,7 +324,7 @@ def test_game_walk_stops_past_the_state_bound(tmp_path, monkeypatch):
     out = run_suite(RunConfig("choquet-extract",
                               space_path=str(space_file)))
     finite = {e["key"]: (e["status"], e["detail"])
-              for e in out["reports"][0]["entries"]}
+              for e in out["reports"][0].to_json()["entries"]}
     assert finite["states:390"] == ("unresolved",
                                     "the game graph exceeds 1000 states")
     assert finite["covers"][0] == finite["pi-base"][0] == "unresolved"
