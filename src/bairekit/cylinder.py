@@ -377,30 +377,32 @@ def trace_window(e: Expr, depth: int, breadth: int) -> frozenset[Seq]:
     The value ``breadth`` stands for the whole class of values no mention
     uses; under the precondition (mentions no longer than ``depth`` with
     entries below ``breadth``) this finite trace determines the expression.
+    Each subterm is evaluated once as a set of words: an atom is the words
+    with its prefix, and ``|``, ``&`` and ``-`` are the set operations.
     """
     for m in mentions(e):
         if len(m) > depth or any(x >= breadth for x in m):
             raise WindowError(f"window d={depth}, b={breadth} too small for {m}")
     alphabet = range(breadth + 1)
-    return frozenset(w for w in product(alphabet, repeat=depth)
-                     if _word_satisfies(e, w))
 
+    def words(t: Expr) -> frozenset[Seq]:
+        match t:
+            case Atom(a):
+                return frozenset(a + tail for tail in
+                                 product(alphabet, repeat=depth - len(a)))
+            case Union(l, r):
+                return words(l) | words(r)
+            case Inter(l, r):
+                return words(l) & words(r)
+            case Diff(l, r):
+                return words(l) - words(r)
+            case _FullExpr():
+                return frozenset(product(alphabet, repeat=depth))
+            case _EmptyExpr():
+                return frozenset()
+        raise TypeError(f"not a cylinder expression: {t!r}")
 
-def _word_satisfies(e: Expr, w: Seq) -> bool:
-    match e:
-        case Atom(a):
-            return w[: len(a)] == a
-        case Union(l, r):
-            return _word_satisfies(l, w) or _word_satisfies(r, w)
-        case Inter(l, r):
-            return _word_satisfies(l, w) and _word_satisfies(r, w)
-        case Diff(l, r):
-            return _word_satisfies(l, w) and not _word_satisfies(r, w)
-        case _FullExpr():
-            return True
-        case _EmptyExpr():
-            return False
-    raise TypeError(f"not a cylinder expression: {e!r}")
+    return words(e)
 
 
 # -- finitely branching trees and nowhere-dense avoidance ---------------------

@@ -158,23 +158,22 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
             continue
         witness = plan(a).witness if plan else None
         # below the window's last level the children are read, not stored
-        children = (scheme.node(a + (n,), store=False)
-                    for n in range(1, window.breadth))
+        children = [scheme.node(a + (n,), store=False)
+                    for n in range(1, window.breadth)]
+        bound = target if witness is None else Atom(witness)
+        held = not scheme.space.uncovered(children, [bound])
         if witness is not None:
-            inside = cy.subset(Atom(witness), target)
-            held = all(cy.subset(c, Atom(witness)) for c in children)
+            inside = cy.subset(bound, target)
             if inside and held:
                 rep.add(f"refine:{key}", VERIFIED,
                         "witness inclusion covers all positive children")
             else:
                 rep.add(f"refine:{key}", VIOLATED,
                         f"witness inclusion {inside}, budgeted children {held}")
+        elif held:
+            rep.add(f"refine:{key}", UNRESOLVED,
+                    "no witness recorded; budgeted children only")
         else:
-            held = all(cy.subset(c, target) for c in children)
-            if held:
-                rep.add(f"refine:{key}", UNRESOLVED,
-                        "no witness recorded; budgeted children only")
-            else:
-                rep.add(f"refine:{key}", VIOLATED,
-                        "a budgeted positive child escapes the target")
+            rep.add(f"refine:{key}", VIOLATED,
+                    "a budgeted positive child escapes the target")
     return rep

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, product
 from typing import Callable, Optional
 
@@ -298,7 +297,7 @@ def _chain_space() -> FiniteSpaceModel:
 
 
 def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
-    # a bad extra space fails before the exhaustive search; it reports last
+    # run_suite has checked the extra space file; it reports last
     extra = load_space_file(cfg.space_path) if cfg.space_path else None
     rep = Report("deflation")
     space = _chain_space()
@@ -332,27 +331,21 @@ def _clause_dispatch_report(space: FiniteSpaceModel, x, y, z) -> Report:
         return u
 
     modified = modify_strategy(recording)
-
-    ok = modified(space, (), x) == x and not calls
-    rep.add("first-move-whole", VERIFIED if ok else VIOLATED,
-            "whole-space opener echoed without consulting the base rule")
-
-    calls.clear()
-    ok = modified(space, (), y) == y and calls == [((), y)]
-    rep.add("first-move-other", VERIFIED if ok else VIOLATED,
-            "other opener delegated on the empty history")
-
     history = ((x, x), (y, y))
-    calls.clear()
-    ok = modified(space, history, y) == y and not calls
-    rep.add("echo", VERIFIED if ok else VIOLATED,
-            "repeat move echoed without consulting the base rule")
-
-    calls.clear()
-    ok = (modified(space, history, z) == z
-          and calls == [((((y, y),)), z)])
-    rep.add("deflate", VERIFIED if ok else VIOLATED,
-            "fresh move delegated on the deflated history")
+    cases = [
+        ("first-move-whole", (), x, [],
+         "whole-space opener echoed without consulting the base rule"),
+        ("first-move-other", (), y, [((), y)],
+         "other opener delegated on the empty history"),
+        ("echo", history, y, [],
+         "repeat move echoed without consulting the base rule"),
+        ("deflate", history, z, [(((y, y),), z)],
+         "fresh move delegated on the deflated history"),
+    ]
+    for key, hist, u, delegated, detail in cases:
+        calls.clear()
+        ok = modified(space, hist, u) == u and calls == delegated
+        rep.add(key, VERIFIED if ok else VIOLATED, detail)
     return rep
 
 
@@ -416,8 +409,8 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
     rep = Report("extract-finite")
     strategy = copy_strategy()
     spaces = 0
-    # the extra space is loaded first, so that a bad file fails fast, and
-    # each enumerated model is built only when the loop reaches it
+    # run_suite has checked the extra space file; each enumerated model is
+    # built only when the loop reaches it
     extra = [load_space_file(cfg.space_path)] if cfg.space_path else []
     space_models = chain((FiniteSpaceModel(range(n), masks)
                           for n in range(1, 5) for masks in all_topologies(n)),
@@ -462,11 +455,10 @@ def _decide_states(space: FiniteSpaceModel, replies: Scheme,
         inside = space.nonempty_opens_inside(va)
         children = [replies.child(a, n) for n in range(len(inside))]
         if cover_fault is None:
-            out = next((n for n, child in enumerate(children)
-                        if not space.subset(child, va)), None)
-            if out is not None:
-                cover_fault = f"node {a}: child {out} escapes the node"
-            elif not space.equal(reduce(space.union, children), va):
+            escaped, covered, _ = space.family(va, children, False)
+            if escaped:
+                cover_fault = f"node {a}: child {escaped[0]} escapes the node"
+            elif not covered:
                 cover_fault = (f"node {a} is not the union of its "
                                f"{len(children)} children")
         if base_fault is None:
@@ -591,9 +583,12 @@ def run_suite(cfg: RunConfig) -> dict:
     if cfg.suite not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {cfg.suite!r}; "
                           f"choose from {', '.join(SUITES)}")
-    # every suite rejects an out-of-range window before any work, also one
-    # that reads none; a flag left out takes its least value
+    # every suite rejects an out-of-range window and a bad space file
+    # before any work, also one that reads neither; a window flag left out
+    # takes its least value
     cfg.window(0, 1)
+    if cfg.space_path:
+        load_space_file(cfg.space_path)
     reports = _SUITE_FNS[cfg.suite](cfg)
     return {
         "suite": cfg.suite,

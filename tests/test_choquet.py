@@ -538,6 +538,15 @@ def test_decide_states_names_a_child_that_escapes():
          "node (1,): open {0} contains no child")
 
 
+def test_decide_states_names_a_node_its_children_leave_uncovered():
+    # the root's three children are {2}, {1,2} and {2} again
+    sp = _NoSelfSpace([0, 1, 2], [[], [2], [1, 2], [0, 1, 2]])
+    _moves, replies = extract_schemes(sp, copy_strategy())
+    states = reachable_states(replies, MAX_GAME_STATES)
+    assert _decide_states(sp, replies, states) == \
+        ("node () is not the union of its 3 children", None)
+
+
 def test_reachable_states_stop_past_the_limit():
     sp = FiniteSpaceModel.discrete((0, 1, 2))
     _moves, replies = extract_schemes(sp, copy_strategy())

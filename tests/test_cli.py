@@ -179,6 +179,22 @@ def test_verify_unreadable_space_file(tmp_path):
     assert code == 2 and "configuration error" in out
 
 
+@pytest.mark.parametrize("suite", suites.SUITES)
+def test_every_suite_rejects_a_bad_space_file_before_any_work(
+        tmp_path, monkeypatch, suite):
+    """Also the suites that read no space: one line, exit 2, and the
+    suite itself never runs."""
+    monkeypatch.setitem(suites._SUITE_FNS, suite, None)
+    for path, text in (("missing.json", None), ("bad.json", "{")):
+        if text is not None:
+            (tmp_path / path).write_text(text)
+        code, out = run_cli(["verify", "--suite", suite,
+                             "--space", str(tmp_path / path)])
+        assert code == 2
+        [line] = out.splitlines()
+        assert line.startswith("configuration error: cannot load space ")
+
+
 @pytest.mark.parametrize("opens", [[[], [7], [0, 1]], [[], [[1]], [0, 1]]],
                          ids=["unknown-point", "nested-list"])
 @pytest.mark.parametrize("argv", [
@@ -532,6 +548,7 @@ _COMMANDS = (
     ["play", "--space"],
     ["verify", "--suite", "choquet-finite", "--depth", "1", "--breadth", "1",
      "--space"],
+    ["verify", "--suite", "selectors", "--space"],
 )
 
 
@@ -541,10 +558,12 @@ _COMMANDS = (
 def test_malformed_input_files_end_in_an_exit_code(command, content, moves):
     """Any base or space file ends in exit 0, 1 or 2, and a configuration
     error is one line.  The exhaustive topology walk of ``choquet-finite``
-    is stubbed: it reads no input, and the file is loaded before it."""
+    and the ``selectors`` suite are stubbed: they read no input, and the
+    file is loaded before them."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(suites, "_exhaustive_modified_report",
-                              lambda: Report("modified-copy-wins")):
+                              lambda: Report("modified-copy-wins")), \
+            mock.patch.dict(suites._SUITE_FNS, selectors=lambda cfg: []):
         path = os.path.join(tmp, "input")
         with open(path, "wb") as fh:
             fh.write(content)

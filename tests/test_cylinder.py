@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
 from conftest import exprs, seqs
-from bairekit.cylinder import (Antichain, Atom, EMPTY, EmptySetError,
+from bairekit.cylinder import (Antichain, Atom, Diff, EMPTY, EmptySetError,
                                FULL, Family, Inter, NdTree, Union,
                                WindowError, contains_branch, cyl,
                                enclosing_stem, equal, family, fresh_value,
@@ -458,6 +458,45 @@ def test_trace_window_examples():
     assert trace_window(cyl(1), 2, 3) == {(1, 0), (1, 1), (1, 2), (1, 3)}
     assert trace_window(EMPTY, 2, 2) == frozenset()
     assert trace_window(FULL - cyl(0), 1, 1) == {(1,)}
+
+
+def _word_satisfies(e, w):
+    """Whether every extension of the word ``w`` lies in ``e``, decided
+    word by word: the reference for ``trace_window``'s set algebra."""
+    match e:
+        case Atom(a):
+            return w[: len(a)] == a
+        case Union(l, r):
+            return _word_satisfies(l, w) or _word_satisfies(r, w)
+        case Inter(l, r):
+            return _word_satisfies(l, w) and _word_satisfies(r, w)
+        case Diff(l, r):
+            return _word_satisfies(l, w) and not _word_satisfies(r, w)
+    return e is FULL
+
+
+@st.composite
+def windowed_exprs(draw):
+    """A window up to d4/b4 and an expression whose mentions fit it."""
+    depth, breadth = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    stems = st.lists(st.integers(0, breadth - 1), max_size=depth).map(tuple)
+    e = draw(st.recursive(
+        st.one_of(stems.map(Atom), st.just(EMPTY), st.just(FULL)),
+        lambda sub: st.one_of(st.builds(Union, sub, sub),
+                              st.builds(Inter, sub, sub),
+                              st.builds(Diff, sub, sub),
+                              st.builds(Diff, sub, st.builds(Diff, sub, sub))),
+        max_leaves=8))
+    return e, depth, breadth
+
+
+@given(windowed_exprs())
+@settings(max_examples=300)
+def test_trace_window_matches_the_per_word_evaluator(case):
+    e, depth, breadth = case
+    words = product(range(breadth + 1), repeat=depth)
+    assert trace_window(e, depth, breadth) == frozenset(
+        w for w in words if _word_satisfies(e, w))
 
 
 def test_trace_window_guard():

@@ -1,9 +1,9 @@
 import bairekit.cylinder as cylinder
 from bairekit.cylinder import (Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
-from bairekit.lusin import (base_from_lines, build_lusin,
+from bairekit.lusin import (_CarvePlan, base_from_lines, build_lusin,
                             check_lusin_conditions, standard_base)
-from bairekit.scheme import (Scheme, UNRESOLVED, VIOLATED, Window,
+from bairekit.scheme import (Scheme, UNRESOLVED, VERIFIED, VIOLATED, Window,
                              check_partitions, dump_scheme)
 from bairekit.spaces import BAIRE
 
@@ -88,7 +88,7 @@ def test_default_lusin_check_count_budget(monkeypatch):
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
-    assert calls == 4_058
+    assert calls == 3_848
 
 
 def test_union_of_children_stays_inside():
@@ -152,6 +152,44 @@ def test_foreign_scheme_refinement_is_budget_evidence_only():
     rep = check_lusin_conditions(Scheme(BAIRE, rule), base, Window(1, 3))
     refine = [e for e in rep.entries if e.key == "refine:0"]
     assert refine and refine[0].status == UNRESOLVED
+
+
+def _refine_entry(rep, key):
+    [entry] = [e for e in rep.entries if e.key == f"refine:{key}"]
+    return entry.status, entry.detail
+
+
+def test_carve_child_outside_the_witness_is_violated(monkeypatch):
+    """The witness still lies in the target, but one budgeted positive
+    child of the carve at (0,) leaves it."""
+    base = base_from_lines("S(0,1)")
+    rep = check_lusin_conditions(build_lusin(base), base, Window(1, 3))
+    assert _refine_entry(rep, "0") == (
+        VERIFIED, "witness inclusion covers all positive children")
+
+    child = _CarvePlan.child
+    monkeypatch.setattr(_CarvePlan, "child",
+                        lambda plan, n: cyl(0, 2) if n == 2
+                        else child(plan, n))
+    rep = check_lusin_conditions(build_lusin(base), base, Window(1, 3))
+    assert _refine_entry(rep, "0") == (
+        VIOLATED, "witness inclusion True, budgeted children False")
+
+
+def test_foreign_scheme_child_outside_the_target_is_violated():
+    base = base_from_lines("S(1)")
+    # node (0,) meets the target S(1); its child (0, 2) is S(2)
+    def rule(a):
+        table = {(): FULL, (0,): cyl(1), (1,): FULL - cyl(1), (0, 2): cyl(2)}
+        if a in table:
+            return table[a]
+        if a[0] == 0:
+            return Atom((1,) + a[1:])
+        return Atom(a)
+
+    rep = check_lusin_conditions(Scheme(BAIRE, rule), base, Window(1, 3))
+    assert _refine_entry(rep, "0") == (
+        VIOLATED, "a budgeted positive child escapes the target")
 
 
 def test_conditions_store_no_node_below_the_window():
