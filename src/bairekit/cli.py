@@ -21,7 +21,7 @@ from typing import Callable, Optional, TextIO
 
 from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
     extract_schemes, last_reply, modify_strategy, play_round, transcript_json
-from .grammar import ExprSyntaxError, parse_expr
+from .grammar import parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
 from .scheme import Report, dump_scheme, relabel, standard_scheme
@@ -172,7 +172,7 @@ def _check_writable(path: str) -> None:
     try:
         with open(path, "a", encoding="utf-8"):
             pass
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     if not existed:
         os.remove(path)
@@ -211,7 +211,7 @@ def cmd_build_lusin(args, out: TextIO) -> int:
         try:
             with open(args.base, "r", encoding="utf-8") as fh:
                 base = base_from_lines(fh.read())
-        except (OSError, UnicodeDecodeError, ExprSyntaxError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load base {args.base!r}: {exc}") from exc
     window = checked_window(args.depth, args.breadth)
     scheme = build_lusin(base)
@@ -301,7 +301,7 @@ def play_repl(space: SpaceModel, strategy_name: str,
         try:
             move = _parse_finite_move(space, line) if finite \
                 else parse_expr(line)
-        except (ValueError, ExprSyntaxError) as exc:
+        except ValueError as exc:
             stdout.write(f"cannot parse move: {exc}\n")
             continue
         try:

@@ -264,14 +264,24 @@ def pi_net_probe(scheme: Scheme, root: Seq, target, budget: int) -> Optional[Seq
 # -- index relabeling ---------------------------------------------------------
 
 def compose_index(g: Callable[[int], int], a: Seq) -> Seq:
-    return tuple(g(x) for x in a)
+    return tuple(map(g, a))
+
+
+class _Relabeled(Scheme):
+    """``relabel``'s view: no memo of its own, every node is the base's."""
+
+    def __init__(self, base: Scheme, g: Callable[[int], int]):
+        self.space, self.label, self.meta = base.space, f"{base.label}^g", {}
+        self.base, self.g = base, g
+
+    def node(self, a: Seq, store: bool = True):
+        return self.base.node(compose_index(self.g, a), store)
 
 
 def relabel(scheme: Scheme, g: Callable[[int], int]) -> Scheme:
     """The scheme whose node at ``a`` is the base node at ``g`` applied
-    entrywise to ``a``; lazy and memoized independently of the base."""
-    return Scheme(scheme.space, lambda a: scheme.node(compose_index(g, a)),
-                  label=f"{scheme.label}^g")
+    entrywise to ``a``; a view, so each node is the very base object."""
+    return _Relabeled(scheme, g)
 
 
 def preimage_table(g: Callable[[int], int], values: int,
@@ -361,8 +371,9 @@ def dense_in_itself_probe(scheme: Scheme, x, window: Window) -> Report:
         rep.add("pre", BREACH, "point not seen in any window node")
         return rep
     for a in nodes:
+        store = len(a) < window.depth
         hits = [n for n in range(window.breadth)
-                if space.contains(scheme.child(a, n), x)]
+                if space.contains(scheme.node(a + (n,), store), x)]
         key = seq_to_text(a)
         if len(hits) >= 2:
             rep.add(key, VERIFIED, f"children {hits[0]},{hits[1]}")

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .scheme import Report, Scheme, VERIFIED, VIOLATED, Window
-from .seq import BranchRule, Seq, restrict, seq_at, seq_from_text, seq_to_text
+from .seq import Seq, seq_at, seq_from_text, seq_to_text
 from .spaces import FiniteSpaceModel
 
 
@@ -44,9 +44,6 @@ class PrefixMap:
             raise ValueError(f"stem shorter than the map depth: {stem}")
         key = stem[: self.depth]
         return self._lookup.get(key, self.default)
-
-    def apply(self, branch: BranchRule) -> int:
-        return self.resolve(restrict(branch, self.depth))
 
     def image(self, a: Seq) -> frozenset[int]:
         """The exact point image of the cylinder at ``a``."""

@@ -203,6 +203,8 @@ class FiniteSpaceModel:
 
     @classmethod
     def sierpinski(cls) -> "FiniteSpaceModel":
+        """Two points, one proper open set ``{1}``; no library code calls it,
+        it stays public as the example space shared by many tests."""
         return cls([0, 1], [[], [1], [0, 1]])
 
     @classmethod

@@ -197,8 +197,9 @@ def _lusin_probe_branch(scheme: Scheme, picks: Seq) -> BranchRule:
 def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
     window = cfg.window(3, 6)
     reports: list[Report] = []
-    schemes = [standard_scheme(), build_lusin(standard_base())]
-    for base_scheme in schemes:
+    # build each base when reached and drop it after its presets
+    for make in (standard_scheme, lambda: build_lusin(standard_base())):
+        base_scheme = make()
         for g_name, g in G_PRESETS.items():
             tag = f"{base_scheme.label}/{g_name}"
             moved = relabel(base_scheme, g)
@@ -235,6 +236,7 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
         dense = Report(f"dense[{base_scheme.label}/half]")
         dense.entries.append(probe.entries[-1])
         reports.append(dense)
+        del base_scheme, moved
     return reports
 
 

@@ -572,3 +572,84 @@ def test_malformed_input_files_end_in_an_exit_code(command, content, moves):
     if code == 2:
         [line] = out.splitlines()
         assert line.startswith("configuration error: ")
+
+
+_NUMBERS = st.one_of(st.integers(-2, 17),
+                     st.sampled_from((10 ** 30, -(10 ** 30)))).map(str)
+_PATHS = st.sampled_from(("space.json", "base.txt", "junk.bin", "missing",
+                          ".", "out.json", "no/such/dir.json", "std",
+                          "baire", "\x00", "a\x00b"))
+_JUNK = st.sampled_from(("", "x", "1.5", "1e3", "0x10", "-", "--", "\x00",
+                         "\u00b2", "--depth=2", "-h", "--frob"))
+
+# the values the parser accepts for each flag, files in the run's directory
+_FLAG_VALUES = {
+    "--suite": st.sampled_from(suites.SUITES),
+    "--depth": _NUMBERS, "--breadth": _NUMBERS, "--seed": _NUMBERS,
+    "--space": _PATHS, "--json": _PATHS, "--base": _PATHS,
+    "--strategy": st.sampled_from(("copy", "cylinder")),
+    "--scheme": st.sampled_from(("standard", "lusin-std")),
+    "--g": st.sampled_from(tuple(suites.G_PRESETS)),
+}
+_COMMAND_FLAGS = {
+    "verify": ("--suite", "--depth", "--breadth", "--seed", "--space",
+               "--json"),
+    "build-lusin": ("--base", "--depth", "--breadth", "--json"),
+    "extract": ("--space", "--strategy", "--depth", "--breadth", "--json"),
+    "play": ("--space", "--strategy"),
+    "export": ("--scheme", "--g", "--depth", "--breadth", "--json"),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, mostly its own flags with mostly accepted values, and
+    now and then a foreign flag, a junk value or a junk word."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS) + ["frob"]))
+    own = _COMMAND_FLAGS.get(command, ("--depth",))
+    argv = [command]
+    if command == "verify" and draw(st.integers(0, 9)):
+        argv += ["--suite", draw(_FLAG_VALUES["--suite"])]
+    for _ in range(draw(st.integers(0, 4))):
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            argv.append(draw(_JUNK))
+            continue
+        flag = draw(st.sampled_from(sorted(_FLAG_VALUES) if roll == 1
+                                    else own))
+        value = _FLAG_VALUES[flag] if draw(st.integers(0, 4)) else \
+            st.one_of(_JUNK, _NUMBERS, _PATHS)
+        argv += [flag, draw(value)]
+    return argv
+
+
+@given(argv=_argv())
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_random_argument_vectors_end_in_an_exit_code(argv):
+    """Any argument vector ends in exit 0, 1 or 2; argparse's own exit is
+    caught, and a configuration error is one line.  The run's directory
+    holds a valid space file, a valid base file and a binary file.  Every
+    suite is stubbed, and windows past 85 nodes are rejected, so each
+    accepted command stays small."""
+    stub = {name: (lambda cfg: [Report("stub")]) for name in suites.SUITES}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(suites._SUITE_FNS, stub), \
+            mock.patch.object(suites, "MAX_WINDOW_NODES", 85), \
+            mock.patch("sys.stdout", io.StringIO()), \
+            mock.patch("sys.stderr", io.StringIO()):
+        Path(tmp, "space.json").write_text(
+            json.dumps(FiniteSpaceModel.sierpinski().to_json()))
+        Path(tmp, "base.txt").write_text("S(0)\nS(1) | S(2,0)\n")
+        Path(tmp, "junk.bin").write_bytes(b"\xff\xfe(\n")
+        os.chdir(tmp)
+        try:
+            code, out = run_cli(argv, "S(0)\n{1}\n:quit\n")
+        except SystemExit as exc:
+            code, out = exc.code, None  # argparse printed to stderr
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2 and out is not None:
+        [line] = out.splitlines()
+        assert line.startswith("configuration error: ")

@@ -137,6 +137,23 @@ def test_relabel_identities_read_relabel(monkeypatch):
     assert index and all(e.status == VIOLATED for e in index)
 
 
+@pytest.mark.parametrize("g_name", list(G_MAPS))
+@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+def test_relabeled_node_is_the_base_object(scheme_name, g_name):
+    base, g = SCHEMES[scheme_name](), G_MAPS[g_name]
+    moved = relabel(base, g)
+    assert moved.space is base.space and moved.label == f"{base.label}^g"
+    for a in Window(2, 3).nodes():
+        ga = compose_index(g, a)
+        assert moved.node(a) is base.node(ga)
+        # a node read without storing is still the base's stored object
+        assert moved.node(a, store=False) is base.node(ga)
+    leaf = (2, 1, 0)
+    value = moved.node(leaf, store=False)
+    assert compose_index(g, leaf) not in base._memo
+    assert base.space.equal(value, base.node(compose_index(g, leaf)))
+
+
 def copying_relabel(scheme, g):
     """A relabel whose nodes equal the base nodes at ``g`` but are distinct
     objects, so no check can decide them by identity."""

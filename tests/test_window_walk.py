@@ -13,9 +13,9 @@ from bairekit.cylinder import Atom, FULL, cyl
 from bairekit.grammar import expr_to_text
 from bairekit.lusin import base_from_lines, build_lusin, standard_base
 from bairekit.scheme import (Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
-                             Window, check_covers, check_partitions, relabel,
-                             standard_scheme)
-from bairekit.seq import seq_to_text
+                             Window, check_covers, check_partitions,
+                             dense_in_itself_probe, relabel, standard_scheme)
+from bairekit.seq import BranchRule, seq_to_text
 from bairekit.spaces import BAIRE, FiniteSpaceModel, all_topologies
 from bairekit.suites import G_PRESETS
 
@@ -181,7 +181,28 @@ class RecordingSpace:
 def test_walk_stores_no_node_below_the_window(name, check, window):
     scheme = SCHEMES[name]()
     check(scheme, window)
-    assert max(map(len, scheme._memo)) == window.depth
+    # a relabeled scheme keeps no memo; its base's memo is the one to read
+    base = getattr(scheme, "base", scheme)
+    assert max(map(len, base._memo)) == window.depth
+
+
+@pytest.mark.parametrize("check", [check_covers, check_partitions])
+def test_relabeled_walk_stores_no_base_node_below_the_window(check):
+    base = build_lusin(standard_base())
+    window = Window(3, 4)
+    # under ``half`` siblings repeat, so the partition check fails; either
+    # check leaves the base's deepest stored nodes at the window depth
+    check(relabel(base, G_PRESETS["half"]), window)
+    assert max(map(len, base._memo)) == window.depth
+
+
+def test_dense_probe_stores_no_base_node_below_the_window():
+    base = standard_scheme()
+    window = Window(2, 6)
+    rep = dense_in_itself_probe(relabel(base, G_PRESETS["half"]),
+                                BranchRule.constant(0), window)
+    assert rep.ok and {e.status for e in rep.entries} == {VERIFIED}
+    assert max(map(len, base._memo)) == window.depth
 
 
 @pytest.mark.parametrize("check", [check_covers, check_partitions])
