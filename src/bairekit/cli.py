@@ -24,7 +24,8 @@ from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
 from .grammar import parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
-from .scheme import Report, dump_scheme, relabel, standard_scheme
+from .scheme import Report, ReportEntry, dump_scheme, relabel, \
+    standard_scheme
 from .suites import G_PRESETS, SUITES, ConfigError, RunConfig, \
     checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
@@ -77,69 +78,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_NESTED = (dict, list, tuple, Report)
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
-
-
-def _flat(value, pad: str) -> Optional[str]:
-    """The text of ``value`` at indentation ``pad`` in one piece when it is
-    a scalar or a container of scalars, such as a report entry; else
-    None."""
-    if isinstance(value, dict):
-        parts = []
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, _NESTED):
-                return None
-            parts.append(_escape(k) + ": " + _scalar(v))
-        ends = "{}"
-    elif isinstance(value, (list, tuple)):
-        parts = []
-        for v in value:
-            if isinstance(v, _NESTED):
-                return None
-            parts.append(_scalar(v))
-        ends = "[]"
-    elif isinstance(value, Report):
-        return None
-    else:
-        return _scalar(value)
-    if not parts:
-        return ends
-    inner = pad + "  "
-    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _dump(value, pad: str, write: Callable[[str], object]) -> None:
     """Write the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
-    ``value`` at indentation ``pad``; dict keys are strings.  A container
-    that holds containers is written member by member, and a ``Report`` is
-    converted through ``to_json`` only when it is reached, so one report's
-    dicts exist at a time."""
-    if isinstance(value, Report):
-        value = value.to_json()
-    text = _flat(value, pad)
-    if text is not None:
-        write(text)
+    ``value`` at indentation ``pad``; dict keys are strings.  Containers
+    are written member by member, a ``Report`` as its ``to_json()`` read
+    off its fields, and each of its entries in one write, so no entry dict
+    is built."""
+    inner = pad + "  "
+    if isinstance(value, ReportEntry):
+        write(f'{{{inner}"detail": {_escape(value.detail)},{inner}"key": '
+              f'{_escape(value.key)},{inner}"status": '
+              f'{_escape(value.status)}{pad}}}')
         return
+    if isinstance(value, Report):
+        value = {"counts": value.counts(), "entries": value.entries,
+                 "name": value.name, "ok": value.ok}
     if isinstance(value, dict):
         members = ((_escape(k) + ": ", value[k]) for k in sorted(value))
         ends = "{}"
-    else:
+    elif isinstance(value, (list, tuple)):
         members = (("", v) for v in value)
         ends = "[]"
-    inner = pad + "  "
+    else:
+        write(_escape(value) if isinstance(value, str) else json.dumps(value))
+        return
+    if not value:
+        write(ends)
+        return
     sep = ends[0] + inner
     for head, v in members:
         write(sep + head)

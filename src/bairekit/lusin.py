@@ -75,6 +75,7 @@ def base_from_lines(text: str) -> LusinBase:
 class _SplitPlan:
     """Children = antichain members extended by all next-length sequences."""
 
+    __slots__ = ("chain", "ext_len")
     witness = None  # a split carves nothing
 
     def __init__(self, chain: Antichain, ext_len: int):
@@ -88,6 +89,8 @@ class _SplitPlan:
 
 class _CarvePlan:
     """Child 0 = node minus the witness; child n = the (n-1)-th slice of it."""
+
+    __slots__ = ("node", "witness")
 
     def __init__(self, node: Expr, witness: Seq):
         self.node = node

@@ -114,6 +114,8 @@ class Report:
         return {s: c[s] for s in (VERIFIED, VIOLATED, UNRESOLVED, BREACH)}
 
     def to_json(self) -> dict:
+        """The report's JSON form; ``cli`` writes its text from the fields
+        without building it."""
         return {
             "name": self.name,
             "ok": self.ok,

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -15,8 +17,11 @@ import bairekit.cli as cli
 import bairekit.suites as suites
 from bairekit.choquet import IllegalMoveError
 from bairekit.cli import main
-from bairekit.scheme import Report
+from bairekit.scheme import BREACH, UNRESOLVED, VERIFIED, VIOLATED, \
+    Report, ReportEntry
 from bairekit.spaces import FiniteSpaceModel, all_topologies
+
+STATUSES = (VERIFIED, VIOLATED, UNRESOLVED, BREACH)
 
 
 def run_cli(argv, stdin_text=""):
@@ -80,17 +85,32 @@ def test_verify_report_bytes_match_json_dumps(tmp_path, argv, tail):
 _KEYS = st.text(st.sampled_from("aZ0 ε\"\\/\n\t\x00\x1f\x7f\u2028é"),
                 max_size=4)
 _TEXTS = _KEYS | st.text(max_size=6)
+_REPORTS = st.builds(
+    Report, _TEXTS,
+    st.lists(st.builds(ReportEntry, _KEYS,
+                       st.sampled_from(STATUSES), _TEXTS), max_size=3))
 _VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | _TEXTS,
+    st.none() | st.booleans() | st.integers() | _TEXTS | _REPORTS,
     lambda sub: st.lists(sub, max_size=4)
     | st.dictionaries(_KEYS, sub, max_size=4),
     max_leaves=24)
 
 
+def _plain(value):
+    """``value`` with each ``Report`` in it replaced by its ``to_json()``."""
+    if isinstance(value, Report):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 @given(_VALUES)
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_write_json_matches_json_dumps(value):
-    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
         cli._write_json(value, path, None)
@@ -101,35 +121,39 @@ def test_write_json_matches_json_dumps(value):
     assert out.getvalue() == expected
 
 
-def test_write_json_converts_each_report_when_it_reaches_it(monkeypatch):
-    """Each ``Report`` becomes a dict only once the writer has written
-    everything before it, so one report's dicts exist at a time."""
+def test_write_json_builds_no_entry_dict(monkeypatch):
+    """A ``Report`` is written from its fields without ``to_json``, at top
+    level, in a list and under ``conditions``; writing one of 20,000
+    entries holds no more than a few entries' text at a time."""
     reports = [Report(f"r{i}") for i in range(3)]
     for i, rep in enumerate(reports):
-        for j in range(4):
-            rep.add(f"r{i}e{j}", "verified")
-    plain = [rep.to_json() for rep in reports]
-    written, calls = [], []
-    to_json = Report.to_json
+        for j, status in enumerate(STATUSES):
+            rep.add(f"r{i}e{j}", status, f"d{j}" if j else "")
+    cases = [reports[1], Report("empty"),
+             {"a": 1, "reports": reports, "tail": {"conditions": reports[0]}}]
+    expected = [json.dumps(_plain(data), indent=2, sort_keys=True) + "\n"
+                for data in cases]
 
-    def recorded(self):
-        calls.append((self.name, len(written)))
-        return to_json(self)
+    def refuse(self):
+        raise AssertionError("the writer called Report.to_json")
 
-    monkeypatch.setattr(Report, "to_json", recorded)
-    data = {"a": 1, "reports": reports, "tail": {"conditions": reports[0]}}
-    cli._write_json(data, None, mock.Mock(write=written.append))
-    assert [name for name, _ in calls] == ["r0", "r1", "r2", "r0"]
-    for i, (name, count) in enumerate(calls[:3]):
-        before = "".join(written[:count])
-        assert f'"{name}e' not in before
-        if i:
-            # the whole previous report, up to its closing brace
-            assert f'"r{i - 1}e3"' in before
-            assert before.endswith('"ok": true\n    },\n    ')
-    assert "".join(written) == json.dumps(
-        {"a": 1, "reports": plain, "tail": {"conditions": plain[0]}},
-        indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr(Report, "to_json", refuse)
+    for data, text in zip(cases, expected):
+        out = io.StringIO()
+        cli._write_json(data, None, out)
+        assert out.getvalue() == text
+
+    big = Report("big")
+    for j in range(20_000):
+        big.add(f"key {j}", STATUSES[j % 4], f"detail {j}")
+    null = SimpleNamespace(write=len)
+    tracemalloc.start()
+    try:
+        cli._write_json(big, None, null)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_verify_schemes_vg_replays_past_the_breadth(tmp_path):

@@ -1,8 +1,9 @@
-"""Smoke test of the benchmark's traced runs: a traced name the program no
-longer has, or a layer counter that reads zero, fails here and not only
-when the benchmark runs."""
+"""Smoke test of the benchmark's runs: a traced name the program no longer
+has, a layer counter that reads zero, or a report byte that differs from
+its recorded digest fails here and not only when the benchmark runs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,16 @@ def test_traced_run_matches_its_reference(tmp_path, workload):
     zero = [name for name in EXPECT_NONZERO[workload]
             if not out["layers"].get(name)]
     assert zero == []
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("lusin-synth", 13), ("lusin-synth", 31), ("extract-finite", 13)])
+def test_plain_run_matches_its_reference(tmp_path, workload, seed):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), workload, str(seed),
+         str(tmp_path), "plain"],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["ok"] and out["rc"] == 0 and out["breaches"] == 0
+    assert out["digest"] == REFERENCES[workload][str(seed)]
