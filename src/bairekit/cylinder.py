@@ -332,8 +332,11 @@ def family(node: Expr, children: list[Expr], pairs: bool
     child is inside the node exactly when ``f ∧ N == f``.  When the pairs
     were asked and none meets, the union's form is the XOR of the child
     forms, because a disjoint union is a symmetric difference; otherwise
-    it is folded as ``U ^ f ^ (U ∧ f)``.
+    it is folded as ``U ^ f ^ (U ∧ f)``.  A family of atoms alone takes no
+    form: its stems decide it (``_stem_family``).
     """
+    if isinstance(node, Atom) and all(isinstance(c, Atom) for c in children):
+        return _stem_family(node.entries, [c.entries for c in children], pairs)
     top = normal_form(node)
     forms = [normal_form(c) for c in children]
     escaped = [n for n, f in enumerate(forms) if _meet(f, top) != f]
@@ -343,6 +346,32 @@ def family(node: Expr, children: list[Expr], pairs: bool
     for f in forms:
         u = u ^ f if pairs and not met else u ^ f ^ _meet(u, f)
     return escaped, _meet(top, u) == top, met
+
+
+def _stem_family(stem: Seq, stems: list[Seq], pairs: bool
+                 ) -> tuple[list[int], bool, list[tuple[int, int]]]:
+    """``family`` for the node ``S(stem)`` and the children ``S(s)``.
+
+    A child is inside the node exactly when ``stem`` is a prefix of ``s``.
+    The node is inside the union exactly when some ``s`` is a prefix of
+    ``stem``: finitely many cylinders that strictly extend the node or are
+    incomparable with it all miss the branches through ``stem`` followed
+    by a value none of the extensions uses there.  Two cylinders meet
+    exactly when their stems are comparable.  The extensions of a stem
+    form one interval of the lexicographic order, so some two stems are
+    comparable exactly when two neighbours in the sorted list are; only
+    then are the pairs listed.
+    """
+    escaped = [n for n, s in enumerate(stems) if s[: len(stem)] != stem]
+    covered = any(stem[: len(s)] == s for s in stems)
+    met: list[tuple[int, int]] = []
+    if pairs:
+        ordered = sorted(stems)
+        if any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):
+            met = [(n, m) for n, s in enumerate(stems)
+                   for m, t in enumerate(stems[n + 1:], n + 1)
+                   if s[: len(t)] == t or t[: len(s)] == s]
+    return escaped, covered, met
 
 
 def uncovered(opens: list[Expr], cover: list[Expr]) -> list[int]:

@@ -160,9 +160,9 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         if not cy.intersects(va, target):
             continue
         witness = plan(a).witness if plan else None
-        # below the window's last level the children are read, not stored
-        children = [scheme.node(a + (n,), store=False)
-                    for n in range(1, window.breadth)]
+        # the positive children follow child 0; below the window's last
+        # level they are read, not stored
+        children = scheme.children(a, window.breadth, store=False)[1:]
         bound = target if witness is None else Atom(witness)
         held = not scheme.space.uncovered(children, [bound])
         if witness is not None:

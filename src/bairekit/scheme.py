@@ -156,8 +156,10 @@ class Scheme:
                 value = self._memo.setdefault(a, value)
         return value
 
-    def child(self, a: Seq, n: int):
-        return self.node(a + (n,))
+    def children(self, a: Seq, count: int, store: bool = True) -> list:
+        """The first ``count`` children of ``a``, each read as
+        ``node(a + (n,), store)``."""
+        return [self.node(a + (n,), store) for n in range(count)]
 
 
 def standard_scheme() -> Scheme:
@@ -196,9 +198,7 @@ def _walk(scheme: Scheme, window: Window, name: str, pairs: bool) -> Report:
         rep.add("root", VIOLATED, "root differs from the whole space")
     overlaps = Report(name)
     for a in window.nodes():
-        store = len(a) < window.depth
-        children = [scheme.node(a + (n,), store=store)
-                    for n in range(window.breadth)]
+        children = scheme.children(a, window.breadth, len(a) < window.depth)
         escaped, covered, met = space.family(scheme.node(a), children, pairs)
         key = seq_to_text(a)
         if escaped:
@@ -279,6 +279,11 @@ class _Relabeled(Scheme):
     def node(self, a: Seq, store: bool = True):
         return self.base.node(compose_index(self.g, a), store)
 
+    def children(self, a: Seq, count: int, store: bool = True) -> list:
+        # ``a`` is composed once for the whole family
+        ga, g, node = compose_index(self.g, a), self.g, self.base.node
+        return [node(ga + (g(n),), store) for n in range(count)]
+
 
 def relabel(scheme: Scheme, g: Callable[[int], int]) -> Scheme:
     """The scheme whose node at ``a`` is the base node at ``g`` applied
@@ -331,18 +336,17 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
 
     for a in window.nodes():
         key = seq_to_text(a)
-        ga = compose_index(g, a)
-        lifted = [moved.child(a, n) for n in range(max(m, n_hi))]
+        lifted = moved.children(a, max(m, n_hi))
+        # every g(n) with n below the budget is below direct_hi
+        direct = scheme.children(compose_index(g, a), max(m, direct_hi))
         wrong = next((n for n in range(m)
-                      if not space.equal(lifted[n],
-                                         scheme.node(ga + (g(n),)))), None)
+                      if not space.equal(lifted[n], direct[g(n)])), None)
         if wrong is None:
             rep.add(f"index:{key}", VERIFIED)
         else:
             rep.add(f"index:{key}", VIOLATED, f"child {wrong} disagrees")
         if not surjective:
             continue
-        direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
         ok1 = not space.uncovered(lifted[:m], direct[:direct_hi])
         ok2 = not space.uncovered(direct[:m], lifted[:n_hi])
         if ok1 and ok2:
@@ -373,9 +377,8 @@ def dense_in_itself_probe(scheme: Scheme, x, window: Window) -> Report:
         rep.add("pre", BREACH, "point not seen in any window node")
         return rep
     for a in nodes:
-        store = len(a) < window.depth
-        hits = [n for n in range(window.breadth)
-                if space.contains(scheme.node(a + (n,), store), x)]
+        children = scheme.children(a, window.breadth, len(a) < window.depth)
+        hits = [n for n, c in enumerate(children) if space.contains(c, x)]
         key = seq_to_text(a)
         if len(hits) >= 2:
             rep.add(key, VERIFIED, f"children {hits[0]},{hits[1]}")

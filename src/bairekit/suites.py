@@ -383,7 +383,7 @@ def _every_run(space: FiniteSpaceModel, rep: Report) -> tuple[str, int]:
         return UNRESOLVED, 0
     for a in states:
         legal = space.nonempty_opens_inside(replies.node(a))
-        played = {moves.child(a, n) for n in range(len(legal))}
+        played = set(moves.children(a, len(legal)))
         # p plays that are not the p legal moves leave a legal move out
         missed = next((u for u in legal if u not in played), None)
         if missed is not None:
@@ -455,7 +455,7 @@ def _decide_states(space: FiniteSpaceModel, replies: Scheme,
     for a in states:
         va = replies.node(a)
         inside = space.nonempty_opens_inside(va)
-        children = [replies.child(a, n) for n in range(len(inside))]
+        children = replies.children(a, len(inside))
         if cover_fault is None:
             escaped, covered, _ = space.family(va, children, False)
             if escaped:

@@ -228,8 +228,8 @@ def test_extract_children_enumerate_pi_base():
         va = replies.node(a)
         opens = sp.nonempty_opens_inside(va)
         for u in opens:
-            assert any(sp.subset(replies.child(a, m), u)
-                       for m in range(len(opens) + 1))
+            assert any(sp.subset(child, u)
+                       for child in replies.children(a, len(opens) + 1))
 
 
 def test_extract_covers_verified_on_finite_spaces():
@@ -461,7 +461,7 @@ def _verdicts_per_node(space, replies, window):
     for a in window.nodes():
         node = replies.node(a)
         inside = space.nonempty_opens_inside(node)
-        children = [replies.child(a, k) for k in range(len(inside))]
+        children = replies.children(a, len(inside))
         union = 0
         for child in children:
             covered = covered and space.subset(child, node)

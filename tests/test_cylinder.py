@@ -2,7 +2,7 @@ from itertools import product
 from os.path import commonprefix
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
@@ -375,17 +375,40 @@ def test_family_matches_pairwise_meets(node, children, pairs):
         folded_family(node, children, pairs)
 
 
-@given(exprs, st.lists(exprs, max_size=5), st.booleans())
-@settings(max_examples=150)
-def test_family_matches_the_window_oracle(node, children, pairs):
+def oracle_family(node, children, pairs):
+    """``family`` read off the traces of the window d=3, b=3."""
     top = trace_window(node, 3, 3)
     traces = [trace_window(c, 3, 3) for c in children]
     met = [(n, m) for n in range(len(traces))
            for m in range(n + 1, len(traces)) if traces[n] & traces[m]]
-    assert family(node, children, pairs) == (
-        [n for n, t in enumerate(traces) if not t <= top],
-        top <= frozenset().union(*traces),
-        met if pairs else [])
+    return ([n for n, t in enumerate(traces) if not t <= top],
+            top <= frozenset().union(*traces),
+            met if pairs else [])
+
+
+@given(exprs, st.lists(exprs, max_size=5), st.booleans())
+@settings(max_examples=150)
+def test_family_matches_the_window_oracle(node, children, pairs):
+    assert family(node, children, pairs) == oracle_family(node, children, pairs)
+
+
+# a stem cut to a drawn length: the empty stem, duplicates and nested
+# prefixes are all frequent
+cut_stems = st.builds(lambda s, k: s[:k], seqs, st.integers(0, 3))
+
+
+@given(cut_stems, st.lists(cut_stems, max_size=8))
+@example((0,), [(0, 1), (), (0, 1), (0,), (0, 1, 2), (1,)])
+@example((), [(2,), (0, 0), (1, 2, 0)])
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+def test_all_atom_family_matches_the_form_path_and_the_oracle(stem, stems):
+    node, children = Atom(stem), [Atom(s) for s in stems]
+    # the same sets as non-atoms, which take the form path
+    as_forms = (Inter(node, FULL), [Inter(c, FULL) for c in children])
+    for pairs in (True, False):
+        got = family(node, children, pairs)
+        assert got == family(*as_forms, pairs)
+        assert got == oracle_family(node, children, pairs)
 
 
 # -- opens outside a union ----------------------------------------------------

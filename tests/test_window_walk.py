@@ -43,7 +43,7 @@ def old_check_covers(scheme: Scheme, window: Window) -> Report:
     for a in window.nodes():
         va = scheme.node(a)
         key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(window.breadth)]
+        children = scheme.children(a, window.breadth)
         escaped = space.uncovered(children, [va])
         for n in escaped:
             rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
@@ -62,7 +62,7 @@ def old_check_partitions(scheme: Scheme, window: Window) -> Report:
     space = scheme.space
     for a in window.nodes():
         key = seq_to_text(a)
-        children = [scheme.child(a, n) for n in range(window.breadth)]
+        children = scheme.children(a, window.breadth)
         for n, m in overlapping_pairs(space, children):
             rep.add(f"{key}:{n}^{m}", VIOLATED, "children overlap")
     return rep
@@ -218,20 +218,34 @@ def test_walk_reads_a_memoized_leaf_and_stores_no_other(check):
     assert space.families[1 + 3 + 1][2] is leaf
 
 
-def test_partition_walk_normal_form_count(monkeypatch):
-    # every normal form of synthesis and the one walk: the node's and each
-    # child's form once per window node
-    calls = 0
+def count_normal_forms(monkeypatch) -> list[int]:
+    """A one-item list that counts every ``normal_form`` call from now on."""
+    calls = [0]
     real = cylinder.normal_form
 
     def counted(e):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(e)
 
     monkeypatch.setattr(cylinder, "normal_form", counted)
+    return calls
+
+
+def test_partition_walk_normal_form_count(monkeypatch):
+    # every normal form of synthesis and the one walk: the node's and each
+    # child's form once per window node whose node or some child is not an
+    # atom; an all-atom family takes no form
+    calls = count_normal_forms(monkeypatch)
     assert check_partitions(build_lusin(standard_base()), Window(3, 4)).ok
-    assert calls == 1_153
+    assert calls == [853]
+
+
+def test_standard_partition_walk_takes_only_the_root_forms(monkeypatch):
+    # every family of the standard scheme is all atoms; the two forms are
+    # the root's ``equal`` against the whole space
+    calls = count_normal_forms(monkeypatch)
+    assert check_partitions(standard_scheme(), Window(3, 4)).ok
+    assert calls == [2]
 
 
 def test_walk_reads_each_family_once():
