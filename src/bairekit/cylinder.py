@@ -297,29 +297,34 @@ def minimal_antichain(e: Expr) -> Antichain:
     Starting at the stem drops no member: a node strictly above it is not
     inside ``e``, its fresh child misses the stem's own entry (a mention),
     and every sibling of the path to the stem is disjoint from ``e``.
+
+    An atom ``S(c)`` is its own antichain ``{c}`` and takes no form.  The
+    descent keeps an explicit stack, children pushed in reverse so that
+    members come out in the recursive order; a stem thousands of entries
+    long cannot exhaust the interpreter stack.
     """
+    if isinstance(e, Atom):
+        return Antichain((e.entries,), ())
     stem = enclosing_stem(e)
     if stem is None:
         raise EmptySetError("no antichain for the empty set")
     ms = mentions(e)
     concrete: list[Seq] = []
     families: list[Family] = []
-
-    def descend(c: Seq) -> None:
+    stack = [stem]
+    while stack:
+        c = stack.pop()
         here = Atom(c)
         if subset(here, e):
             concrete.append(c)
-            return
+            continue
         if not intersects(here, e):
-            return
+            continue
         pos = len(c)
         explicit = sorted({m[pos] for m in ms if len(m) > pos and m[:pos] == c})
         if subset(Atom(c + (fresh_value(ms, pos),)), e):
             families.append(Family(c, frozenset(explicit)))
-        for v in explicit:
-            descend(c + (v,))
-
-    descend(stem)
+        stack.extend(c + (v,) for v in reversed(explicit))
     return Antichain(tuple(concrete), tuple(families))
 
 

@@ -73,7 +73,16 @@ def base_from_lines(text: str) -> LusinBase:
 
 
 class _SplitPlan:
-    """Children = antichain members extended by all next-length sequences."""
+    """Children = antichain members extended by all next-length sequences.
+
+    An atom node's antichain is the atom itself and takes no form.  A
+    one-member finite antichain such as that one has ``extension(n) ==
+    (member, n)``, so it is split by ``_StemPlan``: child ``n`` is the
+    member plus ``tuple_at(n, k)``.  Other nodes, such as a carve's child
+    0, take the antichain descent, which keeps an explicit stack: a base
+    with stems thousands of entries long cannot exhaust the interpreter
+    stack.
+    """
 
     __slots__ = ("chain", "ext_len")
     witness = None  # a split carves nothing
@@ -85,6 +94,20 @@ class _SplitPlan:
     def child(self, n: int) -> Expr:
         member, j = self.chain.extension(n)
         return Atom(member + tuple_at(j, self.ext_len))
+
+
+class _StemPlan:
+    """The split of a one-member finite antichain; it keeps the member only."""
+
+    __slots__ = ("member", "ext_len")
+    witness = None
+
+    def __init__(self, member: Seq, ext_len: int):
+        self.member = member
+        self.ext_len = ext_len
+
+    def child(self, n: int) -> Expr:
+        return Atom(self.member + tuple_at(n, self.ext_len))
 
 
 class _CarvePlan:
@@ -118,7 +141,11 @@ def build_lusin(base: LusinBase) -> Scheme:
             if meet is not None and not cy.is_empty(meet):
                 plan = _CarvePlan(va, cy.strict_witness(meet))
             else:
-                plan = _SplitPlan(minimal_antichain(va), k + 1)
+                chain = minimal_antichain(va)
+                if chain.families or len(chain.concrete) > 1:
+                    plan = _SplitPlan(chain, k + 1)
+                else:
+                    plan = _StemPlan(chain.concrete[0], k + 1)
             plans[a] = plan
         return plan
 

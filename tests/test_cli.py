@@ -171,15 +171,19 @@ def test_verify_schemes_vg_replays_past_the_breadth(tmp_path):
                                "violated": 0} for r in replays)
 
 
-def test_python_dash_m_runs_the_command_line(tmp_path):
+def run_module(argv):
+    """``python -m bairekit ARGV`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bairekit", "verify", "--suite", "lusin",
-         "--json", str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "bairekit", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    proc = run_module(["verify", "--suite", "lusin",
+                       "--json", str(tmp_path / "report.json")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "suite lusin: pass (0 violations, 0 breaches)\n"
 
@@ -326,6 +330,27 @@ def test_build_lusin_long_union_base(tmp_path):
     code, out = run_cli(["build-lusin", "--base", str(base), "--depth", "2",
                          "--breadth", "2", "--json", str(tmp_path / "s.json")])
     assert code == 0 and "lusin-conditions: ok" in out
+
+
+def _zeros(n):
+    return "S(" + ",".join(["0"] * n) + ")"
+
+
+@pytest.mark.parametrize("line", [
+    f"{_zeros(1000)} \\ {_zeros(1001)}",
+    f"{_zeros(3000)} \\ {_zeros(3001)}",
+    _zeros(1000),
+], ids=["diff-1000", "diff-3000", "atom-1000"])
+def test_build_lusin_long_stem_base(tmp_path, line):
+    # the carve node's child 0 is a difference whose antichain descent
+    # walks the whole stem; it must not exhaust the interpreter stack
+    base = tmp_path / "base.txt"
+    base.write_text(line + "\n")
+    proc = run_module(["build-lusin", "--base", str(base), "--depth", "2",
+                       "--breadth", "2", "--json", str(tmp_path / "s.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "lusin-conditions: ok" in proc.stdout
 
 
 def test_build_lusin_window_guard():

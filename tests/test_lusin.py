@@ -1,7 +1,11 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import bairekit.cylinder as cylinder
-from bairekit.cylinder import (Atom, Diff, FULL, cyl, intersects,
+from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
-from bairekit.lusin import (_CarvePlan, base_from_lines, build_lusin,
+from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
+                            base_from_lines, build_lusin,
                             check_lusin_conditions, standard_base)
 from bairekit.scheme import (Scheme, UNRESOLVED, VERIFIED, VIOLATED, Window,
                              check_partitions, dump_scheme)
@@ -52,6 +56,24 @@ def test_carve_witness_is_read_from_the_plan_before_any_child():
     assert sch.node((0, 1)) == Atom(plan.witness + (0,))
 
 
+@given(st.lists(st.integers(0, 5), max_size=6).map(tuple), st.integers(1, 5),
+       st.integers(0, 10**6))
+@example((), 1, 0)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_one_member_split_child_matches_the_extension(stem, ext_len, n):
+    # ``_SplitPlan`` reads its child through ``Antichain.extension``
+    assert _StemPlan(stem, ext_len).child(n) == \
+        _SplitPlan(Antichain((stem,), ()), ext_len).child(n)
+
+
+def test_atom_nodes_split_by_their_stem():
+    plan = build_lusin(standard_base()).meta["plan"]
+    assert isinstance(plan(()), _StemPlan)         # the whole space, S()
+    assert isinstance(plan((0, 1)), _StemPlan)     # an even-level atom
+    assert isinstance(plan((0,)), _CarvePlan)      # meets the first target
+    assert isinstance(plan((0, 0)), _SplitPlan)    # the carve's difference
+
+
 def test_odd_nodes_are_long_cylinders():
     sch = build_lusin(standard_base())
     for a in WINDOW.nodes():
@@ -75,7 +97,8 @@ def test_partition_evidence():
 
 def test_default_lusin_check_count_budget(monkeypatch):
     # the emptiness decisions of synthesis and of the check on the default
-    # lusin suite's window; a regression in operation count fails here
+    # lusin suite's window; a regression in operation count fails here.  An
+    # atom's antichain takes no decision, so most split plans take none
     calls = 0
     real = cylinder.is_empty
 
@@ -88,7 +111,7 @@ def test_default_lusin_check_count_budget(monkeypatch):
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
-    assert calls == 3_848
+    assert calls == 2_378
 
 
 def test_union_of_children_stays_inside():

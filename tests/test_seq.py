@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bairekit.seq import (BranchRule, is_prefix, pair, restrict, seq_at,
@@ -84,6 +84,20 @@ def test_tuple_codec():
             assert t not in seen
             seen.add(t)
             assert tuple_index(t) == n
+
+
+@given(st.integers(0, 10**15), st.integers(1, 6))
+@example(0, 1)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_tuple_at_round_trips_through_tuple_index(n, length):
+    t = tuple_at(n, length)
+    assert len(t) == length and tuple_index(t) == n
+
+
+@given(st.lists(naturals, min_size=1, max_size=6).map(tuple))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_tuple_index_round_trips_through_tuple_at(t):
+    assert tuple_at(tuple_index(t), len(t)) == t
 
 
 def test_seq_text():

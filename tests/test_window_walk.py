@@ -234,10 +234,10 @@ def count_normal_forms(monkeypatch) -> list[int]:
 def test_partition_walk_normal_form_count(monkeypatch):
     # every normal form of synthesis and the one walk: the node's and each
     # child's form once per window node whose node or some child is not an
-    # atom; an all-atom family takes no form
+    # atom; an all-atom family and an atom's antichain take no form
     calls = count_normal_forms(monkeypatch)
     assert check_partitions(build_lusin(standard_base()), Window(3, 4)).ok
-    assert calls == [853]
+    assert calls == [613]
 
 
 def test_standard_partition_walk_takes_only_the_root_forms(monkeypatch):
