@@ -24,7 +24,7 @@ from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
                      strict_branch_probe)
 from .selector import (PrefixMap, SigmaBasic, check_image_identity,
                        check_selector_identity, pi_space_probe, preset_maps,
-                       pushforward_scheme)
+                       pushforward_scheme, stem_class_image)
 from .seq import (BranchRule, Seq, is_prefix, pair, restrict, seq_at,
                   seq_from_text, seq_index, seq_to_text, tuple_at, unpair)
 from .spaces import BAIRE, BaireSpaceModel, FiniteSpaceModel, LazySeq, \

@@ -24,10 +24,9 @@ from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
 from .grammar import parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
-from .scheme import Report, ReportEntry, dump_scheme, relabel, \
-    standard_scheme
-from .suites import G_PRESETS, SUITES, ConfigError, RunConfig, \
-    checked_window, load_space_file, run_suite
+from .scheme import Report, ReportEntry, dump_scheme, relabel
+from .suites import G_PRESETS, SCHEME_PRESETS, SUITES, ConfigError, \
+    RunConfig, checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
 
 
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--strategy", choices=("copy", "cylinder"), default=None)
 
     exp = sub.add_parser("export", help="dump a preset scheme as JSON")
-    exp.add_argument("--scheme", choices=("standard", "lusin-std"),
+    exp.add_argument("--scheme", choices=tuple(SCHEME_PRESETS),
                      default="standard")
     exp.add_argument("--g", choices=tuple(G_PRESETS), default="identity")
     exp.add_argument("--depth", type=int, default=3)
@@ -203,8 +202,7 @@ def cmd_extract(args, out: TextIO) -> int:
 
 
 def cmd_export(args, out: TextIO) -> int:
-    scheme = standard_scheme() if args.scheme == "standard" \
-        else build_lusin(standard_base())
+    scheme = SCHEME_PRESETS[args.scheme]()
     if args.g != "identity":
         scheme = relabel(scheme, G_PRESETS[args.g])
     window = checked_window(args.depth, args.breadth)

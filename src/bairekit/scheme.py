@@ -56,6 +56,11 @@ class Window:
             return self.depth + 1
         return (self.breadth ** (self.depth + 1) - 1) // (self.breadth - 1)
 
+    @property
+    def preimage_bound(self) -> int:
+        """The arguments below which relabel checks look for preimages."""
+        return 4 * self.breadth + 16
+
     def to_json(self) -> dict:
         return {"depth": self.depth, "breadth": self.breadth}
 
@@ -312,8 +317,8 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
 
     (a) every budgeted child index of the relabeled node comes from a
     relabeled child index and vice versa (needs preimages below
-    ``4 * breadth + 16``; missing preimages are reported as a precondition
-    breach);
+    ``window.preimage_bound``; missing preimages are reported as a
+    precondition breach);
     (b) the budgeted partial unions of children mutually include, once the
     budgets are matched through ``g`` and its preimages;
     (c) partial fruit intersections along branches agree entrywise.
@@ -322,7 +327,7 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
     space = scheme.space
     moved = relabel(scheme, g)
     m = window.breadth
-    bound = 4 * m + 16
+    bound = window.preimage_bound
     pre = preimage_table(g, m, bound)
     for v in range(m):
         if v not in pre:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .scheme import Report, Scheme, VERIFIED, VIOLATED, Window
-from .seq import Seq, seq_at, seq_from_text, seq_to_text
+from .scheme import Report, Scheme, VERIFIED, VIOLATED
+from .seq import Seq, seq_to_text
 from .spaces import FiniteSpaceModel
 
 
@@ -34,8 +34,6 @@ class PrefixMap:
             raise ValueError("table must cover exactly the alphabet stems")
         if set(lookup.values()) | {self.default} != set(self.points):
             raise ValueError("map must reach every point")
-        if self.default not in self.points:
-            raise ValueError("default point unknown")
         object.__setattr__(self, "_lookup", lookup)
 
     def resolve(self, stem: Seq) -> int:
@@ -57,26 +55,11 @@ class PrefixMap:
                                            repeat=self.depth - len(a))}
         return frozenset(completions | {self.default})
 
-    def stem_alphabet(self, a: Seq) -> tuple[int, ...]:
-        """Alphabet values, values of ``a``, and one fresh representative;
-        enough letters to evaluate any statement about branches through
-        ``a`` exactly."""
-        base = sorted(set(self.alphabet) | set(a))
-        return tuple(base) + ((max(base) + 1) if base else 0,)
-
     def to_json(self) -> dict:
         return {"points": list(self.points), "depth": self.depth,
                 "entries": [{"stem": seq_to_text(s), "point": p}
                             for s, p in self.table],
                 "default": self.default}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PrefixMap":
-        entries = tuple((seq_from_text(e["stem"]), e["point"])
-                        for e in data["entries"])
-        alphabet = tuple(sorted({v for s, _ in entries for v in s}))
-        return cls(tuple(data["points"]), data["depth"], alphabet, entries,
-                   data["default"])
 
     @classmethod
     def build(cls, points, depth, alphabet, assignment, default) -> "PrefixMap":
@@ -93,18 +76,32 @@ def pushforward_scheme(pm: PrefixMap) -> Scheme:
                   label="pushforward")
 
 
-def check_selector_identity(pm: PrefixMap, scheme: Scheme,
-                            window: Window) -> Report:
-    """Exact equality of the map's cylinder images with the scheme nodes,
-    each image enumerated by brute force over stem classes rather than read
-    from ``PrefixMap.image``, which the pushforward scheme is built from."""
+def _stem_class_words(pm: PrefixMap, a: Seq) -> Iterator[Seq]:
+    """One word per stem class of the branches through ``a``: ``a`` extended
+    to the map depth over the alphabet, the values of ``a`` and one fresh
+    letter, enough to decide any statement about branches through ``a``."""
+    letters = sorted(set(pm.alphabet) | set(a))
+    letters.append(max(letters) + 1 if letters else 0)
+    for tail in product(letters, repeat=max(pm.depth - len(a), 0)):
+        yield a + tail
+
+
+def stem_class_image(pm: PrefixMap, a: Seq) -> frozenset[int]:
+    """The points of the branches through ``a``, enumerated by brute force
+    over stem classes rather than read from ``PrefixMap.image``."""
+    return frozenset(pm.resolve(w) for w in _stem_class_words(pm, a))
+
+
+def check_selector_identity(scheme: Scheme,
+                            images: dict[Seq, frozenset[int]]) -> Report:
+    """Exact equality of the scheme nodes with ``images``, each node's brute
+    ``stem_class_image``, not ``PrefixMap.image``, which the pushforward
+    scheme is built from."""
     rep = Report("selector-identity")
     space = scheme.space
-    for a in window.nodes():
-        expected = space.mask_of(
-            {pm.resolve(w) for w in _stem_class_words(pm, a)})
+    for a, seen in images.items():
         key = seq_to_text(a)
-        if space.equal(scheme.node(a), expected):
+        if space.equal(scheme.node(a), space.mask_of(seen)):
             rep.add(key, VERIFIED)
         else:
             rep.add(key, VIOLATED,
@@ -112,20 +109,14 @@ def check_selector_identity(pm: PrefixMap, scheme: Scheme,
     return rep
 
 
-def _stem_class_words(pm: PrefixMap, a: Seq) -> Iterator[Seq]:
-    """One word per stem class of the branches through ``a``: ``a`` extended
-    to the map depth over ``stem_alphabet(a)``."""
-    letters = pm.stem_alphabet(a)
-    for tail in product(letters, repeat=max(pm.depth - len(a), 0)):
-        yield a + tail
-
-
-def check_image_identity(pm: PrefixMap, u: frozenset[int], a: Seq) -> bool:
-    """Image of (preimage of ``u``) meet the cylinder at ``a`` versus ``u``
-    meet the cylinder image: the left side by brute enumeration of stem
-    classes, the right side through ``PrefixMap.image``."""
-    seen = {pm.resolve(w) for w in _stem_class_words(pm, a)}
-    return u & seen == u & pm.image(a)
+def check_image_identity(pm: PrefixMap, a: Seq, seen: frozenset[int],
+                         subsets) -> Optional[frozenset[int]]:
+    """The first ``u`` of ``subsets`` whose preimage met with the cylinder at
+    ``a`` has another image than ``u`` met with the cylinder image, or None:
+    the left side from ``seen``, the brute ``stem_class_image`` of ``a``,
+    the right side from ``PrefixMap.image``."""
+    image = pm.image(a)
+    return next((u for u in subsets if u & seen != u & image), None)
 
 
 @dataclass(frozen=True)
@@ -143,20 +134,14 @@ def basic_members(pm: PrefixMap, b: SigmaBasic) -> frozenset[Seq]:
                      if pm.resolve(w) in b.u)
 
 
-def basic_is_empty(pm: PrefixMap, b: SigmaBasic) -> bool:
-    return not basic_members(pm, b)
-
-
-def pi_space_probe(pm: PrefixMap, b: SigmaBasic, budget: int) -> Optional[Seq]:
-    """First stem extending the basic's stem whose whole image lands in the
-    basic's open; its cylinder then sits inside the basic set."""
-    if basic_is_empty(pm, b):
+def pi_space_probe(pm: PrefixMap, b: SigmaBasic) -> Seq:
+    """The least member word of the basic.  It extends the basic's stem and
+    is at least the map depth long, so its cylinder maps onto the one point
+    it resolves to, which lies in ``b.u``: the cylinder is inside the basic."""
+    members = basic_members(pm, b)
+    if not members:
         raise ValueError("probe target is empty")
-    for k in range(budget):
-        c = b.stem + seq_at(k)
-        if pm.image(c) <= b.u:
-            return c
-    return None
+    return min(members)
 
 
 def preset_maps() -> dict[str, PrefixMap]:

@@ -107,7 +107,8 @@ def test_criterion_7_selector_identities():
     reports, elapsed = _run(suite_selectors)
     ok = _clean(reports)
     _report(7, ok, f"image and pushforward identities exhaustive to 4 points "
-                   f"depth 2; probe budget 50, {elapsed:.1f}s")
+                   f"depth 2; exact probe on every preset basic, "
+                   f"{elapsed:.1f}s")
 
 
 def test_criterion_8_nd_witness():

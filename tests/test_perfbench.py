@@ -2,6 +2,8 @@
 has, a layer counter that reads zero, or a report byte that differs from
 its recorded digest fails here and not only when the benchmark runs."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +16,22 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
 EXPECT_NONZERO = json.loads(
     (PERFBENCH / "layer_map.json").read_text())["expect_nonzero"]
+
+
+def test_every_traced_name_exists():
+    """The tracer's names, checked without a traced run, so that a missing
+    one is named here and not only by a failing traced subprocess."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = [(layer, name) for layer, names in tracer.FUNCTIONS.items()
+              for name in names]
+    wanted += [(layer, name) for layer, name, _prefix in tracer.CLASSES]
+    missing = [f"bairekit.{layer}.{name}" for layer, name in wanted
+               if not hasattr(importlib.import_module(f"bairekit.{layer}"),
+                              name)]
+    assert not missing, f"traced names missing: {', '.join(missing)}"
 
 
 @pytest.mark.parametrize("workload", sorted(EXPECT_NONZERO))

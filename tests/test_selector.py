@@ -3,9 +3,11 @@ from itertools import product
 import pytest
 
 from bairekit.scheme import Scheme, VIOLATED, Window, check_covers
-from bairekit.selector import (PrefixMap, SigmaBasic, basic_is_empty,
-                               check_image_identity, check_selector_identity,
-                               pi_space_probe, preset_maps, pushforward_scheme)
+from bairekit.selector import (PrefixMap, SigmaBasic, _stem_class_words,
+                               basic_members, check_image_identity,
+                               check_selector_identity, pi_space_probe,
+                               preset_maps, pushforward_scheme,
+                               stem_class_image)
 from bairekit.seq import BranchRule, restrict
 from bairekit.suites import RunConfig, suite_selectors
 
@@ -31,11 +33,6 @@ def test_prefix_map_resolution_and_image():
     assert THREE.image((1, 0, 9)) == {2}
 
 
-def test_prefix_map_json_round_trip():
-    again = PrefixMap.from_json(THREE.to_json())
-    assert again == THREE
-
-
 def test_pushforward_scheme_nodes():
     sch = pushforward_scheme(TWO)
     sp = sch.space
@@ -52,37 +49,85 @@ def test_pushforward_covers_verified():
     assert rep.ok and not rep.with_status("unresolved")
 
 
+def _images(pm, window):
+    return {a: stem_class_image(pm, a) for a in window.nodes()}
+
+
 def test_selector_identity_check():
     sch = pushforward_scheme(TWO)
-    assert check_selector_identity(TWO, sch, Window(2, 3)).ok
+    assert check_selector_identity(sch, _images(TWO, Window(2, 3))).ok
 
     sp = sch.space
     def enlarged(a):
         mask = sp.mask_of(TWO.image(a))
         return sp.whole() if a == (0,) else mask
 
-    rep = check_selector_identity(TWO, Scheme(sp, enlarged), Window(1, 2))
+    rep = check_selector_identity(Scheme(sp, enlarged),
+                                  _images(TWO, Window(1, 2)))
     assert any(e.status == VIOLATED and e.key == "0" for e in rep.entries)
 
 
 def test_image_identity_examples():
+    seen = _images(THREE, Window(3, 3))
     whole = frozenset(THREE.points)
-    assert check_image_identity(THREE, whole, (0,))
-    assert check_image_identity(THREE, frozenset(), (1, 1))
-    for u_bits in range(8):
-        u = frozenset(p for p in range(3) if u_bits >> p & 1)
-        for a in [(), (0,), (1, 0), (2,), (0, 1, 1)]:
-            assert check_image_identity(THREE, u, a)
+    assert check_image_identity(THREE, (0,), seen[(0,)], [whole]) is None
+    assert check_image_identity(THREE, (1, 1), seen[(1, 1)],
+                                [frozenset()]) is None
+    subsets = [frozenset(p for p in range(3) if u_bits >> p & 1)
+               for u_bits in range(8)]
+    for a in [(), (0,), (1, 0), (2,), (0, 1, 1)]:
+        assert check_image_identity(THREE, a, seen[a], subsets) is None
+
+
+def _one_u_image_identity(pm: PrefixMap, u: frozenset[int], a) -> bool:
+    """The one-``u`` form of the image identity, kept as the reference: image
+    of (preimage of ``u``) meet the cylinder at ``a`` versus ``u`` meet the
+    cylinder image, the left side by brute enumeration of stem classes."""
+    seen = {pm.resolve(w) for w in _stem_class_words(pm, a)}
+    return u & seen == u & pm.image(a)
+
+
+def _lossy_image(image):
+    """An image that loses the default point of the stems shorter than the
+    map depth; the brute side still reaches it through a fresh letter."""
+    def lossy(self, a):
+        out = image(self, a)
+        return out - {self.default} if len(a) < self.depth else out
+    return lossy
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_image_identity_matches_the_one_u_reference(monkeypatch, lossy):
+    if lossy:
+        monkeypatch.setattr(PrefixMap, "image", _lossy_image(PrefixMap.image))
+    failures = 0
+    for pm in preset_maps().values():
+        subsets = [frozenset(p for p in pm.points if bits >> p & 1)
+                   for bits in range(1 << len(pm.points))]
+        for a, seen in _images(pm, Window(2, 3)).items():
+            first = next((u for u in subsets
+                          if not _one_u_image_identity(pm, u, a)), None)
+            assert check_image_identity(pm, a, seen, subsets) == first, (pm, a)
+            failures += first is not None
+    assert bool(failures) == lossy
 
 
 def test_pi_space_probe_examples():
-    assert pi_space_probe(TWO, SigmaBasic(frozenset({1}), ()), 50) == (1,)
+    assert pi_space_probe(TWO, SigmaBasic(frozenset({1}), ())) == (1,)
     whole = frozenset(TWO.points)
-    assert pi_space_probe(TWO, SigmaBasic(whole, (0, 1)), 50) == (0, 1)
+    assert pi_space_probe(TWO, SigmaBasic(whole, (0, 1))) == (0, 1)
+    assert pi_space_probe(TWO, SigmaBasic(frozenset({0}), ())) == (0,)
     with pytest.raises(ValueError):
-        pi_space_probe(TWO, SigmaBasic(frozenset(), ()), 50)
-    nontrivial = SigmaBasic(frozenset({0}), ())
-    assert pi_space_probe(TWO, nontrivial, 1) is None  # budget 0 extensions
+        pi_space_probe(TWO, SigmaBasic(frozenset(), ()))
+
+
+def test_pi_space_probe_finds_a_deep_lone_member():
+    # the only stem reaching point 1 is 2.2.2, far past the first stems
+    # of any fixed enumeration budget
+    pm = PrefixMap.build([0, 1], 3, (0, 1, 2),
+                         {s: int(s == (2, 2, 2))
+                          for s in product((0, 1, 2), repeat=3)}, 0)
+    assert pi_space_probe(pm, SigmaBasic(frozenset({1}), ())) == (2, 2, 2)
 
 
 def test_pi_space_probe_hits_every_preset_basic():
@@ -92,25 +137,18 @@ def test_pi_space_probe_hits_every_preset_basic():
             u = frozenset(p for p in pm.points if bits >> p & 1)
             for a in stems:
                 basic = SigmaBasic(u, a)
-                if basic_is_empty(pm, basic):
+                if not basic_members(pm, basic):
                     continue
-                hit = pi_space_probe(pm, basic, 50)
-                assert hit is not None, (name, sorted(u), a)
-                assert hit[: len(a)] == a and pm.image(hit) <= u
+                hit = pi_space_probe(pm, basic)
+                # every stem class through the hit resolves into u
+                assert hit[: len(a)] == a, (name, sorted(u), a)
+                assert stem_class_image(pm, hit) <= u, (name, sorted(u), a)
 
 
 def test_image_identity_reads_the_image(monkeypatch):
-    # an image that loses the default point of the stems shorter than the
-    # map depth; the brute side still reaches it through a fresh letter.
-    # The pushforward scheme is built from the same image, so only its
+    # the pushforward scheme is built from the same lossy image, so only its
     # check against a brute image can tell its nodes wrong
-    image = PrefixMap.image
-
-    def lossy(self, a):
-        out = image(self, a)
-        return out - {self.default} if len(a) < self.depth else out
-
-    monkeypatch.setattr(PrefixMap, "image", lossy)
+    monkeypatch.setattr(PrefixMap, "image", _lossy_image(PrefixMap.image))
     rep = suite_selectors(RunConfig(suite="selectors"))[0]
     assert not rep.ok
     assert any(e.key.startswith("image:") for e in rep.violations)

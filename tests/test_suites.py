@@ -79,8 +79,10 @@ REPORT_DIGESTS = {
         "d647431c5fa77f281f1588921d845b169ddbb39a97f570b51392a492dd064a8b",
     ("cylinders-oracle", 1):
         "c926e0322ddef7aa0518f957e3619d44eb4e4b44ceaa499d6ea01d603745d279",
+    # recorded when the probe named the least member word of each basic,
+    # not the first stem within a budget of 50
     ("selectors", 0):
-        "c8ed521f2c2925bcf9c6b8f354f8128673b870b92d7f630e7d190ccc33904515",
+        "35ea767525213125b35bb159c27c01b1f7a43f35a48d802b7abc299294952528",
 }
 
 
