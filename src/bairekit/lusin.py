@@ -23,7 +23,7 @@ child family at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from . import cylinder as cy
 from .cylinder import Antichain, Atom, Diff, Expr, Inter, minimal_antichain
@@ -72,7 +72,21 @@ def base_from_lines(text: str) -> LusinBase:
     return LusinBase(at, label="file")
 
 
-class _SplitPlan:
+# ``tails(k, count)``: the first ``count`` sequences of length ``k``
+_Tails = Callable[[int, int], list[Seq]]
+
+
+class _Plan:
+    """How a node's children are built: ``child(n)`` builds child ``n``,
+    ``family(count, tails)`` the first ``count`` children."""
+
+    __slots__ = ()
+
+    def family(self, count: int, tails: _Tails) -> list[Expr]:
+        return [self.child(n) for n in range(count)]
+
+
+class _SplitPlan(_Plan):
     """Children = antichain members extended by all next-length sequences.
 
     An atom node's antichain is the atom itself and takes no form.  A
@@ -96,7 +110,7 @@ class _SplitPlan:
         return Atom(member + tuple_at(j, self.ext_len))
 
 
-class _StemPlan:
+class _StemPlan(_Plan):
     """The split of a one-member finite antichain; it keeps the member only."""
 
     __slots__ = ("member", "ext_len")
@@ -109,8 +123,14 @@ class _StemPlan:
     def child(self, n: int) -> Expr:
         return Atom(self.member + tuple_at(n, self.ext_len))
 
+    def family(self, count: int, tails: _Tails) -> list[Expr]:
+        """The member extended by each of the level's shared tails, the
+        first ``count`` sequences of length ``ext_len``."""
+        member = self.member
+        return [Atom(member + t) for t in tails(self.ext_len, count)]
 
-class _CarvePlan:
+
+class _CarvePlan(_Plan):
     """Child 0 = node minus the witness; child n = the (n-1)-th slice of it."""
 
     __slots__ = ("node", "witness")
@@ -125,12 +145,48 @@ class _CarvePlan:
         return Atom(self.witness + (n - 1,))
 
 
+class _LusinScheme(Scheme):
+    """A scheme whose rule also builds families: ``rule(a, count)`` is the
+    list of the first ``count`` children of ``a``."""
+
+    def children(self, a: Seq, count: int, store: bool = True) -> list:
+        keys = [a + (n,) for n in range(count)]
+        # a Lusin node is an expression, never None
+        got = list(map(self._memo.get, keys))
+        missing = [n for n, v in enumerate(got) if v is None]
+        if missing:
+            family = self.rule(a, count)
+            for n in missing:
+                v = family[n]
+                got[n] = self._memo.setdefault(keys[n], v) if store else v
+        return got
+
+
 def build_lusin(base: LusinBase) -> Scheme:
     """The scheme refined against ``base``.  ``scheme.meta["plan"]`` maps a
     node to its plan, built on demand: a carve plan's ``witness`` is the
-    cylinder it carves, a split plan's is None."""
-    plans: dict[Seq, object] = {}
+    cylinder it carves, a split plan's is None.
+
+    The rule has two forms.  ``rule(a)`` is the node at ``a``, read off its
+    parent's plan.  ``rule(a, count)`` is the list of the first ``count``
+    children of ``a``, built from ``a``'s plan at once; the scheme's
+    ``children`` makes that one call for a family with any child not in
+    the memo.  A stem plan's children share their length-``k`` tails,
+    which are kept per level in a table that only family reads grow: it is
+    bounded by the largest budget read and dropped with the scheme.  The
+    family call goes through the scheme's own ``rule`` and not around it,
+    so that whatever wraps the rule sees every plan built: the benchmark's
+    layer tracer counts the antichains and witnesses of the plans in the
+    layer that built the scheme."""
+    plans: dict[Seq, _Plan] = {}
+    tail_table: dict[int, list[Seq]] = {}
     scheme: Scheme
+
+    def tails(k: int, count: int) -> list[Seq]:
+        known = tail_table.setdefault(k, [])
+        for n in range(len(known), count):
+            known.append(tuple_at(n, k))
+        return known[:count]
 
     def plan_for(a: Seq):
         plan = plans.get(a)
@@ -149,12 +205,14 @@ def build_lusin(base: LusinBase) -> Scheme:
             plans[a] = plan
         return plan
 
-    def rule(a: Seq) -> Expr:
+    def rule(a: Seq, count: Optional[int] = None):
+        if count is not None:
+            return plan_for(a).family(count, tails)
         if not a:
             return cy.FULL
         return plan_for(a[:-1]).child(a[-1])
 
-    scheme = Scheme(BAIRE, rule, label=f"lusin[{base.label}]")
+    scheme = _LusinScheme(BAIRE, rule, label=f"lusin[{base.label}]")
     scheme.meta["plan"] = plan_for
     return scheme
 

@@ -163,7 +163,12 @@ class Scheme:
 
     def children(self, a: Seq, count: int, store: bool = True) -> list:
         """The first ``count`` children of ``a``, each read as
-        ``node(a + (n,), store)``."""
+        ``node(a + (n,), store)``.
+
+        Every override keeps the memo rules of that read: a child already
+        in the memo comes back as the very stored object; with ``store``
+        true each child not in the memo is stored, the first value stored
+        winning; with ``store`` false none of the children is kept."""
         return [self.node(a + (n,), store) for n in range(count)]
 
 

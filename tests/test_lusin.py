@@ -2,6 +2,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
+import bairekit.lusin as lusin
 from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
 from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
@@ -66,6 +67,77 @@ def test_one_member_split_child_matches_the_extension(stem, ext_len, n):
         _SplitPlan(Antichain((stem,), ()), ext_len).child(n)
 
 
+def _cyl_text(stem):
+    return "S(" + ",".join(map(str, stem)) + ")"
+
+
+_words = st.lists(st.integers(0, 4), min_size=1, max_size=2).map(tuple)
+# one cylinder, or a cylinder minus a longer one, as in the benchmark's
+# base files, with entries inside the window's breadth
+_terms = st.one_of(
+    _words.map(_cyl_text),
+    st.tuples(_words, _words).map(
+        lambda p: f"({_cyl_text(p[0])} \\ {_cyl_text(p[0] + p[1])})"))
+_base_texts = st.lists(st.lists(_terms, min_size=2, max_size=4)
+                       .map(" | ".join), min_size=1, max_size=8) \
+    .map("\n".join)
+
+
+@given(st.one_of(st.none(), _base_texts), st.integers(0, 3),
+       st.integers(1, 5), st.booleans())
+@example(None, 2, 3, True)     # stem, carve and split plans
+@example(None, 2, 3, False)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_family_reads_match_node_reads(text, depth, breadth, store):
+    """``children`` builds each family from its plan; a second, fresh
+    build read node by node through ``plan.child`` is the reference.  A
+    child already in the memo comes back as the very stored object, and a
+    read with ``store`` false keeps none of the children it built."""
+    base = standard_base() if text is None else base_from_lines(text)
+    sch, ref = build_lusin(base), build_lusin(base)
+    for a in Window(depth, breadth).nodes():
+        expected = [ref.node(a + (n,)) for n in range(8)]
+        stored = sch.node(a + (1,)) if breadth > 1 else None
+        before = set(sch._memo)
+        assert sch.children(a, 8, store=False) == expected
+        assert set(sch._memo) - before <= {a[:i] for i in range(len(a) + 1)}
+        family = sch.children(a, breadth, store)
+        assert family == expected[:breadth]
+        if stored is not None:
+            assert family[1] is stored
+        for n, child in enumerate(family):
+            if store:
+                assert sch._memo[a + (n,)] is child
+            elif n != 1:
+                assert a + (n,) not in sch._memo
+
+
+def test_family_reads_share_tails_and_single_reads_grow_none(monkeypatch):
+    """A stem plan's family reads the level's shared tails, computed once
+    up to the largest budget read; a single read computes its own tail."""
+    calls = []
+    tuple_at = lusin.tuple_at
+    monkeypatch.setattr(lusin, "tuple_at",
+                        lambda n, k: calls.append(n) or tuple_at(n, k))
+    sch = build_lusin(standard_base())
+    plan = sch.meta["plan"]
+    assert isinstance(plan((1, 1)), _StemPlan)
+    assert isinstance(plan((1, 2)), _StemPlan)
+    assert isinstance(plan((0,)), _CarvePlan)
+    expected = [plan((1, 1)).child(n) for n in range(8)]
+    shared = [plan((1, 2)).child(n) for n in range(3)]
+    far = plan((0,)).child(10**6), plan((1, 1)).child(10**6)
+    calls.clear()
+    assert (sch.node((0, 10**6)), sch.node((1, 1, 10**6))) == far
+    assert calls == [10**6]
+    calls.clear()
+    assert sch.children((1, 1), 8) == expected
+    assert calls == list(range(8))
+    calls.clear()
+    assert sch.children((1, 2), 3) == shared
+    assert calls == []
+
+
 def test_atom_nodes_split_by_their_stem():
     plan = build_lusin(standard_base()).meta["plan"]
     assert isinstance(plan(()), _StemPlan)         # the whole space, S()
@@ -112,6 +184,33 @@ def test_default_lusin_check_count_budget(monkeypatch):
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
     assert calls == 2_378
+
+
+def test_default_lusin_family_build_count_budget(monkeypatch):
+    # each window family is built from its plan in one rule call, and a
+    # stem plan's tails are computed once per level: the rule runs for the
+    # root and once per window node, and ``tuple_at`` mostly for the few
+    # split plans that build their families child by child
+    base = standard_base()
+    sch = build_lusin(base)
+    rule, tuple_at = sch.rule, lusin.tuple_at
+    rule_calls = tuple_calls = 0
+
+    def counted_rule(*args):
+        nonlocal rule_calls
+        rule_calls += 1
+        return rule(*args)
+
+    def counted_tuple_at(n, length):
+        nonlocal tuple_calls
+        tuple_calls += 1
+        return tuple_at(n, length)
+
+    sch.rule = counted_rule
+    monkeypatch.setattr(lusin, "tuple_at", counted_tuple_at)
+    assert check_lusin_conditions(sch, base, Window(4, 6)).ok
+    assert rule_calls == 1_556
+    assert tuple_calls == 276
 
 
 def test_union_of_children_stays_inside():
