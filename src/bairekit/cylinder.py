@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .seq import BranchRule, Seq, unpair
@@ -328,20 +329,58 @@ def minimal_antichain(e: Expr) -> Antichain:
     return Antichain(tuple(concrete), tuple(families))
 
 
-def family(node: Expr, children: list[Expr], pairs: bool
+class Extensions:
+    """The atoms ``S(stem + t)`` for the tails ``t`` in order, each built
+    only when it is read: an int index gives an ``Atom``, a slice a list
+    of them.  ``family`` decides such a family on ``stem`` and ``tails``
+    and builds no atom."""
+
+    __slots__ = ("stem", "tails")
+
+    def __init__(self, stem: Seq, tails: list[Seq]):
+        self.stem = stem
+        self.tails = tails
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            stem = self.stem
+            return [Atom(stem + t) for t in self.tails[i]]
+        return Atom(self.stem + self.tails[i])
+
+
+def family(node: Expr, children: list[Expr] | Extensions, pairs: bool
            ) -> tuple[list[int], bool, list[tuple[int, int]]]:
     """The children not inside ``node``, whether ``node`` is inside their
     union, and, when ``pairs`` is asked, the pairs ``n < m`` that meet.
 
-    The node's form ``N`` and each child's form ``f`` are taken once; a
-    child is inside the node exactly when ``f ∧ N == f``.  When the pairs
-    were asked and none meets, the union's form is the XOR of the child
-    forms, because a disjoint union is a symmetric difference; otherwise
-    it is folded as ``U ^ f ^ (U ∧ f)``.  A family of atoms alone takes no
-    form: its stems decide it (``_stem_family``).
+    ``children`` is a list of expressions or an ``Extensions``.  The
+    node's form ``N`` and each child's form ``f`` are taken once; a child
+    is inside the node exactly when ``f ∧ N == f``.  When the pairs were
+    asked and none meets, the union's form is the XOR of the child forms,
+    because a disjoint union is a symmetric difference; otherwise it is
+    folded as ``U ^ f ^ (U ∧ f)``.  A family of atoms alone takes no form:
+    its stems decide it (``_stem_family``).
+
+    The extensions of a stem ``p`` that extends the atom node's stem ``c``
+    all lie inside the node.  ``S(p + t)`` lies around the node only when
+    ``p + t`` is a prefix of ``c``, that is when ``p == c`` and ``t`` is
+    empty; and ``S(p + t)`` meets ``S(p + u)`` exactly when ``t`` and
+    ``u`` are comparable.  So such a family is decided on its tails.
     """
-    if isinstance(node, Atom) and all(isinstance(c, Atom) for c in children):
-        return _stem_family(node.entries, [c.entries for c in children], pairs)
+    if isinstance(children, Extensions):
+        stem, tails = children.stem, children.tails
+        if isinstance(node, Atom) and \
+                stem[: len(node.entries)] == node.entries:
+            return ([], stem == node.entries and () in tails,
+                    _meeting(tails) if pairs else [])
+        children = children[:]
+    if isinstance(node, Atom):
+        stems = [c.entries for c in children if isinstance(c, Atom)]
+        if len(stems) == len(children):
+            return _stem_family(node.entries, stems, pairs)
     top = normal_form(node)
     forms = [normal_form(c) for c in children]
     escaped = [n for n, f in enumerate(forms) if _meet(f, top) != f]
@@ -359,24 +398,39 @@ def _stem_family(stem: Seq, stems: list[Seq], pairs: bool
 
     A child is inside the node exactly when ``stem`` is a prefix of ``s``.
     The node is inside the union exactly when some ``s`` is a prefix of
-    ``stem``: finitely many cylinders that strictly extend the node or are
-    incomparable with it all miss the branches through ``stem`` followed
-    by a value none of the extensions uses there.  Two cylinders meet
-    exactly when their stems are comparable.  The extensions of a stem
+    ``stem``, which no ``s`` longer than ``stem`` is: finitely many
+    cylinders that strictly extend the node or are incomparable with it
+    all miss the branches through ``stem`` followed by a value none of the
+    extensions uses there.  Two cylinders meet exactly when their stems
+    are comparable (``_meeting``).
+    """
+    k = len(stem)
+    if list(map(itemgetter(slice(0, k)), stems)).count(stem) == len(stems):
+        escaped = []
+    else:
+        escaped = [n for n, s in enumerate(stems) if s[:k] != stem]
+    covered = min(map(len, stems), default=k) <= k and \
+        any(stem[: len(s)] == s for s in stems)
+    return escaped, covered, _meeting(stems) if pairs else []
+
+
+def _meeting(stems: list[Seq]) -> list[tuple[int, int]]:
+    """The pairs ``n < m`` whose stems are comparable.
+
+    No two distinct stems of one length are.  The extensions of a stem
     form one interval of the lexicographic order, so some two stems are
     comparable exactly when two neighbours in the sorted list are; only
     then are the pairs listed.
     """
-    escaped = [n for n, s in enumerate(stems) if s[: len(stem)] != stem]
-    covered = any(stem[: len(s)] == s for s in stems)
-    met: list[tuple[int, int]] = []
-    if pairs:
-        ordered = sorted(stems)
-        if any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):
-            met = [(n, m) for n, s in enumerate(stems)
-                   for m, t in enumerate(stems[n + 1:], n + 1)
-                   if s[: len(t)] == t or t[: len(s)] == s]
-    return escaped, covered, met
+    lengths = set(map(len, stems))
+    if len(lengths) <= 1 and len(set(stems)) == len(stems):
+        return []
+    ordered = sorted(stems)
+    if not any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):
+        return []
+    return [(n, m) for n, s in enumerate(stems)
+            for m, t in enumerate(stems[n + 1:], n + 1)
+            if s[: len(t)] == t or t[: len(s)] == s]
 
 
 def uncovered(opens: list[Expr], cover: list[Expr]) -> list[int]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import cylinder as cy
-from .cylinder import Antichain, Atom, Diff, Expr, Inter, minimal_antichain
+from .cylinder import (Antichain, Atom, Diff, Expr, Extensions, Inter,
+                       minimal_antichain)
 from .grammar import parse_expr
 from .scheme import (Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
                      Window, check_partitions)
@@ -123,11 +124,11 @@ class _StemPlan(_Plan):
     def child(self, n: int) -> Expr:
         return Atom(self.member + tuple_at(n, self.ext_len))
 
-    def family(self, count: int, tails: _Tails) -> list[Expr]:
+    def family(self, count: int, tails: _Tails) -> Extensions:
         """The member extended by each of the level's shared tails, the
-        first ``count`` sequences of length ``ext_len``."""
-        member = self.member
-        return [Atom(member + t) for t in tails(self.ext_len, count)]
+        first ``count`` sequences of length ``ext_len``; each atom is
+        built only when it is read."""
+        return Extensions(self.member, tails(self.ext_len, count))
 
 
 class _CarvePlan(_Plan):
@@ -147,18 +148,24 @@ class _CarvePlan(_Plan):
 
 class _LusinScheme(Scheme):
     """A scheme whose rule also builds families: ``rule(a, count)`` is the
-    list of the first ``count`` children of ``a``."""
+    sequence of the first ``count`` children of ``a``."""
 
-    def children(self, a: Seq, count: int, store: bool = True) -> list:
+    def children(self, a: Seq, count: int,
+                 store: bool = True) -> list[Expr] | Extensions:
         keys = [a + (n,) for n in range(count)]
         # a Lusin node is an expression, never None
         got = list(map(self._memo.get, keys))
         missing = [n for n, v in enumerate(got) if v is None]
-        if missing:
-            family = self.rule(a, count)
-            for n in missing:
-                v = family[n]
-                got[n] = self._memo.setdefault(keys[n], v) if store else v
+        if not missing:
+            return got
+        family = self.rule(a, count)
+        if not store and len(missing) == count:
+            # nothing to keep and nothing stored to hand back: the family
+            # as its plan built it, a stem plan's ``Extensions`` unbuilt
+            return family
+        for n in missing:
+            v = family[n]
+            got[n] = self._memo.setdefault(keys[n], v) if store else v
         return got
 
 
@@ -177,7 +184,13 @@ def build_lusin(base: LusinBase) -> Scheme:
     family call goes through the scheme's own ``rule`` and not around it,
     so that whatever wraps the rule sees every plan built: the benchmark's
     layer tracer counts the antichains and witnesses of the plans in the
-    layer that built the scheme."""
+    layer that built the scheme.
+
+    A stem plan's family is an ``Extensions`` of its member by the tails.
+    A read with ``store`` false that finds none of the children in the
+    memo hands it on as it is, so the cover and partition walk decides the
+    leaf level on stems and tails and builds none of its atoms; every
+    other read returns a list."""
     plans: dict[Seq, _Plan] = {}
     tail_table: dict[int, list[Seq]] = {}
     scheme: Scheme

@@ -161,14 +161,18 @@ class Scheme:
                 value = self._memo.setdefault(a, value)
         return value
 
-    def children(self, a: Seq, count: int, store: bool = True) -> list:
+    def children(self, a: Seq, count: int, store: bool = True):
         """The first ``count`` children of ``a``, each read as
         ``node(a + (n,), store)``.
 
-        Every override keeps the memo rules of that read: a child already
-        in the memo comes back as the very stored object; with ``store``
-        true each child not in the memo is stored, the first value stored
-        winning; with ``store`` false none of the children is kept."""
+        The result is a sequence: a list, or, for an unstored family of a
+        Lusin stem plan, a ``cylinder.Extensions`` whose atoms are built
+        when read.  Consumers index it, slice it, take its ``len`` and
+        iterate it.  Every override keeps the memo rules of that read: a
+        child already in the memo comes back as the very stored object;
+        with ``store`` true each child not in the memo is stored, the first
+        value stored winning; with ``store`` false none of the children is
+        kept."""
         return [self.node(a + (n,), store) for n in range(count)]
 
 

@@ -246,7 +246,8 @@ class BaireSpaceModel:
     def contains(self, o: Expr, x: BranchRule) -> bool:
         return cylinder.contains_branch(o, x)
 
-    def family(self, node: Expr, children: list[Expr], pairs: bool
+    def family(self, node: Expr,
+               children: list[Expr] | cylinder.Extensions, pairs: bool
                ) -> tuple[list[int], bool, list[tuple[int, int]]]:
         return cylinder.family(node, children, pairs)
 

@@ -22,7 +22,7 @@ from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
 from .scheme import (BREACH, EmptyTargetError, Report, Scheme, UNRESOLVED,
                      VERIFIED, VIOLATED, Window, check_covers, compose_index,
-                     dump_scheme, check_relabel_identities,
+                     check_relabel_identities,
                      dense_in_itself_probe, pi_net_probe, preimage_table,
                      relabel, standard_scheme, worst)
 from .selector import (PrefixMap, SigmaBasic, check_image_identity,
@@ -291,7 +291,9 @@ def suite_lusin(cfg: RunConfig) -> list[Report]:
 
     again = build_lusin(standard_base())
     determinism = Report("lusin-determinism")
-    if dump_scheme(scheme, window) == dump_scheme(again, window):
+    # equal expressions render equal dumps, so this is at least as strict
+    # as comparing the two window dumps
+    if all(scheme.node(a) == again.node(a) for a in window.nodes()):
         determinism.add("rebuild", VERIFIED, "window dumps are identical")
     else:
         determinism.add("rebuild", VIOLATED, "rebuild changed the scheme")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bairekit.cylinder as cylinder
 from conftest import exprs, seqs
 from bairekit.cylinder import (Antichain, Atom, Diff, EMPTY, EmptySetError,
-                               FULL, Family, Inter, NdTree, Union,
+                               Extensions, FULL, Family, Inter, NdTree, Union,
                                WindowError, contains_branch, cyl,
                                enclosing_stem, equal, family, fresh_value,
                                intersects, is_empty, mentions,
@@ -411,6 +411,9 @@ cut_stems = st.builds(lambda s, k: s[:k], seqs, st.integers(0, 3))
 @given(cut_stems, st.lists(cut_stems, max_size=8))
 @example((0,), [(0, 1), (), (0, 1), (0,), (0, 1, 2), (1,)])
 @example((), [(2,), (0, 0), (1, 2, 0)])
+# one length and distinct, all longer than the node: the fast paths
+@example((0,), [(0, 2), (1, 0), (0, 0)])
+@example((), [(1,), (0,), (2,)])
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 def test_all_atom_family_matches_the_form_path_and_the_oracle(stem, stems):
     node, children = Atom(stem), [Atom(s) for s in stems]
@@ -420,6 +423,39 @@ def test_all_atom_family_matches_the_form_path_and_the_oracle(stem, stems):
         got = family(node, children, pairs)
         assert got == family(*as_forms, pairs)
         assert got == oracle_family(node, children, pairs)
+
+
+@st.composite
+def extension_families(draw):
+    """A node stem, and a stem with tails whose extensions fit the
+    oracle's window: the node often a prefix of the stem, tails often
+    empty, repeated, nested or of mixed lengths."""
+    stem = draw(cut_stems)
+    tails = draw(st.lists(st.builds(lambda s, k: s[:k], seqs,
+                                    st.integers(0, 3 - len(stem))),
+                          max_size=6))
+    top = draw(st.one_of(st.integers(0, len(stem)).map(lambda j: stem[:j]),
+                         cut_stems))
+    return top, stem, tails
+
+
+@given(extension_families())
+@example(((0, 1), (0,), [(1,), (2,)]))          # node longer than the stem
+@example(((1,), (0, 1), [(0,), ()]))            # node not a prefix of it
+@example(((0,), (0,), [(1,), (), (1,)]))        # stem is the node's, empty tail
+@example(((), (2,), [(0,), (0, 1), (1, 2), (0,)]))  # nested, mixed, repeated
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_extensions_family_matches_the_list_and_the_oracle(case):
+    top, stem, tails = case
+    ext = Extensions(stem, tails)
+    atoms = [Atom(stem + t) for t in tails]
+    assert len(ext) == len(atoms)
+    assert [ext[n] for n in range(len(ext))] == atoms and ext[1:] == atoms[1:]
+    for node in (Atom(top), Inter(Atom(top), FULL)):
+        for pairs in (True, False):
+            got = family(node, ext, pairs)
+            assert got == family(node, atoms, pairs)
+            assert got == oracle_family(node, atoms, pairs)
 
 
 # -- opens outside a union ----------------------------------------------------

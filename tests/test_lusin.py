@@ -99,9 +99,9 @@ def test_family_reads_match_node_reads(text, depth, breadth, store):
         expected = [ref.node(a + (n,)) for n in range(8)]
         stored = sch.node(a + (1,)) if breadth > 1 else None
         before = set(sch._memo)
-        assert sch.children(a, 8, store=False) == expected
+        assert list(sch.children(a, 8, store=False)) == expected
         assert set(sch._memo) - before <= {a[:i] for i in range(len(a) + 1)}
-        family = sch.children(a, breadth, store)
+        family = list(sch.children(a, breadth, store))
         assert family == expected[:breadth]
         if stored is not None:
             assert family[1] is stored
@@ -211,6 +211,23 @@ def test_default_lusin_family_build_count_budget(monkeypatch):
     assert check_lusin_conditions(sch, base, Window(4, 6)).ok
     assert rule_calls == 1_556
     assert tuple_calls == 276
+
+
+def test_default_lusin_atom_build_count_budget(monkeypatch):
+    # a stem family read below the window comes back as its stem and the
+    # level's tails, and the family decision builds none of its atoms
+    calls = 0
+    init = Atom.__init__
+
+    def counted(self, entries):
+        nonlocal calls
+        calls += 1
+        init(self, entries)
+
+    monkeypatch.setattr(Atom, "__init__", counted)
+    base = standard_base()
+    assert check_lusin_conditions(build_lusin(base), base, Window(4, 6)).ok
+    assert calls == 2_467
 
 
 def test_union_of_children_stays_inside():

@@ -240,6 +240,36 @@ def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
     assert out["ok"]
 
 
+def test_lusin_rebuild_that_differs_at_one_deepest_node_is_violated(
+        monkeypatch):
+    """The rebuild is compared node by node: a second build whose node at
+    one deepest window index is the same set written differently fails."""
+    real = suites.build_lusin
+    builds = []
+
+    def build(base):
+        scheme = real(base)
+        if builds:
+            rule = scheme.rule
+            scheme.rule = lambda a, *count: (
+                cy.Inter(rule(a), cy.FULL) if a == (5, 5, 5, 5) and not count
+                else rule(a, *count))
+        builds.append(scheme)
+        return scheme
+
+    def rebuild_entry():
+        out = run_suite(RunConfig("lusin"))
+        [rep] = [r for r in out["reports"] if r.name == "lusin-determinism"]
+        return [(e.key, e.status, e.detail) for e in rep.entries]
+
+    assert rebuild_entry() == [("rebuild", "verified",
+                                "window dumps are identical")]
+    monkeypatch.setattr(suites, "build_lusin", build)
+    assert rebuild_entry() == [("rebuild", "violated",
+                                "rebuild changed the scheme")]
+    assert len(builds) == 2
+
+
 def _chain_file(tmp_path, n):
     """A space file of the final segments of ``range(n)``."""
     space = FiniteSpaceModel(range(n), [0] + [(1 << n) - (1 << k)
