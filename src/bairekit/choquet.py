@@ -276,14 +276,24 @@ def reachable_states(replies: Scheme, limit: int) -> list[Seq]:
     return out
 
 
+def replay(space: SpaceModel, strategy: PlayerII, moves: Scheme,
+           replies: Scheme, nodes) -> Optional[Seq]:
+    """Play each node's recorded move once against the modified strategy,
+    on its parent's replayed history (``nodes`` lists parents first, as
+    ``Window.nodes()`` does); the first node whose reply differs, or None."""
+    modified = modify_strategy(strategy)
+    histories: dict[Seq, History] = {}
+    for a in nodes:
+        history = play_round(space, histories[a[:-1]] if a else (),
+                             moves.node(a), modified)
+        if not space.equal(history[-1][1], replies.node(a)):
+            return a
+        histories[a] = history
+    return None
+
+
 def replay_branch(space: SpaceModel, strategy: PlayerII, moves: Scheme,
                   replies: Scheme, branch: Seq) -> bool:
-    """Re-play the recorded moves along a branch against the modified
-    strategy; False at the first reply that differs from the recorded one."""
-    modified = modify_strategy(strategy)
-    history: History = ()
-    for k in range(len(branch) + 1):
-        history = play_round(space, history, moves.node(branch[: k]), modified)
-        if not space.equal(history[-1][1], replies.node(branch[: k])):
-            return False
-    return True
+    """``replay`` of the nodes along ``branch``: False at a mismatch."""
+    return replay(space, strategy, moves, replies,
+                  [branch[:k] for k in range(len(branch) + 1)]) is None

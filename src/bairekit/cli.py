@@ -19,14 +19,14 @@ import os
 import sys
 from typing import Callable, Optional, TextIO
 
-from .choquet import IllegalMoveError, copy_strategy, cylinder_strategy, \
-    extract_schemes, last_reply, modify_strategy, play_round, transcript_json
+from .choquet import IllegalMoveError, extract_schemes, last_reply, \
+    modify_strategy, play_round, transcript_json
 from .grammar import parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
 from .scheme import Report, ReportEntry, dump_scheme, relabel
-from .suites import G_PRESETS, SCHEME_PRESETS, SUITES, ConfigError, \
-    RunConfig, checked_window, load_space_file, run_suite
+from .suites import G_PRESETS, SCHEME_PRESETS, STRATEGY_PRESETS, SUITES, \
+    ConfigError, RunConfig, checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
 
 
@@ -56,15 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extract", help="extract schemes from a strategy")
     ext.add_argument("--space", default="baire",
                      help="'baire' or a space JSON file")
-    ext.add_argument("--strategy", choices=("copy", "cylinder"),
-                     default=None)
+    ext.add_argument("--strategy", choices=tuple(STRATEGY_PRESETS))
     ext.add_argument("--depth", type=int, default=2)
     ext.add_argument("--breadth", type=int, default=4)
     ext.add_argument("--json", dest="out", default=None)
 
     play = sub.add_parser("play", help="play the game against the machine")
     play.add_argument("--space", default="baire")
-    play.add_argument("--strategy", choices=("copy", "cylinder"), default=None)
+    play.add_argument("--strategy", choices=tuple(STRATEGY_PRESETS))
 
     exp = sub.add_parser("export", help="dump a preset scheme as JSON")
     exp.add_argument("--scheme", choices=tuple(SCHEME_PRESETS),
@@ -153,12 +152,7 @@ def _space_and_strategy(args) -> tuple[SpaceModel, str]:
     return space, strategy_name
 
 
-def _strategy(name: str):
-    """The machine strategy the command line calls ``name``."""
-    return cylinder_strategy() if name == "cylinder" else copy_strategy()
-
-
-def cmd_verify(args, out: TextIO) -> int:
+def cmd_verify(args, stdin: TextIO, out: TextIO) -> int:
     cfg = RunConfig(suite=args.suite, depth=args.depth, breadth=args.breadth,
                     seed=args.seed, space_path=args.space)
     result = run_suite(cfg)
@@ -170,7 +164,7 @@ def cmd_verify(args, out: TextIO) -> int:
     return 0 if result["ok"] else 1
 
 
-def cmd_build_lusin(args, out: TextIO) -> int:
+def cmd_build_lusin(args, stdin: TextIO, out: TextIO) -> int:
     if args.base == "std":
         base = standard_base()
     else:
@@ -189,11 +183,10 @@ def cmd_build_lusin(args, out: TextIO) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_extract(args, out: TextIO) -> int:
+def cmd_extract(args, stdin: TextIO, out: TextIO) -> int:
     space, strategy_name = _space_and_strategy(args)
-    strategy = _strategy(strategy_name)
     window = checked_window(args.depth, args.breadth)
-    moves, replies = extract_schemes(space, strategy)
+    moves, replies = extract_schemes(space, STRATEGY_PRESETS[strategy_name]())
     payload = {"moves": dump_scheme(moves, window),
                "replies": dump_scheme(replies, window),
                "strategy": strategy_name}
@@ -201,7 +194,7 @@ def cmd_extract(args, out: TextIO) -> int:
     return 0
 
 
-def cmd_export(args, out: TextIO) -> int:
+def cmd_export(args, stdin: TextIO, out: TextIO) -> int:
     scheme = SCHEME_PRESETS[args.scheme]()
     if args.g != "identity":
         scheme = relabel(scheme, G_PRESETS[args.g])
@@ -225,7 +218,7 @@ def _parse_finite_move(space: FiniteSpaceModel, text: str) -> int:
 
 def play_repl(space: SpaceModel, strategy_name: str,
               stdin: TextIO, stdout: TextIO) -> int:
-    machine = modify_strategy(_strategy(strategy_name))
+    machine = modify_strategy(STRATEGY_PRESETS[strategy_name]())
     finite = isinstance(space, FiniteSpaceModel)
     history = ()
     stdout.write("You are player I against the modified machine strategy.\n")
@@ -286,9 +279,13 @@ def play_repl(space: SpaceModel, strategy_name: str,
     return 0
 
 
-def cmd_play(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_play(args, stdin: TextIO, out: TextIO) -> int:
     space, strategy_name = _space_and_strategy(args)
-    return play_repl(space, strategy_name, stdin, stdout)
+    return play_repl(space, strategy_name, stdin, out)
+
+
+COMMANDS = {"verify": cmd_verify, "build-lusin": cmd_build_lusin,
+            "extract": cmd_extract, "play": cmd_play, "export": cmd_export}
 
 
 def main(argv=None, stdin: TextIO = None, stdout: TextIO = None) -> int:
@@ -300,20 +297,10 @@ def main(argv=None, stdin: TextIO = None, stdout: TextIO = None) -> int:
         # an unwritable report path fails before any subcommand computes
         if getattr(args, "out", None):
             _check_writable(args.out)
-        if args.command == "verify":
-            return cmd_verify(args, stdout)
-        if args.command == "build-lusin":
-            return cmd_build_lusin(args, stdout)
-        if args.command == "extract":
-            return cmd_extract(args, stdout)
-        if args.command == "export":
-            return cmd_export(args, stdout)
-        if args.command == "play":
-            return cmd_play(args, stdin, stdout)
+        return COMMANDS[args.command](args, stdin, stdout)
     except ConfigError as exc:
         stdout.write(f"configuration error: {exc}\n")
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

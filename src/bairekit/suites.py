@@ -14,9 +14,10 @@ from itertools import chain, product
 from typing import Callable, Optional
 
 from . import cylinder as cy
-from .choquet import (ExtractionError, copy_strategy, cylinder_strategy,
-                      extract_schemes, modify_strategy, reachable_states,
-                      remove_redundant, replay_branch)
+from .choquet import (ExtractionError, PlayerII, copy_strategy,
+                      cylinder_strategy, extract_schemes, modify_strategy,
+                      reachable_states, remove_redundant, replay,
+                      replay_branch)
 from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
@@ -193,6 +194,10 @@ SCHEME_PRESETS: dict[str, Callable[[], Scheme]] = {
     "standard": lambda: standard_scheme(),
     "lusin-std": lambda: build_lusin(standard_base()),
 }
+STRATEGY_PRESETS: dict[str, Callable[[], PlayerII]] = {
+    "copy": lambda: copy_strategy(),
+    "cylinder": lambda: cylinder_strategy(),
+}
 
 
 def _lusin_probe_branch(scheme: Scheme, picks: Seq) -> BranchRule:
@@ -307,9 +312,8 @@ def _chain_space() -> FiniteSpaceModel:
     return FiniteSpaceModel([0, 1, 2], [[], [2], [1, 2], [0, 1, 2]])
 
 
-def suite_choquet_finite(cfg: RunConfig) -> list[Report]:
-    # run_suite has checked the extra space file; it reports last
-    extra = load_space_file(cfg.space_path) if cfg.space_path else None
+def suite_choquet_finite(cfg: RunConfig, extra=None) -> list[Report]:
+    # ``extra`` is the --space model run_suite loaded; it reports last
     rep = Report("deflation")
     space = _chain_space()
     x, y, z = space.whole(), space.mask_of([1, 2]), space.mask_of([2])
@@ -415,17 +419,15 @@ def _add_every_run(rep: Report, walks: list[tuple[str, int]],
 
 # -- suite: choquet-extract ---------------------------------------------------
 
-def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
+def suite_choquet_extract(cfg: RunConfig, extra=None) -> list[Report]:
     # the finite verdicts read every game state, not a window
     rep = Report("extract-finite")
     strategy = copy_strategy()
     spaces = 0
-    # run_suite has checked the extra space file; each enumerated model is
-    # built only when the loop reaches it
-    extra = [load_space_file(cfg.space_path)] if cfg.space_path else []
+    # each enumerated model is built only when the loop reaches it
     space_models = chain((FiniteSpaceModel(range(n), masks)
                           for n in range(1, 5) for masks in all_topologies(n)),
-                         extra)
+                         [] if extra is None else [extra])
     branches = list(Window(2, 3).nodes())
     for space in space_models:
         spaces += 1
@@ -440,8 +442,7 @@ def suite_choquet_extract(cfg: RunConfig) -> list[Report]:
                 rep.add(f"covers:{spaces}", VIOLATED, cover_fault)
             if base_fault:
                 rep.add(f"pi-base:{spaces}", VIOLATED, base_fault)
-        if not all(replay_branch(space, strategy, moves, replies, p)
-                   for p in branches):
+        if replay(space, strategy, moves, replies, branches) is not None:
             rep.add(f"replay:{spaces}", VIOLATED, "branch replay mismatch")
     rep.summarize("covers", ("covers:", "states:"),
                   f"verified cover at every node over {spaces} spaces")
@@ -585,6 +586,8 @@ _SUITE_FNS = {
     "selectors": suite_selectors,
 }
 SUITES = tuple(_SUITE_FNS)
+# the suites that read --space; run_suite hands them the model it loaded
+SPACE_SUITES = ("choquet-finite", "choquet-extract")
 
 
 def run_suite(cfg: RunConfig) -> dict:
@@ -600,9 +603,9 @@ def run_suite(cfg: RunConfig) -> dict:
     # before any work, also one that reads neither; a window flag left out
     # takes its least value
     cfg.window(0, 1)
-    if cfg.space_path:
-        load_space_file(cfg.space_path)
-    reports = _SUITE_FNS[cfg.suite](cfg)
+    extra = load_space_file(cfg.space_path) if cfg.space_path else None
+    fn = _SUITE_FNS[cfg.suite]
+    reports = fn(cfg, extra) if cfg.suite in SPACE_SUITES else fn(cfg)
     return {
         "suite": cfg.suite,
         "seed": cfg.seed,

@@ -1,3 +1,4 @@
+import random
 from itertools import cycle, repeat
 
 import pytest
@@ -8,10 +9,10 @@ from bairekit.choquet import (ExtractionError, IllegalMoveError, _fault,
                               copy_strategy, cylinder_strategy,
                               extract_schemes, last_reply, modify_strategy,
                               play_round, reachable_states, remove_redundant,
-                              replay_branch, run_game, scripted_player,
+                              replay, replay_branch, run_game, scripted_player,
                               transcript_json, validate_history)
 from bairekit.cylinder import Atom, FULL, cyl, subset
-from bairekit.scheme import UNRESOLVED, Window, check_covers
+from bairekit.scheme import UNRESOLVED, Scheme, Window, check_covers
 from bairekit.spaces import BAIRE, FiniteSpaceModel, LazySeq, all_topologies
 from bairekit.suites import MAX_GAME_STATES, _decide_states
 
@@ -313,6 +314,91 @@ def test_extract_baire_replay():
         assert node is FULL or (isinstance(node, Atom)
                                 and len(node.entries) >= k)
     assert replay_branch(BAIRE, cylinder_strategy(), moves, replies, branch)
+
+
+def _replay_per_branch(space, strategy, moves, replies, nodes):
+    """The loop ``replay`` replaced: every node re-played from the root,
+    its prefixes included, one branch at a time.  The first node whose
+    reply differs from the recorded one, or None."""
+    modified = modify_strategy(strategy)
+    for a in nodes:
+        history = ()
+        for k in range(len(a) + 1):
+            history = play_round(space, history, moves.node(a[:k]), modified)
+            if not space.equal(history[-1][1], replies.node(a[:k])):
+                return a[:k]
+    return None
+
+
+def _outcome(replayer, *args):
+    """What a replay gives: the mismatched node, or the illegal move."""
+    try:
+        return replayer(*args)
+    except IllegalMoveError as exc:
+        return exc.player, exc.round_no, str(exc)
+
+
+def _with_node(scheme, at, value):
+    """``scheme`` with the recorded value at node ``at`` replaced."""
+    return Scheme(scheme.space,
+                  lambda a: value if a == at else scheme.node(a))
+
+
+def test_replay_agrees_with_the_per_branch_loop_on_small_topologies():
+    """On all 389 topologies with at most 4 points, for a strategy that
+    reads the history and one that does not: the recorded schemes replay,
+    a corrupted reply is found at its node, and a corrupted move, legal or
+    not, gives the per-branch loop's outcome."""
+    nodes = list(Window(2, 3).nodes())
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for masks in all_topologies(n):
+            sp = FiniteSpaceModel(range(n), masks)
+            for strategy in (copy_strategy(), _reply_by_xor):
+                moves, replies = extract_schemes(sp, strategy)
+                args = (sp, strategy, moves, replies, nodes)
+                assert replay(*args) is None
+                assert _replay_per_branch(*args) is None
+                at = rng.choice(nodes)
+                bad = (sp, strategy, moves, _with_node(replies, at, 0), nodes)
+                assert replay(*bad) == _replay_per_branch(*bad) == at
+                bad = (sp, strategy, _with_node(moves, at, rng.choice(masks)),
+                       replies, nodes)
+                assert _outcome(replay, *bad) == \
+                    _outcome(_replay_per_branch, *bad)
+
+
+def test_replay_returns_the_first_corrupted_node():
+    sp = _chain(4)
+    moves, replies = extract_schemes(sp, _reply_by_xor)
+    nodes = list(Window(2, 3).nodes())
+    for at in nodes:
+        assert replay(sp, _reply_by_xor, moves, _with_node(replies, at, 0),
+                      nodes) == at
+    # of two corrupted replies the one listed first is found
+    twice = _with_node(_with_node(replies, (2, 0), 0), (1,), 0)
+    assert replay(sp, _reply_by_xor, moves, twice, nodes) == (1,)
+    assert not replay_branch(sp, _reply_by_xor, moves, twice, (2, 0))
+    assert replay_branch(sp, _reply_by_xor, moves, twice, (0, 2))
+
+
+def test_replay_raises_an_illegal_move_at_its_node():
+    """A move that escapes the replayed reply before it raises in the
+    round of its node, as the per-branch loop does, also after a node
+    whose reply matched."""
+    sp = chain_space()
+    moves, replies = extract_schemes(sp, copy_strategy())
+    nodes = list(Window(2, 3).nodes())
+    for at in nodes[1:]:
+        if replies.node(at[:-1]) == sp.whole():
+            continue  # every nonempty open is a legal move there
+        bad = (sp, copy_strategy(), _with_node(moves, at, sp.whole()),
+               replies, nodes)
+        with pytest.raises(IllegalMoveError) as err:
+            replay(*bad)
+        assert (err.value.player, err.value.round_no) == ("I", len(at))
+        assert str(err.value).endswith("move escapes the previous reply")
+        assert _outcome(replay, *bad) == _outcome(_replay_per_branch, *bad)
 
 
 def _reference_extraction(space, strategy, window):

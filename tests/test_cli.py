@@ -553,8 +553,8 @@ def test_play_rejects_empty_move_with_one_line_and_goes_on(tmp_path):
 
 
 def test_play_reraises_a_machine_fault(monkeypatch):
-    monkeypatch.setattr(cli, "_strategy",
-                        lambda name: lambda space, history, u: space.whole())
+    monkeypatch.setitem(suites.STRATEGY_PRESETS, "cylinder",
+                        lambda: lambda space, history, u: space.whole())
     with pytest.raises(IllegalMoveError) as err:
         run_cli(["play", "--space", "baire"], "S(0)\n:quit\n")
     assert err.value.player == "II"
@@ -680,7 +680,8 @@ def test_random_argument_vectors_end_in_an_exit_code(argv):
     holds a valid space file, a valid base file and a binary file.  Every
     suite is stubbed, and windows past 85 nodes are rejected, so each
     accepted command stays small."""
-    stub = {name: (lambda cfg: [Report("stub")]) for name in suites.SUITES}
+    stub = {name: (lambda cfg, extra=None: [Report("stub")])
+            for name in suites.SUITES}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(suites._SUITE_FNS, stub), \

@@ -5,6 +5,7 @@ from itertools import cycle, repeat
 
 import pytest
 
+import bairekit.choquet as choquet
 import bairekit.cylinder as cy
 import bairekit.suites as suites
 from bairekit.cli import main
@@ -377,3 +378,58 @@ def test_cylinders_oracle_trace_budget(monkeypatch):
     monkeypatch.setattr(cy, "trace_window", counted)
     assert run_suite(RunConfig(suite="cylinders-oracle", seed=1))["ok"]
     assert calls <= 1475
+
+
+def test_choquet_extract_plays_each_window_round_once(tmp_path, monkeypatch):
+    """At d3/b6, seed 1, each of the 389 spaces replays the 13 nodes of
+    ``Window(2, 3)`` once, and the Baire section 20 branches of 7 rounds:
+    5,197 rounds, against 13,366 when every window node was replayed from
+    the root.  A ``--space`` file is loaded once per run."""
+    calls = {"play_round": 0, "remove_redundant": 0, "from_json": 0}
+
+    def counted(fn, name):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("play_round", "remove_redundant"):
+        monkeypatch.setattr(choquet, name, counted(getattr(choquet, name),
+                                                   name))
+    monkeypatch.setattr(FiniteSpaceModel, "from_json", classmethod(counted(
+        FiniteSpaceModel.from_json.__func__, "from_json")))
+    argv = ["verify", "--suite", "choquet-extract", "--depth", "3",
+            "--breadth", "6", "--seed", "1"]
+    assert main(argv, stdout=io.StringIO()) == 0
+    assert calls == {"play_round": 5_197, "remove_redundant": 6_870,
+                     "from_json": 0}
+    space = ["--space", str(_chain_file(tmp_path, 3))]
+    for suite in ("choquet-extract", "choquet-finite"):
+        calls["from_json"] = 0
+        assert main(["verify", "--suite", suite] + space,
+                    stdout=io.StringIO()) == 0
+        assert calls["from_json"] == 1
+
+
+def test_choquet_extract_names_each_space_whose_replay_differs(monkeypatch):
+    """A recorded reply corrupted at window node (2, 1) in every 40th
+    space: the replay entries name exactly those spaces."""
+    extract_schemes = suites.extract_schemes
+    seen = 0
+
+    def corrupted(space, strategy):
+        nonlocal seen
+        moves, replies = extract_schemes(space, strategy)
+        seen += 1
+        if seen % 40 == 0:
+            rule = replies.rule
+            replies.rule = lambda a: 0 if a == (2, 1) else rule(a)
+        return moves, replies
+
+    monkeypatch.setattr(suites, "extract_schemes", corrupted)
+    out = run_suite(RunConfig("choquet-extract", seed=1))
+    entries = [(e.key, e.status, e.detail) for e in out["reports"][0].entries
+               if e.key.startswith("replay")]
+    assert entries == [(f"replay:{n}", "violated", "branch replay mismatch")
+                       for n in range(40, 390, 40)] + \
+        [("replay", "violated", "9 violated, first replay:40")]
