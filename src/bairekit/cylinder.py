@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .seq import BranchRule, Seq, unpair
@@ -358,11 +357,10 @@ def family(node: Expr, children: list[Expr] | Extensions, pairs: bool
 
     ``children`` is a list of expressions or an ``Extensions``.  The
     node's form ``N`` and each child's form ``f`` are taken once; a child
-    is inside the node exactly when ``f ∧ N == f``.  When the pairs were
-    asked and none meets, the union's form is the XOR of the child forms,
-    because a disjoint union is a symmetric difference; otherwise it is
-    folded as ``U ^ f ^ (U ∧ f)``.  A family of atoms alone takes no form:
-    its stems decide it (``_stem_family``).
+    is inside the node exactly when ``f ∧ N == f``.  The union's form
+    ``U`` is folded as ``U ^ f ^ (U ∧ f)``, as in ``uncovered``, and the
+    node is inside it exactly when ``N ∧ U == N``.  A family of atoms
+    alone takes no form: its stems decide it (``_stem_family``).
 
     The extensions of a stem ``p`` that extends the atom node's stem ``c``
     all lie inside the node.  ``S(p + t)`` lies around the node only when
@@ -388,7 +386,7 @@ def family(node: Expr, children: list[Expr] | Extensions, pairs: bool
            if _meet(forms[n], forms[m])] if pairs else []
     u: frozenset[Seq] = frozenset()
     for f in forms:
-        u = u ^ f if pairs and not met else u ^ f ^ _meet(u, f)
+        u = u ^ f ^ _meet(u, f)
     return escaped, _meet(top, u) == top, met
 
 
@@ -398,29 +396,25 @@ def _stem_family(stem: Seq, stems: list[Seq], pairs: bool
 
     A child is inside the node exactly when ``stem`` is a prefix of ``s``.
     The node is inside the union exactly when some ``s`` is a prefix of
-    ``stem``, which no ``s`` longer than ``stem`` is: finitely many
-    cylinders that strictly extend the node or are incomparable with it
-    all miss the branches through ``stem`` followed by a value none of the
-    extensions uses there.  Two cylinders meet exactly when their stems
-    are comparable (``_meeting``).
+    ``stem``: finitely many cylinders that strictly extend the node or are
+    incomparable with it all miss the branches through ``stem`` followed
+    by a value none of the extensions uses there.  Two cylinders meet
+    exactly when their stems are comparable (``_meeting``).
     """
     k = len(stem)
-    if list(map(itemgetter(slice(0, k)), stems)).count(stem) == len(stems):
-        escaped = []
-    else:
-        escaped = [n for n, s in enumerate(stems) if s[:k] != stem]
-    covered = min(map(len, stems), default=k) <= k and \
-        any(stem[: len(s)] == s for s in stems)
+    escaped = [n for n, s in enumerate(stems) if s[:k] != stem]
+    covered = any(stem[: len(s)] == s for s in stems)
     return escaped, covered, _meeting(stems) if pairs else []
 
 
 def _meeting(stems: list[Seq]) -> list[tuple[int, int]]:
     """The pairs ``n < m`` whose stems are comparable.
 
-    No two distinct stems of one length are.  The extensions of a stem
-    form one interval of the lexicographic order, so some two stems are
-    comparable exactly when two neighbours in the sorted list are; only
-    then are the pairs listed.
+    No two distinct stems of one length are, and such a list, the tails
+    of a Lusin leaf family, is answered without a sort.  The extensions
+    of a stem form one interval of the lexicographic order, so some two
+    stems are comparable exactly when two neighbours in the sorted list
+    are; only then are the pairs listed.
     """
     lengths = set(map(len, stems))
     if len(lengths) <= 1 and len(set(stems)) == len(stems):

@@ -125,19 +125,15 @@ def seq_index(s: Seq) -> int:
 
 
 def tuple_at(n: int, length: int) -> Seq:
-    """The n-th sequence of exactly ``length`` entries (a bijection).
-
-    Each step is ``n, last = unpair(n)``, written out inline."""
+    """The n-th sequence of exactly ``length`` entries (a bijection):
+    ``unpair`` peels the entries off, the last one first."""
     if length == 0:
         if n:
             raise ValueError("only one sequence of length 0")
         return ()
     out = [0] * length
     for i in range(length - 1, 0, -1):
-        w = (isqrt(8 * n + 1) - 1) // 2
-        last = n - w * (w + 1) // 2
-        out[i] = last
-        n = w - last
+        n, out[i] = unpair(n)
     out[0] = n
     return tuple(out)
 

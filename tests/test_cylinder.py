@@ -362,7 +362,7 @@ def test_family_overlap_examples():
 def test_family_examples():
     assert family(cyl(0), [], True) == ([], False, [])
     assert family(EMPTY, [], False) == ([], True, [])
-    # a disjoint family that covers its node: the XOR of the child forms
+    # a disjoint family that covers its node: its folded union is the node
     assert family(cyl(0), [cyl(0) - cyl(0, 0), cyl(0, 0)], True) == \
         ([], True, [])
     assert family(cyl(0), [cyl(0, 1), cyl(1), cyl(0)], False) == \

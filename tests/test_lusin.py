@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -228,6 +230,20 @@ def test_default_lusin_atom_build_count_budget(monkeypatch):
     base = standard_base()
     assert check_lusin_conditions(build_lusin(base), base, Window(4, 6)).ok
     assert calls == 2_467
+
+
+def test_default_lusin_plans_keep_few_antichains():
+    # a one-member split keeps its member, not a one-member ``Antichain``,
+    # so only the splits of the carves' children 0 keep one.  Folding
+    # ``_StemPlan`` into ``_SplitPlan`` would make it 1,513 of 1,555 and
+    # raise lusin-synth's peak memory (ROADMAP, Negative results)
+    base = standard_base()
+    sch = build_lusin(base)
+    assert check_lusin_conditions(sch, base, Window(4, 6)).ok
+    plans = [sch.meta["plan"](a) for a in Window(4, 6).nodes()]
+    kinds = Counter(type(p) for p in plans)
+    assert kinds == {_StemPlan: 1_471, _CarvePlan: 42, _SplitPlan: 42}
+    assert sum(hasattr(p, "chain") for p in plans) == 42
 
 
 def test_union_of_children_stays_inside():

@@ -1,24 +1,32 @@
-"""Mutants of the fast paths in ``bairekit/cylinder.py``.
+"""Mutants of the fast paths in ``bairekit``.
 
-Each row of ``MUTANTS`` names a fast path, a snippet of the module's
-source and a mutation of that snippet.  ``load`` executes the source as a
-fresh module and rebinds the real expression classes into it, so the
-sweep's expressions flow through the copy.  The seeded sweep compares the
-copy's ``family`` and ``uncovered`` with the window oracle
-(``trace_window`` of the real module, set algebra over window words).
+Each row of ``MUTANTS`` names a fast path, the module that holds it, a
+snippet of the module's source and a mutation of that snippet.  ``load``
+executes a module's source as a fresh module of the package and rebinds
+the classes that other code must share (the cylinder expressions), so the
+sweep's values flow through the copy.  Each module has one seeded sweep:
 
-The real module and an unmutated copy pass the sweep; every mutant must
-fail it.  Each snippet must occur exactly once in the module, so an edit
-that removes or duplicates one fails here and the table changes with it.
-Equivalent mutants, which no sweep can fail, are not listed: for example
-``_stem_family``'s ``min(...) <= k`` test only skips work that the prefix
-test after it repeats.
+- ``cylinder``: ``family``, ``uncovered`` and ``minimal_antichain``
+  against the window oracle (``trace_window`` of the real module, set
+  algebra over window words);
+- ``seq``: ``tuple_at`` against its inverse ``tuple_index``;
+- ``lusin``: small Lusin schemes, each family read against its plan's
+  ``child(n)`` and its node's trace, and the memo rules of the reads by
+  object identity, which is all that a memo mutant changes.
+
+The real modules and unmutated copies pass the sweeps; every mutant must
+fail its module's.  Each snippet must occur exactly once in its module, so
+an edit that removes or duplicates one fails here and the table changes
+with it.  Equivalent mutants, which no sweep can fail, are not listed: for
+example ``_LusinScheme.children``'s ``if not missing: return got`` only
+skips a rule call whose family the loop after it would not read.
 """
 
+import importlib
 import random
 import sys
 import types
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -26,60 +34,93 @@ import pytest
 import bairekit.cylinder as cy
 from bairekit.cylinder import Atom, Diff, Extensions, Inter, Union, \
     trace_window
+from bairekit.scheme import Window
+from bairekit.seq import tuple_index
 
-SOURCE = Path(cy.__file__).read_text(encoding="utf-8")
-# the copy uses the real classes and constants, not its own
-SHARED = ("Expr", "Atom", "Union", "Inter", "Diff", "_FullExpr", "_EmptyExpr",
-          "FULL", "EMPTY", "Extensions")
+# a copy uses these real classes and constants, not its own
+SHARED = {"cylinder": ("Expr", "Atom", "Union", "Inter", "Diff", "_FullExpr",
+                       "_EmptyExpr", "FULL", "EMPTY", "Extensions")}
 
+# name: (module, original, mutated)
 MUTANTS = {
     # an Extensions family of an atom node whose stem the family's extends
-    "extensions-stem-test": (
+    "extensions-stem-test": ("cylinder",
         """        if isinstance(node, Atom) and \\
                 stem[: len(node.entries)] == node.entries:""",
         """        if isinstance(node, Atom):"""),
-    "extensions-covered": (
+    "extensions-covered": ("cylinder",
         "return ([], stem == node.entries and () in tails,",
         "return ([], () in tails,"),
+    # the union of a family's forms, folded whether or not children meet
+    "family-union-fold": ("cylinder",
+        """        u = u ^ f ^ _meet(u, f)
+    return escaped, _meet(top, u) == top, met""",
+        """        u = u ^ f
+    return escaped, _meet(top, u) == top, met"""),
     # an all-atom family decided on its stems
-    "stem-family-escaped": (
-        ".count(stem) == len(stems):",
-        ".count(stem) >= 1:"),
-    "stem-family-covered": (
+    "stem-family-escaped": ("cylinder",
+        "escaped = [n for n, s in enumerate(stems) if s[:k] != stem]",
+        "escaped = [n for n, s in enumerate(stems) if s[:k] != stem[:len(s)]]"),
+    "stem-family-covered": ("cylinder",
         "any(stem[: len(s)] == s for s in stems)",
         "any(s[:k] == stem for s in stems)"),
     # the early returns of the meeting pairs
-    "meeting-one-length": (
+    "meeting-one-length": ("cylinder",
         "if len(lengths) <= 1 and len(set(stems)) == len(stems):",
         "if len(lengths) <= 1:"),
-    "meeting-neighbours": (
+    "meeting-neighbours": ("cylinder",
         "if not any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):",
         "if not any(s[: len(t)] == t for s, t in zip(ordered, ordered[1:])):"),
     # an open that is one of the cover's own objects
-    "uncovered-identity": (
+    "uncovered-identity": ("cylinder",
         """    members = {id(c) for c in cover}
     rest = [n for n, o in enumerate(opens) if id(o) not in members]""",
         """    members = {mentions(c) for c in cover}
     rest = [n for n, o in enumerate(opens) if mentions(o) not in members]"""),
+    # an atom is its own antichain, with no form
+    "antichain-atom": ("cylinder",
+        """    if isinstance(e, Atom):
+        return Antichain((e.entries,), ())""",
+        """    if len(mentions(e)) == 1:
+        return Antichain(tuple(mentions(e)), ())"""),
+    # the unpairing steps of a fixed-length tuple
+    "tuple-at": ("seq",
+        "n, out[i] = unpair(n)",
+        "out[i], n = unpair(n)"),
+    # a one-member split, child by child and as a family of shared tails
+    "stem-plan-child": ("lusin",
+        "return Atom(self.member + tuple_at(n, self.ext_len))",
+        "return Atom(self.member + tuple_at(n + 1, self.ext_len))"),
+    "stem-plan-family": ("lusin",
+        "return Extensions(self.member, tails(self.ext_len, count))",
+        "return Extensions(self.member, tails(self.ext_len + 1, count))"),
+    # the memo rules of a Lusin family read
+    "lusin-children-unbuilt": ("lusin",
+        "if not store and len(missing) == count:",
+        "if not store:"),
+    "lusin-children-store": ("lusin",
+        "got[n] = self._memo.setdefault(keys[n], v) if store else v",
+        "got[n] = v"),
 }
 
 
-def load(source: str) -> types.ModuleType:
-    """``source`` executed as a fresh module of the package."""
-    module = types.ModuleType("bairekit._cylinder_copy")
+def load(name: str, source: str) -> types.ModuleType:
+    """``source`` executed as a fresh copy of the module ``bairekit.name``."""
+    real = importlib.import_module(f"bairekit.{name}")
+    module = types.ModuleType(f"bairekit._{name}_copy")
     module.__package__ = "bairekit"
     # ``dataclass`` looks its class's module up while it builds the class
     sys.modules[module.__name__] = module
     try:
-        exec(compile(source, cy.__file__, "exec"), module.__dict__)
+        exec(compile(source, real.__file__, "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
-    for name in SHARED:
-        setattr(module, name, getattr(cy, name))
+    for attr in SHARED.get(name, ()):
+        setattr(module, attr, getattr(real, attr))
     return module
 
 
-# -- the seeded sweep ---------------------------------------------------------
+# -- the cylinder sweep -------------------------------------------------------
 
 # the oracle window d=3, b=3 holds every stem and tail below
 WORDS = [w for k in range(4) for w in product(range(3), repeat=k)]
@@ -98,10 +139,12 @@ def _expr(rng, atoms):
 
 
 def _cases(seed: int, count: int) -> list[tuple]:
-    """``(name, args)`` pairs of ``family`` and ``uncovered`` calls:
-    atom families with nested, repeated and off-node stems, Extensions
-    families whose node is on, above, below or off the stem, and covers
-    whose opens are often the cover's own objects or share its mentions."""
+    """``(name, args)`` pairs of ``family``, ``uncovered`` and
+    ``minimal_antichain`` calls: atom families with nested, repeated and
+    off-node stems, Extensions families whose node is on, above, below or
+    off the stem, families of expressions that often meet, covers whose
+    opens are often the cover's own objects or share its mentions, and
+    antichains of expressions with one or two mentions."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -123,10 +166,17 @@ def _cases(seed: int, count: int) -> list[tuple]:
                                rng.random() < 0.7)))
 
         atoms = [_word(rng, 2) for _ in range(2)]
+        out.append(("family", (_expr(rng, atoms),
+                               [_expr(rng, atoms)
+                                for _ in range(rng.randint(1, 3))],
+                               rng.random() < 0.7)))
+
         cover = [_expr(rng, atoms) for _ in range(rng.randint(0, 2))]
         opens = [_expr(rng, atoms) for _ in range(rng.randint(1, 3))]
         opens += rng.sample(cover, rng.randint(0, len(cover)))
         out.append(("uncovered", (opens, cover)))
+
+        out.append(("minimal_antichain", (_expr(rng, atoms),)))
     return out
 
 
@@ -134,11 +184,37 @@ def _traces(exprs) -> list[frozenset]:
     return [trace_window(e, 3, 3) for e in exprs]
 
 
+# the cylinders that can be antichain members of the sweep's expressions,
+# with their traces in the window d=3, b=4: the value 3 is fresh to every
+# mention, so it stands for a family's fresh values
+MEMBER_TRACES = {w: trace_window(Atom(w), 3, 4)
+                 for w in WORDS + [w + (3,) for w in WORDS if len(w) < 3]}
+
+
+def _minimal_words(e) -> frozenset:
+    """The words whose cylinder lies inside ``e`` and whose parent's does
+    not; with mentions at most 2 long and entries below 3, these are the
+    antichain's members, read in the window."""
+    trace = trace_window(e, 3, 4)
+    inside = {w for w, t in MEMBER_TRACES.items() if t <= trace}
+    return frozenset(w for w in inside if not w or w[:-1] not in inside)
+
+
+def _antichain_words(chain) -> frozenset:
+    """The members of a copy's antichain, read in the window: each family
+    stands for its stem extended by every allowed value up to 3."""
+    return frozenset(chain.concrete) | frozenset(
+        f.stem + (v,) for f in chain.families for v in range(4)
+        if v not in f.excluded)
+
+
 def _oracle(name: str, args: tuple):
     if name == "uncovered":
         opens, cover = args
         union = frozenset().union(*_traces(cover))
         return [n for n, t in enumerate(_traces(opens)) if not t <= union]
+    if name == "minimal_antichain":
+        return _minimal_words(*args) or "EmptySetError"
     node, children, pairs = args
     [top], traces = _traces([node]), _traces(children[:])
     met = [(n, m) for n in range(len(traces))
@@ -150,22 +226,114 @@ def _oracle(name: str, args: tuple):
 CASES = [(name, args, _oracle(name, args)) for name, args in _cases(7, 150)]
 
 
-def sweep(module):
+def cylinder_sweep(module):
     """The first case on which ``module`` disagrees with the oracle, or
     None."""
     for name, args, want in CASES:
-        if getattr(module, name)(*args) != want:
+        if name == "minimal_antichain":
+            try:
+                got = _antichain_words(module.minimal_antichain(*args))
+            except ValueError as exc:
+                got = type(exc).__name__
+        else:
+            got = getattr(module, name)(*args)
+        if got != want:
             return name, args, want
     return None
 
 
+# -- the seq sweep ------------------------------------------------------------
+
+TUPLES = [(n, k) for k in range(1, 5) for n in range(60)]
+
+
+def seq_sweep(module):
+    """The first ``(n, length)`` whose tuple is not the one that
+    ``tuple_index`` sends back to ``n``, or None."""
+    for n, k in TUPLES:
+        t = module.tuple_at(n, k)
+        if len(t) != k or tuple_index(t) != n:
+            return n, k
+    return None
+
+
+# -- the Lusin sweep ----------------------------------------------------------
+
+# the standard base and base files of cylinders and differences, so that
+# stem, split and carve plans all build window families
+LUSIN_CASES = [
+    (None, Window(2, 3)),
+    ("S(0,1)", Window(2, 3)),
+    ("S(1) \\ S(1,0) | S(0,2)\nS(0)\nS(2,1) | S(0)", Window(2, 3)),
+    ("S(0) | S(1,2)\n(S(2) \\ S(2,2))", Window(3, 2)),
+]
+
+
+def _partitions_its_node(node, family) -> bool:
+    """Whether each child is a nonempty part of ``node`` and no two meet,
+    read in a window that holds every mention."""
+    ms = cy.mentions(node).union(*map(cy.mentions, family))
+    depth = max(map(len, ms), default=0)
+    breadth = 1 + max((v for m in ms for v in m), default=0)
+    top = trace_window(node, depth, breadth)
+    traces = [trace_window(c, depth, breadth) for c in family]
+    return all(t and t <= top for t in traces) and \
+        not any(s & t for s, t in combinations(traces, 2))
+
+
+def lusin_sweep(module):
+    """The first ``(base text, node, check)`` at which a copy's Lusin
+    scheme fails, or None.  Each window family is read once stored and
+    once, on a second build, not stored; both must be the plan's
+    ``child(n)`` and partition their node.  A stored read's children are
+    the ones ``node`` then returns, and an unstored read of them hands
+    back those very objects; an unstored read of unstored children keeps
+    none of them, and one of a family with one child stored hands that
+    child back."""
+    for text, window in LUSIN_CASES:
+        base = module.standard_base() if text is None \
+            else module.base_from_lines(text)
+        sch, fresh = module.build_lusin(base), module.build_lusin(base)
+        plan = sch.meta["plan"]
+        for a in window.nodes():
+            want = [plan(a).child(n) for n in range(window.breadth)]
+            kept = sch.children(a, window.breadth)
+            if list(kept) != want:
+                return text, a, "stored family"
+            if not _partitions_its_node(sch.node(a), want):
+                return text, a, "partition"
+            if any(sch.node(a + (n,)) is not c for n, c in enumerate(kept)):
+                return text, a, "stored identity"
+            again = sch.children(a, window.breadth, store=False)
+            if any(x is not c for x, c in zip(again, kept)):
+                return text, a, "unstored read of stored children"
+            before = set(fresh._memo)
+            if list(fresh.children(a, window.breadth, store=False)) != want:
+                return text, a, "unstored family"
+            added = set(fresh._memo) - before
+            if not added <= {a[:i] for i in range(len(a) + 1)}:
+                return text, a, "unstored read kept a child"
+            last = fresh.node(a + (window.breadth - 1,))
+            if fresh.children(a, window.breadth, store=False)[-1] is not last:
+                return text, a, "unstored read of a stored child"
+    return None
+
+
+SWEEPS = {"cylinder": cylinder_sweep, "seq": seq_sweep, "lusin": lusin_sweep}
+SOURCES = {name: Path(importlib.import_module(f"bairekit.{name}").__file__)
+           .read_text(encoding="utf-8") for name in SWEEPS}
+
+
 def test_the_module_and_an_unmutated_copy_pass_the_sweep():
-    assert sweep(cy) is None
-    assert sweep(load(SOURCE)) is None
+    for name, sweep in SWEEPS.items():
+        assert sweep(importlib.import_module(f"bairekit.{name}")) is None
+        assert sweep(load(name, SOURCES[name])) is None
 
 
-@pytest.mark.parametrize("original, mutated", MUTANTS.values(),
+@pytest.mark.parametrize("name, original, mutated", MUTANTS.values(),
                          ids=MUTANTS.keys())
-def test_the_sweep_kills_the_mutant(original, mutated):
-    assert SOURCE.count(original) == 1
-    assert sweep(load(SOURCE.replace(original, mutated))) is not None
+def test_the_sweep_kills_the_mutant(name, original, mutated):
+    source = SOURCES[name]
+    assert source.count(original) == 1
+    assert SWEEPS[name](load(name, source.replace(original, mutated))) \
+        is not None
