@@ -11,10 +11,11 @@ member uses at that position; that branch has exactly one prefix in
 ``F Δ F'``.  Emptiness is ``F == ∅``, equality is ``F == F'``, and every
 membership question counts prefixes in ``F``.
 
-``F`` only holds mentioned sequences (and the empty one).  Witnesses and
-antichains still take their candidate order and fresh values from all
-mentions, including those that cancel out of ``F``: ``S(0) | S(0,0)`` has
-the normal form ``{(0,)}`` and the witness ``(0, 1)``, not ``(0, 0)``.
+``F`` holds mentions only; the whole space is the atom ``S()`` of the
+empty sequence.  Witnesses and antichains still take their candidate
+order and fresh values from all mentions, including those that cancel out
+of ``F``: ``S(0) | S(0,0)`` has the normal form ``{(0,)}`` and the witness
+``(0, 1)``, not ``(0, 0)``.
 Reports record these outputs, so this rule is part of the report format.
 """
 
@@ -75,16 +76,11 @@ class Diff(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class _FullExpr(Expr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class _EmptyExpr(Expr):
     pass
 
 
-FULL = _FullExpr()
+FULL = Atom(())
 EMPTY = _EmptyExpr()
 
 
@@ -101,7 +97,7 @@ def mentions(e: Expr) -> frozenset[Seq]:
             return frozenset((a,))
         case Union(l, r) | Inter(l, r) | Diff(l, r):
             return mentions(l) | mentions(r)
-        case _FullExpr() | _EmptyExpr():
+        case _EmptyExpr():
             return frozenset()
     raise TypeError(f"not a cylinder expression: {e!r}")
 
@@ -119,8 +115,6 @@ def normal_form(e: Expr) -> frozenset[Seq]:
         case Diff(l, r):
             f = normal_form(l)
             return f ^ _meet(f, normal_form(r))
-        case _FullExpr():
-            return frozenset(((),))
         case _EmptyExpr():
             return frozenset()
     raise TypeError(f"not a cylinder expression: {e!r}")
@@ -194,18 +188,19 @@ def fresh_value(ms: frozenset[Seq], position: int, start: int = 0) -> int:
 def witness_cylinder(e: Expr) -> Optional[Seq]:
     """A sequence ``w`` with cylinder ``S(w)`` inside ``e``, or None if empty.
 
-    Canonical rule: take the first candidate ``c`` (the empty sequence,
-    then the mentions in (length, lex) order) with an odd number of
-    normal-form prefixes and extend it by the smallest fresh value at that
-    position.  No member of the form extends the result, so every branch
-    through it has the same prefixes in the form as ``c``.
+    Canonical rule: take the first mention ``c`` in (length, lex) order
+    with an odd number of normal-form prefixes and extend it by the
+    smallest fresh value at that position.  Such a mention exists because
+    the form holds mentions only: a shortest member of the form has itself
+    as its one prefix there.  No member of the form extends the result, so
+    every branch through it has the same prefixes in the form as ``c``.
     """
     f = normal_form(e)
     if not f:
         return None
     ms = mentions(e)
-    candidates = [()] + sorted(ms, key=lambda s: (len(s), s))
-    c = next(c for c in candidates if _odd_below(f, c))
+    c = next(c for c in sorted(ms, key=lambda s: (len(s), s))
+             if _odd_below(f, c))
     return c + (fresh_value(ms, len(c)),)
 
 
@@ -478,8 +473,6 @@ def trace_window(e: Expr, depth: int, breadth: int) -> frozenset[Seq]:
                 return words(l) & words(r)
             case Diff(l, r):
                 return words(l) - words(r)
-            case _FullExpr():
-                return frozenset(product(alphabet, repeat=depth))
             case _EmptyExpr():
                 return frozenset()
         raise TypeError(f"not a cylinder expression: {t!r}")

@@ -10,7 +10,8 @@ Text grammar (whitespace-insensitive)::
             | '(' expr ')'
 
 JSON uses tagged objects ``{"op": ..., "args": [...]}`` with atom args a
-plain array of naturals.
+plain array of naturals.  The whole space ``S()`` is the atom of the empty
+sequence, and JSON writes it as ``{"op": "full", "args": []}``.
 """
 
 from __future__ import annotations
@@ -164,8 +165,6 @@ def expr_to_text(e: Expr) -> str:
 def _render(e: Expr, context: int) -> str:
     if isinstance(e, Atom):
         return "S(" + ",".join(str(v) for v in e.entries) + ")"
-    if isinstance(e, type(FULL)):
-        return "S()"
     if isinstance(e, type(EMPTY)):
         return "0"
     if isinstance(e, Union):
@@ -184,9 +183,7 @@ def _render(e: Expr, context: int) -> str:
 
 def expr_to_json(e: Expr) -> dict:
     if isinstance(e, Atom):
-        return {"op": "atom", "args": list(e.entries)}
-    if isinstance(e, type(FULL)):
-        return {"op": "full", "args": []}
+        return {"op": "atom" if e.entries else "full", "args": list(e.entries)}
     if isinstance(e, type(EMPTY)):
         return {"op": "empty", "args": []}
     ops = {Union: "union", Inter: "inter", Diff: "diff"}

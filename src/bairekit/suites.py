@@ -482,14 +482,6 @@ def _decide_states(space: FiniteSpaceModel, replies: Scheme,
     return cover_fault, base_fault
 
 
-def _cylinder_length(node) -> Optional[int]:
-    if isinstance(node, Atom):
-        return len(node.entries)
-    if node is FULL:
-        return 0
-    return None
-
-
 def _baire_extract_report(cfg: RunConfig) -> Report:
     rep = Report("extract-baire")
     rng = random.Random(cfg.seed)
@@ -499,8 +491,7 @@ def _baire_extract_report(cfg: RunConfig) -> Report:
         branch = tuple(rng.randint(1, 8) for _ in range(6))
         for k in range(len(branch) + 1):
             node = replies.node(branch[: k])
-            length = _cylinder_length(node)
-            if length is None or length < k:
+            if not isinstance(node, Atom) or len(node.entries) < k:
                 rep.add(f"length:{i}:{k}", VIOLATED,
                         f"node {expr_to_text(node)} at depth {k}")
         if not replay_branch(BAIRE, strategy, moves, replies, branch):

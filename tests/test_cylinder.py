@@ -80,6 +80,8 @@ def test_strict_witness_examples():
 @given(exprs)
 @settings(max_examples=300)
 def test_witness_soundness(e):
+    # the form holds mentions only, so a mention is the witness's stem
+    assert normal_form(e) <= mentions(e)
     w = witness_cylinder(e)
     if w is None:
         assert is_empty(e)
@@ -279,8 +281,6 @@ def under(stem, e):
     """``e`` moved inside ``S(stem)``: every atom gets ``stem`` in front."""
     if isinstance(e, Atom):
         return Atom(stem + e.entries)
-    if e is FULL:
-        return Atom(stem)
     if e is EMPTY:
         return e
     return type(e)(under(stem, e.left), under(stem, e.right))
@@ -542,7 +542,7 @@ def _word_satisfies(e, w):
             return _word_satisfies(l, w) and _word_satisfies(r, w)
         case Diff(l, r):
             return _word_satisfies(l, w) and not _word_satisfies(r, w)
-    return e is FULL
+    return False
 
 
 @st.composite

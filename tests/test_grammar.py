@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import exprs
-from bairekit.cylinder import Diff, EMPTY, FULL, Inter, Union, cyl, equal
+from bairekit.cylinder import Diff, EMPTY, FULL, Inter, Union, cyl
 from bairekit.grammar import (MAX_EXPR_DEPTH, ExprSyntaxError, expr_from_json,
                               expr_to_json, expr_to_text, parse_expr)
 
@@ -56,10 +56,7 @@ def test_rendering_examples():
 @given(exprs)
 @settings(max_examples=300)
 def test_text_round_trip(e):
-    back = parse_expr(expr_to_text(e))
-    # the whole-space atom normalizes to the full constant; equality is semantic
-    assert equal(back, e)
-    assert expr_to_text(back) == expr_to_text(e)
+    assert parse_expr(expr_to_text(e)) == e
 
 
 @given(exprs)
@@ -69,6 +66,9 @@ def test_json_round_trip(e):
 
 
 def test_json_validation():
+    # the atom of the empty stem is the whole space, written as "full"
+    assert expr_to_json(cyl()) == expr_to_json(FULL) == \
+        {"op": "full", "args": []}
     with pytest.raises(ValueError):
         expr_from_json({"op": "atom", "args": [-1]})
     with pytest.raises(ValueError):

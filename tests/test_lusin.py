@@ -185,7 +185,7 @@ def test_default_lusin_check_count_budget(monkeypatch):
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
-    assert calls == 2_378
+    assert calls == 2_377
 
 
 def test_default_lusin_family_build_count_budget(monkeypatch):
@@ -229,7 +229,7 @@ def test_default_lusin_atom_build_count_budget(monkeypatch):
     monkeypatch.setattr(Atom, "__init__", counted)
     base = standard_base()
     assert check_lusin_conditions(build_lusin(base), base, Window(4, 6)).ok
-    assert calls == 2_467
+    assert calls == 2_466
 
 
 def test_default_lusin_plans_keep_few_antichains():

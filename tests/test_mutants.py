@@ -38,8 +38,8 @@ from bairekit.scheme import Window
 from bairekit.seq import tuple_index
 
 # a copy uses these real classes and constants, not its own
-SHARED = {"cylinder": ("Expr", "Atom", "Union", "Inter", "Diff", "_FullExpr",
-                       "_EmptyExpr", "FULL", "EMPTY", "Extensions")}
+SHARED = {"cylinder": ("Expr", "Atom", "Union", "Inter", "Diff", "_EmptyExpr",
+                       "FULL", "EMPTY", "Extensions")}
 
 # name: (module, original, mutated)
 MUTANTS = {

@@ -219,7 +219,7 @@ def test_window_checks_normal_form_count(monkeypatch):
     base, window, half = build_lusin(standard_base()), Window(3, 4), G_MAPS["half"]
     assert check_covers(relabel(base, half), window).ok
     assert check_relabel_identities(base, half, window).ok
-    assert calls == 587
+    assert calls == 578
 
 
 def _load_workloads():

@@ -84,6 +84,12 @@ REPORT_DIGESTS = {
     # not the first stem within a budget of 50
     ("selectors", 0):
         "35ea767525213125b35bb159c27c01b1f7a43f35a48d802b7abc299294952528",
+    # these two print the whole space; recorded while it had a leaf type of
+    # its own, before it became the atom S()
+    ("lusin", 0):
+        "42aa3d3a11893aef3e95fcf426f04fd6df8a74ce65e420ea42c6f5ad1be33c9b",
+    ("schemes-vg", 0):
+        "c41d11e987c93b332f260f6f21e03cccc664587878f45318d3ad165d911a4384",
 }
 
 
@@ -104,6 +110,27 @@ def test_extract_baire_digest(tmp_path):
     assert main(argv, stdout=io.StringIO()) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "ce82f37ecca6efcc26cc893f51dc5af220a3246dda02550f6ef1dabf3bcce900"
+
+
+# reports that print the whole space, recorded while it had a leaf type of
+# its own, before it became the atom S()
+WHOLE_SPACE_DIGESTS = {
+    "build-lusin":
+        "42a19870ef9b549ff58120c3467b656494304faafb0b3be1298eb104197f7d85",
+    "export --scheme standard --g swap":
+        "592ecdf606ef035f605597cd7c269e4f4e33113461a8ed8e7543169ad4ed21e4",
+    "export --scheme lusin-std --g half":
+        "7f99660ff1f39617924ba3aaed412e114475f96bf98c5d4ec313719ac357e240",
+}
+
+
+@pytest.mark.parametrize("command", list(WHOLE_SPACE_DIGESTS))
+def test_whole_space_report_digest(tmp_path, command):
+    path = tmp_path / "report.json"
+    assert main(command.split() + ["--json", str(path)],
+                stdout=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        WHOLE_SPACE_DIGESTS[command]
 
 
 def test_extract_chain_space_digest(tmp_path):

@@ -237,7 +237,7 @@ def test_partition_walk_normal_form_count(monkeypatch):
     # atom; an all-atom family and an atom's antichain take no form
     calls = count_normal_forms(monkeypatch)
     assert check_partitions(build_lusin(standard_base()), Window(3, 4)).ok
-    assert calls == [613]
+    assert calls == [604]
 
 
 def test_standard_partition_walk_takes_only_the_root_forms(monkeypatch):
