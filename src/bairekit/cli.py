@@ -24,7 +24,7 @@ from .choquet import IllegalMoveError, extract_schemes, last_reply, \
 from .grammar import parse_expr
 from .lusin import base_from_lines, build_lusin, check_lusin_conditions, \
     standard_base
-from .scheme import Report, ReportEntry, dump_scheme, relabel
+from .scheme import Report, dump_scheme, relabel
 from .suites import G_PRESETS, SCHEME_PRESETS, STRATEGY_PRESETS, SUITES, \
     ConfigError, RunConfig, checked_window, load_space_file, run_suite
 from .spaces import BAIRE, FiniteSpaceModel, SpaceModel
@@ -81,18 +81,11 @@ _escape = json.encoder.encode_basestring_ascii
 def _dump(value, pad: str, write: Callable[[str], object]) -> None:
     """Write the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
     ``value`` at indentation ``pad``; dict keys are strings.  Containers
-    are written member by member, a ``Report`` as its ``to_json()`` read
-    off its fields, and each of its entries in one write, so no entry dict
-    is built."""
-    inner = pad + "  "
-    if isinstance(value, ReportEntry):
-        write(f'{{{inner}"detail": {_escape(value.detail)},{inner}"key": '
-              f'{_escape(value.key)},{inner}"status": '
-              f'{_escape(value.status)}{pad}}}')
-        return
+    are written member by member, and a ``Report`` as its ``to_json()``
+    by ``_dump_report``."""
     if isinstance(value, Report):
-        value = {"counts": value.counts(), "entries": value.entries,
-                 "name": value.name, "ok": value.ok}
+        _dump_report(value, pad, write)
+        return
     if isinstance(value, dict):
         members = ((_escape(k) + ": ", value[k]) for k in sorted(value))
         ends = "{}"
@@ -105,12 +98,37 @@ def _dump(value, pad: str, write: Callable[[str], object]) -> None:
     if not value:
         write(ends)
         return
+    inner = pad + "  "
     sep = ends[0] + inner
     for head, v in members:
         write(sep + head)
         _dump(v, inner, write)
         sep = "," + inner
     write(pad + ends[1])
+
+
+def _dump_report(rep: Report, pad: str, write: Callable[[str], object]) -> None:
+    """Write ``rep.to_json()`` as ``_dump`` writes a dict, read off the
+    report's fields: one loop over the entries, one write each, and no
+    entry dict built."""
+    inner = pad + "  "
+    write(f'{{{inner}"counts": ')
+    _dump(rep.counts(), inner, write)
+    write(f',{inner}"entries": ')
+    if rep.entries:
+        at, field = inner + "  ", inner + "    "
+        detail, key, status = (f'{{{field}"detail": ', f',{field}"key": ',
+                               f',{field}"status": ')
+        sep = "[" + at
+        for e in rep.entries:
+            write(f"{sep}{detail}{_escape(e.detail)}{key}{_escape(e.key)}"
+                  f"{status}{_escape(e.status)}{at}}}")
+            sep = "," + at
+        write(inner + "]")
+    else:
+        write("[]")
+    write(f',{inner}"name": {_escape(rep.name)},{inner}"ok": '
+          f'{json.dumps(rep.ok)}{pad}}}')
 
 
 def _write_json(data, path: Optional[str], out: TextIO) -> None:

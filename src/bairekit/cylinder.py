@@ -152,6 +152,15 @@ def intersects(e1: Expr, e2: Expr) -> bool:
     return not is_empty(Inter(e1, e2))
 
 
+def meet_form(e: Expr, form: frozenset[Seq]) -> frozenset[Seq]:
+    """The normal form of ``e`` intersected with the set whose normal form
+    is ``form``.  A caller that decides many expressions against one set
+    takes that set's form once: ``e`` meets the set exactly when the result
+    is nonempty, and lies inside it exactly when the result is
+    ``normal_form(e)``."""
+    return _meet(normal_form(e), form)
+
+
 def contains_branch(e: Expr, p: BranchRule) -> bool:
     """Exact membership; reads ``p`` only up to the longest mention."""
     f = normal_form(e)

@@ -31,7 +31,7 @@ from .cylinder import (Antichain, Atom, Diff, Expr, Extensions, Inter,
 from .grammar import parse_expr
 from .scheme import (Report, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
                      Window, check_partitions)
-from .seq import Seq, seq_at, seq_to_text, tuple_at
+from .seq import Seq, seq_at, tuple_at
 from .spaces import BAIRE
 
 
@@ -71,6 +71,26 @@ def base_from_lines(text: str) -> LusinBase:
         return exprs[j] if j < len(exprs) else cy.EMPTY
 
     return LusinBase(at, label="file")
+
+
+# ``target_at(k)``: the target of the odd level ``k`` and its normal form
+_Targets = Callable[[int], tuple[Expr, frozenset[Seq]]]
+
+
+def _level_targets(base: LusinBase) -> _Targets:
+    """A ``target_at`` that reads each level's target and takes its normal
+    form once, however many of the level's nodes ask; nodes are decided
+    against the form by ``cylinder.meet_form``."""
+    known: dict[int, tuple[Expr, frozenset[Seq]]] = {}
+
+    def target_at(k: int) -> tuple[Expr, frozenset[Seq]]:
+        got = known.get(k)
+        if got is None:
+            target = base.target(k)
+            got = known[k] = (target, cy.normal_form(target))
+        return got
+
+    return target_at
 
 
 # ``tails(k, count)``: the first ``count`` sequences of length ``k``
@@ -190,9 +210,14 @@ def build_lusin(base: LusinBase) -> Scheme:
     A read with ``store`` false that finds none of the children in the
     memo hands it on as it is, so the cover and partition walk decides the
     leaf level on stems and tails and builds none of its atoms; every
-    other read returns a list."""
+    other read returns a list.
+
+    Each odd level's target is read, and its normal form taken, once: a
+    node carves when ``cylinder.meet_form`` finds it meeting that form, and
+    the meet itself is built only for the carve's witness."""
     plans: dict[Seq, _Plan] = {}
     tail_table: dict[int, list[Seq]] = {}
+    target_at = _level_targets(base)
     scheme: Scheme
 
     def tails(k: int, count: int) -> list[Seq]:
@@ -206,10 +231,12 @@ def build_lusin(base: LusinBase) -> Scheme:
         if plan is None:
             va = scheme.node(a)
             k = len(a)
-            meet = Inter(va, base.target(k)) if k % 2 == 1 else None
-            if meet is not None and not cy.is_empty(meet):
-                plan = _CarvePlan(va, cy.strict_witness(meet))
-            else:
+            if k % 2 == 1:
+                target, form = target_at(k)
+                if cy.meet_form(va, form):
+                    # the meet is built only for the carve's witness
+                    plan = _CarvePlan(va, cy.strict_witness(Inter(va, target)))
+            if plan is None:
                 chain = minimal_antichain(va)
                 if chain.families or len(chain.concrete) > 1:
                     plan = _SplitPlan(chain, k + 1)
@@ -239,8 +266,8 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
     rep = check_partitions(scheme, window)
     rep.name = "lusin-conditions"
     plan = scheme.meta.get("plan")
-    for a in window.nodes():
-        key = seq_to_text(a)
+    target_at = _level_targets(base)
+    for a, key in window.keyed():
         va = scheme.node(a)
         if cy.is_empty(va):
             rep.add(f"nonempty:{key}", VIOLATED, "empty node")
@@ -254,8 +281,8 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
                     "odd node is not a long-enough single cylinder")
         else:
             rep.add(f"cyl-form:{key}", VERIFIED)
-        target = base.target(k)
-        if not cy.intersects(va, target):
+        target, form = target_at(k)
+        if not cy.meet_form(va, form):
             continue
         witness = plan(a).witness if plan else None
         # the positive children follow child 0; below the window's last
@@ -264,7 +291,11 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         bound = target if witness is None else Atom(witness)
         held = not scheme.space.uncovered(children, [bound])
         if witness is not None:
-            inside = cy.subset(bound, target)
+            # S(w) lies inside the target exactly when its meet with the
+            # target is S(w) itself, whose form is {w}
+            # S(w) lies inside the target exactly when its meet with the
+            # target is S(w) itself, whose form is {w}
+            inside = cy.meet_form(bound, form) == {witness}
             if inside and held:
                 rep.add(f"refine:{key}", VERIFIED,
                         "witness inclusion covers all positive children")

@@ -51,6 +51,23 @@ class Window:
         for length in range(self.depth + 1):
             yield from product(range(self.breadth), repeat=length)
 
+    def keyed(self) -> Iterator[tuple[Seq, str]]:
+        """``nodes()`` in order, each with its report key ``seq_to_text(a)``.
+
+        A node's key is its parent's key plus one entry, so no key is
+        rendered from scratch.  The parents of a level are the previous
+        level in order, each parent once per value; only the previous
+        level's keys are kept, and the deepest level's are not kept."""
+        yield (), seq_to_text(())
+        keys = [""]
+        for length in range(1, self.depth + 1):
+            sep = "." if length > 1 else ""
+            ends = [f"{sep}{v}" for v in range(self.breadth)]
+            level = (key + end for key in keys for end in ends)
+            if length < self.depth:
+                level = keys = list(level)
+            yield from zip(product(range(self.breadth), repeat=length), level)
+
     def node_count(self) -> int:
         if self.breadth == 1:
             return self.depth + 1
@@ -211,10 +228,9 @@ def _walk(scheme: Scheme, window: Window, name: str, pairs: bool) -> Report:
     else:
         rep.add("root", VIOLATED, "root differs from the whole space")
     overlaps = Report(name)
-    for a in window.nodes():
+    for a, key in window.keyed():
         children = scheme.children(a, window.breadth, len(a) < window.depth)
         escaped, covered, met = space.family(scheme.node(a), children, pairs)
-        key = seq_to_text(a)
         if escaped:
             for n in escaped:
                 rep.add(f"{key}:{n}", VIOLATED, "child escapes its node")
@@ -348,8 +364,7 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
     n_hi = 1 + max(pre.values()) if surjective else m
     direct_hi = 1 + max(g(n) for n in range(m))
 
-    for a in window.nodes():
-        key = seq_to_text(a)
+    for a, key in window.keyed():
         lifted = moved.children(a, max(m, n_hi))
         # every g(n) with n below the budget is below direct_hi
         direct = scheme.children(compose_index(g, a), max(m, direct_hi))
@@ -409,8 +424,7 @@ def branch_nodes(scheme: Scheme, x, window: Window) -> list[Seq]:
 
 
 def dump_scheme(scheme: Scheme, window: Window) -> dict:
-    nodes = {}
-    for a in window.nodes():
-        nodes[seq_to_text(a)] = scheme.space.open_to_json(scheme.node(a))
+    to_json, node = scheme.space.open_to_json, scheme.node
+    nodes = {key: to_json(node(a)) for a, key in window.keyed()}
     return {"space": scheme.space.tag, "label": scheme.label,
             "window": window.to_json(), "nodes": nodes}

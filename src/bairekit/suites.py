@@ -226,12 +226,12 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
 
             rep = Report(f"openness[{tag}]")
             space = moved.space
-            for a in window.nodes():
+            for a, key in window.keyed():
                 source = base_scheme.node(compose_index(g, a))
                 if space.equal(moved.node(a), source):
-                    rep.add(seq_to_text(a), VERIFIED)
+                    rep.add(key, VERIFIED)
                 else:
-                    rep.add(seq_to_text(a), VIOLATED,
+                    rep.add(key, VIOLATED,
                             "node is not drawn from the base scheme")
             reports.append(rep)
 

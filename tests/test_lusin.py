@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
 import bairekit.lusin as lusin
+from conftest import odd_level_fault
 from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
 from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
@@ -114,6 +115,33 @@ def test_family_reads_match_node_reads(text, depth, breadth, store):
                 assert a + (n,) not in sch._memo
 
 
+_level_bases = st.lists(st.lists(_terms, min_size=1, max_size=3)
+                        .map(" | ".join), min_size=2, max_size=3) \
+    .map("\n".join)
+
+
+@given(_level_bases, st.integers(2, 4))
+@example("S(0) | S(1,2)\n(S(2) \\ S(2,2))", 2)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_odd_plans_carve_exactly_where_the_level_target_meets(text, breadth):
+    """Levels 1 and 3 read different lines of the base.  Every odd window
+    node carves, and has a ``refine`` entry, exactly when the window oracle
+    finds it meeting its own level's target."""
+    assert odd_level_fault(lusin, base_from_lines(text),
+                           Window(3, breadth)) is None
+
+
+def test_a_witness_not_inside_the_target_is_violated(monkeypatch):
+    """The plan's witness is decided against the target's form: a carve
+    whose witness meets the target S(0,1) but does not lie inside it fails
+    its inclusion."""
+    monkeypatch.setattr(cylinder, "strict_witness", lambda e: (0,))
+    base = base_from_lines("S(0,1)")
+    rep = check_lusin_conditions(build_lusin(base), base, Window(1, 3))
+    assert _refine_entry(rep, "0") == (
+        VIOLATED, "witness inclusion False, budgeted children True")
+
+
 def test_family_reads_share_tails_and_single_reads_grow_none(monkeypatch):
     """A stem plan's family reads the level's shared tails, computed once
     up to the largest budget read; a single read computes its own tail."""
@@ -172,7 +200,9 @@ def test_partition_evidence():
 def test_default_lusin_check_count_budget(monkeypatch):
     # the emptiness decisions of synthesis and of the check on the default
     # lusin suite's window; a regression in operation count fails here.  An
-    # atom's antichain takes no decision, so most split plans take none
+    # atom's antichain takes no decision, so most split plans take none, and
+    # an odd node is decided against its level's target form, not by
+    # ``is_empty``
     calls = 0
     real = cylinder.is_empty
 
@@ -185,7 +215,7 @@ def test_default_lusin_check_count_budget(monkeypatch):
     base = standard_base()
     rep = check_lusin_conditions(build_lusin(base), base, Window(4, 6))
     assert rep.ok
-    assert calls == 2_377
+    assert calls == 1_891
 
 
 def test_default_lusin_family_build_count_budget(monkeypatch):
@@ -217,7 +247,9 @@ def test_default_lusin_family_build_count_budget(monkeypatch):
 
 def test_default_lusin_atom_build_count_budget(monkeypatch):
     # a stem family read below the window comes back as its stem and the
-    # level's tails, and the family decision builds none of its atoms
+    # level's tails, and the family decision builds none of its atoms; the
+    # standard base builds an atom per target read, once per odd level in
+    # synthesis and once in the check
     calls = 0
     init = Atom.__init__
 
@@ -229,7 +261,7 @@ def test_default_lusin_atom_build_count_budget(monkeypatch):
     monkeypatch.setattr(Atom, "__init__", counted)
     base = standard_base()
     assert check_lusin_conditions(build_lusin(base), base, Window(4, 6)).ok
-    assert calls == 2_466
+    assert calls == 2_026
 
 
 def test_default_lusin_plans_keep_few_antichains():

@@ -12,7 +12,10 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
 - ``seq``: ``tuple_at`` against its inverse ``tuple_index``;
 - ``lusin``: small Lusin schemes, each family read against its plan's
   ``child(n)`` and its node's trace, and the memo rules of the reads by
-  object identity, which is all that a memo mutant changes.
+  object identity, which is all that a memo mutant changes; and each odd
+  node's carve and ``refine`` entry against its level's target trace,
+  which a wrong plan cannot also fake;
+- ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``.
 
 The real modules and unmutated copies pass the sweeps; every mutant must
 fail its module's.  Each snippet must occur exactly once in its module, so
@@ -35,7 +38,8 @@ import bairekit.cylinder as cy
 from bairekit.cylinder import Atom, Diff, Extensions, Inter, Union, \
     trace_window
 from bairekit.scheme import Window
-from bairekit.seq import tuple_index
+from bairekit.seq import seq_to_text, tuple_index
+from conftest import odd_level_fault
 
 # a copy uses these real classes and constants, not its own
 SHARED = {"cylinder": ("Expr", "Atom", "Union", "Inter", "Diff", "_EmptyExpr",
@@ -101,6 +105,17 @@ MUTANTS = {
     "lusin-children-store": ("lusin",
         "got[n] = self._memo.setdefault(keys[n], v) if store else v",
         "got[n] = v"),
+    # each odd level's target and its form, read once per level
+    "level-target-form": ("lusin",
+        "got = known.get(k)",
+        "got = known.get(1)"),
+    # a node's report key, its parent's key plus one entry
+    "key-extension": ("scheme",
+        "level = (key + end for key in keys for end in ends)",
+        "level = (key + end for end in ends for key in keys)"),
+    "key-separator": ("scheme",
+        'sep = "." if length > 1 else ""',
+        'sep = "."'),
 }
 
 
@@ -316,10 +331,30 @@ def lusin_sweep(module):
             last = fresh.node(a + (window.breadth - 1,))
             if fresh.children(a, window.breadth, store=False)[-1] is not last:
                 return text, a, "unstored read of a stored child"
+        fault = odd_level_fault(module, base, window)
+        if fault is not None:
+            return (text,) + fault
     return None
 
 
-SWEEPS = {"cylinder": cylinder_sweep, "seq": seq_sweep, "lusin": lusin_sweep}
+# -- the scheme sweep ---------------------------------------------------------
+
+# depth 3 has three levels of parents; breadth 12 has two-digit entries
+KEY_WINDOWS = [Window(0, 1), Window(3, 3), Window(2, 12)]
+
+
+def scheme_sweep(module):
+    """The first window whose keyed nodes are not ``nodes()`` with their
+    rendered keys, or None."""
+    for w in KEY_WINDOWS:
+        copy = module.Window(w.depth, w.breadth)
+        if list(copy.keyed()) != [(a, seq_to_text(a)) for a in w.nodes()]:
+            return w
+    return None
+
+
+SWEEPS = {"cylinder": cylinder_sweep, "seq": seq_sweep, "lusin": lusin_sweep,
+          "scheme": scheme_sweep}
 SOURCES = {name: Path(importlib.import_module(f"bairekit.{name}").__file__)
            .read_text(encoding="utf-8") for name in SWEEPS}
 

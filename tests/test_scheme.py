@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bairekit.cylinder import Atom, EMPTY, FULL, cyl, equal
@@ -7,7 +9,7 @@ from bairekit.scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED,
                              dense_in_itself_probe, dump_scheme, fruit_prefix,
                              pi_net_probe, relabel, standard_scheme,
                              strict_branch_probe, EmptyTargetError)
-from bairekit.seq import BranchRule
+from bairekit.seq import BranchRule, seq_to_text
 from bairekit.spaces import BAIRE, FiniteSpaceModel
 
 HALF = lambda n: n // 2
@@ -21,6 +23,28 @@ def test_window_nodes():
         Window(-1, 2)
     with pytest.raises(ValueError):
         Window(2, 0)
+
+
+@pytest.mark.parametrize("breadth", [1, 2, 10, 11, 16])
+@pytest.mark.parametrize("depth", range(5))
+def test_keyed_nodes_carry_their_rendered_keys(depth, breadth):
+    # from breadth 11 on, the keys hold two-digit entries
+    w = Window(depth, breadth)
+    assert list(w.keyed()) == [(a, seq_to_text(a)) for a in w.nodes()]
+
+
+def test_keyed_keeps_no_more_than_a_level_of_keys():
+    # the keys of all 69,905 nodes of d4/b16 take about 4.6 MB; the
+    # previous level's 4,096 keys about 0.3 MB
+    w = Window(4, 16)
+    tracemalloc.start()
+    try:
+        for _ in w.keyed():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_summary_takes_the_worst_status_of_its_items():
