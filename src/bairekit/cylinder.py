@@ -415,16 +415,11 @@ def _meeting(stems: list[Seq]) -> list[tuple[int, int]]:
     """The pairs ``n < m`` whose stems are comparable.
 
     No two distinct stems of one length are, and such a list, the tails
-    of a Lusin leaf family, is answered without a sort.  The extensions
-    of a stem form one interval of the lexicographic order, so some two
-    stems are comparable exactly when two neighbours in the sorted list
-    are; only then are the pairs listed.
+    of a Lusin leaf family, is answered at once; any other list is
+    compared pair by pair.
     """
     lengths = set(map(len, stems))
     if len(lengths) <= 1 and len(set(stems)) == len(stems):
-        return []
-    ordered = sorted(stems)
-    if not any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):
         return []
     return [(n, m) for n, s in enumerate(stems)
             for m, t in enumerate(stems[n + 1:], n + 1)
@@ -519,11 +514,6 @@ class NdTree:
                     raise ValueError(f"member {w} breaks the branching bound")
                 if not self.member(w[:-1]):
                     raise ValueError(f"tree not downward closed at {w}")
-
-    @staticmethod
-    def full(branching: int, depth_bound: int = 6) -> "NdTree":
-        return NdTree(lambda w: all(x < branching for x in w), branching,
-                      depth_bound)
 
     @staticmethod
     def level_capped(caps: Seq, depth_bound: int = 6) -> "NdTree":

@@ -22,7 +22,7 @@ child family at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import cylinder as cy
@@ -43,10 +43,15 @@ class LusinBase:
     topology for which the nonempty cylinder opens form a pi-base.  That
     assumption quantifies over all opens of the finer topology and is not
     checkable here; it is an input declaration.
+
+    ``target_form`` reads each odd level's target and takes its normal
+    form once per base, however many nodes, schemes and checks ask.
     """
 
     expr_at: Callable[[int], Expr]
     label: str = "custom"
+    _forms: dict[int, tuple[Expr, frozenset[Seq]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def target(self, k: int) -> Expr:
         if k % 2 == 0:
@@ -55,6 +60,15 @@ class LusinBase:
         if not isinstance(e, Expr):
             raise ValueError(f"target {k} is not an expression: {e!r}")
         return e
+
+    def target_form(self, k: int) -> tuple[Expr, frozenset[Seq]]:
+        """The target of the odd level ``k`` and its normal form; nodes are
+        decided against the form by ``cylinder.meet_form``."""
+        got = self._forms.get(k)
+        if got is None:
+            target = self.target(k)
+            got = self._forms[k] = (target, cy.normal_form(target))
+        return got
 
 
 def standard_base() -> LusinBase:
@@ -71,26 +85,6 @@ def base_from_lines(text: str) -> LusinBase:
         return exprs[j] if j < len(exprs) else cy.EMPTY
 
     return LusinBase(at, label="file")
-
-
-# ``target_at(k)``: the target of the odd level ``k`` and its normal form
-_Targets = Callable[[int], tuple[Expr, frozenset[Seq]]]
-
-
-def _level_targets(base: LusinBase) -> _Targets:
-    """A ``target_at`` that reads each level's target and takes its normal
-    form once, however many of the level's nodes ask; nodes are decided
-    against the form by ``cylinder.meet_form``."""
-    known: dict[int, tuple[Expr, frozenset[Seq]]] = {}
-
-    def target_at(k: int) -> tuple[Expr, frozenset[Seq]]:
-        got = known.get(k)
-        if got is None:
-            target = base.target(k)
-            got = known[k] = (target, cy.normal_form(target))
-        return got
-
-    return target_at
 
 
 # ``tails(k, count)``: the first ``count`` sequences of length ``k``
@@ -212,12 +206,12 @@ def build_lusin(base: LusinBase) -> Scheme:
     leaf level on stems and tails and builds none of its atoms; every
     other read returns a list.
 
-    Each odd level's target is read, and its normal form taken, once: a
-    node carves when ``cylinder.meet_form`` finds it meeting that form, and
-    the meet itself is built only for the carve's witness."""
+    Each odd level's target and its normal form come from
+    ``base.target_form``: a node carves when ``cylinder.meet_form`` finds
+    it meeting that form, and the meet itself is built only for the
+    carve's witness."""
     plans: dict[Seq, _Plan] = {}
     tail_table: dict[int, list[Seq]] = {}
-    target_at = _level_targets(base)
     scheme: Scheme
 
     def tails(k: int, count: int) -> list[Seq]:
@@ -232,7 +226,7 @@ def build_lusin(base: LusinBase) -> Scheme:
             va = scheme.node(a)
             k = len(a)
             if k % 2 == 1:
-                target, form = target_at(k)
+                target, form = base.target_form(k)
                 if cy.meet_form(va, form):
                     # the meet is built only for the carve's witness
                     plan = _CarvePlan(va, cy.strict_witness(Inter(va, target)))
@@ -266,7 +260,6 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
     rep = check_partitions(scheme, window)
     rep.name = "lusin-conditions"
     plan = scheme.meta.get("plan")
-    target_at = _level_targets(base)
     for a, key in window.keyed():
         va = scheme.node(a)
         if cy.is_empty(va):
@@ -281,7 +274,7 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
                     "odd node is not a long-enough single cylinder")
         else:
             rep.add(f"cyl-form:{key}", VERIFIED)
-        target, form = target_at(k)
+        target, form = base.target_form(k)
         if not cy.meet_form(va, form):
             continue
         witness = plan(a).witness if plan else None
@@ -291,8 +284,6 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         bound = target if witness is None else Atom(witness)
         held = not scheme.space.uncovered(children, [bound])
         if witness is not None:
-            # S(w) lies inside the target exactly when its meet with the
-            # target is S(w) itself, whose form is {w}
             # S(w) lies inside the target exactly when its meet with the
             # target is S(w) itself, whose form is {w}
             inside = cy.meet_form(bound, form) == {witness}

@@ -16,7 +16,7 @@ from itertools import count, cycle, product
 from typing import Iterable, Iterator, Protocol
 
 from . import cylinder
-from .cylinder import Atom, Expr, Inter, Union as ExprUnion, minimal_antichain
+from .cylinder import Atom, Expr, Inter, minimal_antichain
 from .grammar import expr_to_text
 from .seq import BranchRule, seq_at
 
@@ -47,7 +47,6 @@ class SpaceModel(Protocol):
     def is_empty(self, o) -> bool: ...
     def is_open(self, o) -> bool: ...
     def intersect(self, a, b): ...
-    def union(self, a, b): ...
     def subset(self, a, b) -> bool: ...
     def equal(self, a, b) -> bool: ...
     def contains(self, o, x) -> bool: ...
@@ -138,9 +137,6 @@ class FiniteSpaceModel:
 
     def intersect(self, a: int, b: int) -> int:
         return a & b
-
-    def union(self, a: int, b: int) -> int:
-        return a | b
 
     def subset(self, a: int, b: int) -> bool:
         return a & ~b == 0
@@ -233,9 +229,6 @@ class BaireSpaceModel:
 
     def intersect(self, a: Expr, b: Expr) -> Expr:
         return Inter(a, b)
-
-    def union(self, a: Expr, b: Expr) -> Expr:
-        return ExprUnion(a, b)
 
     def subset(self, a: Expr, b: Expr) -> bool:
         return cylinder.subset(a, b)

@@ -456,6 +456,15 @@ def test_play_dump_to_a_path_with_a_nul_byte_keeps_the_game():
     assert "II[0]>" in out and "game over after 1 rounds" in out
 
 
+def test_play_dump_without_a_file_prints_its_usage_and_keeps_the_game():
+    script = ":dump\nS(0)\n:quit\n"
+    code, out = run_cli(["play", "--space", "baire"], script)
+    assert code == 0
+    # the usage line follows the prompt the command was typed at
+    assert "I[0]> usage: :dump FILE" in out.splitlines()
+    assert "II[0]>" in out and "game over after 1 rounds" in out
+
+
 def test_play_baire_game():
     script = "S(0,1)\n:quit\n"
     code, out = run_cli(["play", "--space", "baire"], script)

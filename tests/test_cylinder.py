@@ -579,7 +579,7 @@ def test_trace_window_guard():
 # -- tree avoidance ------------------------------------------------------------
 
 def test_nd_tree_shape():
-    NdTree.full(2).check_shape()
+    NdTree.level_capped((2,)).check_shape()
     NdTree.level_capped((2, 1)).check_shape()
     ragged = NdTree(lambda w: w == (0, 0), branching=1, depth_bound=3)
     with pytest.raises(ValueError):
@@ -595,7 +595,7 @@ def window_avoids_tree(c, tree, depth, breadth):
 
 
 def test_nd_witness_examples():
-    zeros = NdTree.full(1)
+    zeros = NdTree.level_capped((1,))
     c = nd_witness(FULL, zeros)
     assert subset(Atom(c), FULL)
     assert not all(zeros.member(c[: j]) for j in range(1, len(c) + 1))

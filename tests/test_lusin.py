@@ -248,8 +248,8 @@ def test_default_lusin_family_build_count_budget(monkeypatch):
 def test_default_lusin_atom_build_count_budget(monkeypatch):
     # a stem family read below the window comes back as its stem and the
     # level's tails, and the family decision builds none of its atoms; the
-    # standard base builds an atom per target read, once per odd level in
-    # synthesis and once in the check
+    # standard base builds an atom per target read, once per odd level of
+    # the base, which synthesis and the check share
     calls = 0
     init = Atom.__init__
 
@@ -261,7 +261,7 @@ def test_default_lusin_atom_build_count_budget(monkeypatch):
     monkeypatch.setattr(Atom, "__init__", counted)
     base = standard_base()
     assert check_lusin_conditions(build_lusin(base), base, Window(4, 6)).ok
-    assert calls == 2_026
+    assert calls == 2_024
 
 
 def test_default_lusin_plans_keep_few_antichains():
@@ -339,6 +339,21 @@ def test_foreign_scheme_refinement_is_budget_evidence_only():
     rep = check_lusin_conditions(Scheme(BAIRE, rule), base, Window(1, 3))
     refine = [e for e in rep.entries if e.key == "refine:0"]
     assert refine and refine[0].status == UNRESOLVED
+
+
+def test_foreign_scheme_with_an_empty_node_is_violated():
+    """An empty node fails ``nonempty`` and is checked no further: the odd
+    node (1,) gets no ``cyl-form`` entry."""
+    def rule(a):
+        return cylinder.EMPTY if a == (1,) else Atom(a)
+
+    rep = check_lusin_conditions(Scheme(BAIRE, rule), standard_base(),
+                                 Window(1, 2))
+    entries = {e.key: (e.status, e.detail) for e in rep.entries}
+    assert entries["nonempty:1"] == (VIOLATED, "empty node")
+    assert entries["nonempty:0"] == (VERIFIED, "")
+    assert "cyl-form:1" not in entries and "cyl-form:0" in entries
+    assert not rep.ok
 
 
 def _refine_entry(rep, key):

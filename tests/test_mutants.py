@@ -68,13 +68,10 @@ MUTANTS = {
     "stem-family-covered": ("cylinder",
         "any(stem[: len(s)] == s for s in stems)",
         "any(s[:k] == stem for s in stems)"),
-    # the early returns of the meeting pairs
+    # the early return of the meeting pairs
     "meeting-one-length": ("cylinder",
         "if len(lengths) <= 1 and len(set(stems)) == len(stems):",
         "if len(lengths) <= 1:"),
-    "meeting-neighbours": ("cylinder",
-        "if not any(t[: len(s)] == s for s, t in zip(ordered, ordered[1:])):",
-        "if not any(s[: len(t)] == t for s, t in zip(ordered, ordered[1:])):"),
     # an open that is one of the cover's own objects
     "uncovered-identity": ("cylinder",
         """    members = {id(c) for c in cover}
@@ -105,10 +102,10 @@ MUTANTS = {
     "lusin-children-store": ("lusin",
         "got[n] = self._memo.setdefault(keys[n], v) if store else v",
         "got[n] = v"),
-    # each odd level's target and its form, read once per level
+    # each odd level's target and its form, read once per base
     "level-target-form": ("lusin",
-        "got = known.get(k)",
-        "got = known.get(1)"),
+        "got = self._forms.get(k)",
+        "got = self._forms.get(1)"),
     # a node's report key, its parent's key plus one entry
     "key-extension": ("scheme",
         "level = (key + end for key in keys for end in ends)",

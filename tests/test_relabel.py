@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -25,11 +26,9 @@ from bairekit.seq import BranchRule, restrict, seq_to_text
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _fold_union(space, items: list):
-    out = items[0]
-    for o in items[1:]:
-        out = space.union(out, o)
-    return out
+def _fold_union(items: list):
+    # the reference reads Baire schemes only, whose unions are expressions
+    return reduce(Union, items)
 
 
 # The check as it was before it read relabel() and fruit_prefix(): indices
@@ -72,12 +71,12 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
         relabeled = [scheme.node(compose_index(g, a + (n,))) for n in range(m)]
         direct_hi = 1 + max(g(n) for n in range(m))
         direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
-        q = _fold_union(space, relabeled)
-        ok1 = space.subset(q, _fold_union(space, direct[:direct_hi]))
+        q = _fold_union(relabeled)
+        ok1 = space.subset(q, _fold_union(direct[:direct_hi]))
         n_hi = 1 + max(pre[v] for v in range(m))
-        q_big = _fold_union(space, [scheme.node(compose_index(g, a + (n,)))
-                                    for n in range(n_hi)])
-        ok2 = space.subset(_fold_union(space, direct[:m]), q_big)
+        q_big = _fold_union([scheme.node(compose_index(g, a + (n,)))
+                             for n in range(n_hi)])
+        ok2 = space.subset(_fold_union(direct[:m]), q_big)
         if ok1 and ok2:
             rep.add(f"union:{key}", VERIFIED)
         else:

@@ -15,7 +15,6 @@ def test_finite_model_basics():
     assert not sp.is_open(sp.mask_of([0]))
     assert sp.subset(one, whole) and not sp.subset(whole, one)
     assert sp.intersect(whole, one) == one
-    assert sp.union(one, 0) == one
     assert sp.contains(one, 1) and not sp.contains(one, 0)
     assert sp.describe(one) == "{1}"
 
@@ -94,7 +93,6 @@ def test_baire_model_delegates():
     assert BAIRE.whole() is FULL
     assert BAIRE.subset(cyl(0, 1), cyl(0))
     assert BAIRE.is_empty(BAIRE.intersect(cyl(0), cyl(1)))
-    assert BAIRE.equal(BAIRE.union(cyl(0), cyl(0)), cyl(0))
     assert BAIRE.contains(cyl(2), BranchRule.constant(2))
     assert BAIRE.is_open(cyl(1)) and not BAIRE.is_open(42)
     assert BAIRE.family(cyl(0), [cyl(0), cyl(1), cyl(0, 1)], True) == \

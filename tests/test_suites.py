@@ -9,8 +9,9 @@ import bairekit.choquet as choquet
 import bairekit.cylinder as cy
 import bairekit.suites as suites
 from bairekit.cli import main
-from bairekit.scheme import Report
-from bairekit.spaces import FiniteSpaceModel, LazySeq
+from bairekit.scheme import (Report, Scheme, Window, relabel,
+                             standard_scheme)
+from bairekit.spaces import BAIRE, FiniteSpaceModel, LazySeq
 from bairekit.suites import ConfigError, RunConfig, run_suite
 
 
@@ -266,6 +267,71 @@ def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
     assert dense.to_json()["entries"] == [{"key": "dense", "status": "unresolved",
                                  "detail": "3 unresolved, first ε"}]
     assert out["ok"]
+
+
+def _identity(n):
+    return n
+
+
+def _replay(base, moved, g=_identity):
+    rep = suites._pi_net_replay(base, moved, g, "g", Window(2, 3))
+    return [(e.key, e.status, e.detail) for e in rep.entries]
+
+
+def test_pi_net_replay_skips_an_empty_target():
+    """The root's child 2 is empty, so the probe from the root has no
+    target there and writes no entry; every other target replays."""
+    holey = Scheme(BAIRE, lambda a: cy.EMPTY if a == (2,) else cy.Atom(a))
+    entries = _replay(holey, relabel(holey, _identity))
+    keys = [key for key, _, _ in entries]
+    assert "ε:2" not in keys and len(keys) == 8
+    assert {(status, detail) for _, status, detail in entries} == \
+        {("verified", "")}
+
+
+def test_pi_net_replay_without_a_hit_is_unresolved(monkeypatch):
+    monkeypatch.setattr(suites, "pi_net_probe", lambda *args: None)
+    base = standard_scheme()
+    entries = _replay(base, relabel(base, _identity))
+    assert len(entries) == 9
+    assert {(status, detail) for _, status, detail in entries} == \
+        {("unresolved", "no base hit within budget")}
+
+
+def test_pi_net_replay_without_a_preimage_is_a_breach():
+    """A constant relabeling reaches only value 0: a hit through child 1
+    or 2 has no preimage to replay."""
+    base = standard_scheme()
+    zero = lambda n: 0
+    entries = _replay(base, relabel(base, zero), zero)
+    assert entries[:3] == [
+        ("ε:0", "verified", ""),
+        ("ε:1", "breach", "missing preimage for replay"),
+        ("ε:2", "breach", "missing preimage for replay")]
+
+
+def test_pi_net_replay_through_a_wrong_view_is_violated():
+    """The view relabels by ``n ^ 1`` while the replay assumes the
+    identity, so no replayed node is the base's hit."""
+    base = standard_scheme()
+    entries = _replay(base, relabel(base, lambda n: n ^ 1))
+    assert len(entries) == 9
+    assert {(status, detail) for _, status, detail in entries} == \
+        {("violated", "replayed hit does not match")}
+
+
+def test_schemes_vg_openness_of_a_wrong_view_is_violated(monkeypatch):
+    real = suites.relabel
+    monkeypatch.setattr(suites, "relabel",
+                        lambda scheme, g: real(scheme, lambda n: g(n) ^ 1))
+    out = run_suite(RunConfig("schemes-vg", depth=1, breadth=2))
+    [rep] = [r for r in out["reports"]
+             if r.name == "openness[standard/identity]"]
+    assert [(e.key, e.status, e.detail) for e in rep.entries] == [
+        ("ε", "verified", ""),
+        ("0", "violated", "node is not drawn from the base scheme"),
+        ("1", "violated", "node is not drawn from the base scheme")]
+    assert not out["ok"]
 
 
 def test_lusin_rebuild_that_differs_at_one_deepest_node_is_violated(
