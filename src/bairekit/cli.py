@@ -109,20 +109,20 @@ def _dump(value, pad: str, write: Callable[[str], object]) -> None:
 
 def _dump_report(rep: Report, pad: str, write: Callable[[str], object]) -> None:
     """Write ``rep.to_json()`` as ``_dump`` writes a dict, read off the
-    report's fields: one loop over the entries, one write each, and no
-    entry dict built."""
+    report's columns: one loop over them zipped, one write per entry, and
+    no entry dict built."""
     inner = pad + "  "
     write(f'{{{inner}"counts": ')
     _dump(rep.counts(), inner, write)
     write(f',{inner}"entries": ')
-    if rep.entries:
+    if rep.keys:
         at, field = inner + "  ", inner + "    "
         detail, key, status = (f'{{{field}"detail": ', f',{field}"key": ',
                                f',{field}"status": ')
         sep = "[" + at
-        for e in rep.entries:
-            write(f"{sep}{detail}{_escape(e.detail)}{key}{_escape(e.key)}"
-                  f"{status}{_escape(e.status)}{at}}}")
+        for k, s, d in zip(rep.keys, rep.statuses, rep.details):
+            write(f"{sep}{detail}{_escape(d)}{key}{_escape(k)}"
+                  f"{status}{_escape(s)}{at}}}")
             sep = "," + at
         write(inner + "]")
     else:
@@ -261,8 +261,8 @@ def play_repl(space: SpaceModel, strategy_name: str,
             continue
         if line == ":quit":
             break
-        if line.startswith(":dump"):
-            parts = line.split(None, 1)
+        parts = line.split(None, 1)
+        if parts[0] == ":dump":
             if len(parts) != 2:
                 stdout.write("usage: :dump FILE\n")
                 continue

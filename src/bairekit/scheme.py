@@ -14,7 +14,7 @@ share only after the nodes of interest have been evaluated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -89,34 +89,54 @@ class ReportEntry:
     detail: str = ""
 
 
-@dataclass
 class Report:
-    """A keyed list of per-check statuses; pass means no violation and no
-    breach.  Two reports are equal when their names and entries are."""
+    """A keyed list of per-check statuses, kept as three parallel columns
+    ``keys``, ``statuses`` and ``details``, so an entry costs no object of
+    its own; pass means no violation and no breach.  Two reports are equal
+    when their names and columns are."""
 
-    name: str
-    entries: list[ReportEntry] = field(default_factory=list)
+    __slots__ = ("name", "keys", "statuses", "details")
+
+    def __init__(self, name: str, entries: Iterable[ReportEntry] = ()):
+        self.name = name
+        self.keys: list[str] = []
+        self.statuses: list[str] = []
+        self.details: list[str] = []
+        for e in entries:
+            self.add(e.key, e.status, e.detail)
 
     def add(self, key: str, status: str, detail: str = "") -> None:
-        self.entries.append(ReportEntry(key, status, detail))
+        self.keys.append(key)
+        self.statuses.append(status)
+        self.details.append(detail)
 
     def extend(self, other: "Report") -> None:
-        self.entries.extend(other.entries)
+        self.keys.extend(other.keys)
+        self.statuses.extend(other.statuses)
+        self.details.extend(other.details)
+
+    @property
+    def entries(self) -> list[ReportEntry]:
+        """The entries as records, built afresh on each read."""
+        return list(map(ReportEntry, self.keys, self.statuses, self.details))
 
     def summarize(self, key: str, items: tuple[str, ...], detail: str) -> None:
         """Add ``key`` with the worst status among the entries whose keys
         start with one of ``items``.  A verified summary reads ``detail``;
         a failing one counts the entries of its status and names the
         first."""
-        matched = [e for e in self.entries if e.key.startswith(items)]
-        status = worst(e.status for e in matched)
+        matched = [(k, s) for k, s in zip(self.keys, self.statuses)
+                   if k.startswith(items)]
+        status = worst(s for _, s in matched)
         if status != VERIFIED:
-            failed = [e.key for e in matched if e.status == status]
+            failed = [k for k, s in matched if s == status]
             detail = f"{len(failed)} {status}, first {failed[0]}"
         self.add(key, status, detail)
 
     def with_status(self, status: str) -> list[ReportEntry]:
-        return [e for e in self.entries if e.status == status]
+        return [ReportEntry(k, s, d)
+                for k, s, d in zip(self.keys, self.statuses, self.details)
+                if s == status]
 
     @property
     def violations(self) -> list[ReportEntry]:
@@ -128,23 +148,33 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return worst(e.status for e in self.entries) in (UNRESOLVED, VERIFIED)
+        return worst(self.statuses) in (UNRESOLVED, VERIFIED)
 
     def counts(self) -> dict[str, int]:
         """The number of entries of each status."""
-        c = Counter(e.status for e in self.entries)
+        c = Counter(self.statuses)
         return {s: c[s] for s in (VERIFIED, VIOLATED, UNRESOLVED, BREACH)}
 
     def to_json(self) -> dict:
-        """The report's JSON form; ``cli`` writes its text from the fields
+        """The report's JSON form; ``cli`` writes its text from the columns
         without building it."""
         return {
             "name": self.name,
             "ok": self.ok,
             "counts": self.counts(),
-            "entries": [{"key": e.key, "status": e.status, "detail": e.detail}
-                        for e in self.entries],
+            "entries": [{"key": k, "status": s, "detail": d}
+                        for k, s, d in zip(self.keys, self.statuses,
+                                           self.details)],
         }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return (self.name, self.keys, self.statuses, self.details) == \
+            (other.name, other.keys, other.statuses, other.details)
+
+    def __repr__(self) -> str:
+        return f"Report({self.name!r}, {self.entries!r})"
 
     def __str__(self) -> str:
         c = self.counts()

@@ -244,9 +244,9 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
             x = _lusin_probe_branch(base_scheme, (1, 1, 1))
         probe = dense_in_itself_probe(moved, x, window)
         probe.summarize("dense", ("",),
-                        f"{len(probe.entries)} nodes, two siblings each")
+                        f"{len(probe.keys)} nodes, two siblings each")
         dense = Report(f"dense[{base_scheme.label}/half]")
-        dense.entries.append(probe.entries[-1])
+        dense.add(probe.keys[-1], probe.statuses[-1], probe.details[-1])
         reports.append(dense)
         del base_scheme, moved
     return reports

@@ -465,6 +465,23 @@ def test_play_dump_without_a_file_prints_its_usage_and_keeps_the_game():
     assert "II[0]>" in out and "game over after 1 rounds" in out
 
 
+def test_play_reads_only_the_word_dump_as_the_dump_command(tmp_path,
+                                                          monkeypatch):
+    # a word that merely starts with ":dump" is a move, and not a legal one
+    monkeypatch.chdir(tmp_path)
+    script = ":dumps out.json\n:dumpfoo\n:dump\nS(0)\n:quit\n"
+    code, out = run_cli(["play", "--space", "baire"], script)
+    assert code == 0
+    assert not (tmp_path / "out.json").exists()
+    assert list(tmp_path.iterdir()) == []
+    lines = out.splitlines()
+    assert [line.split(":", 1)[0] for line in lines
+            if "cannot parse move" in line] == ["I[0]> cannot parse move",
+                                                "I[0]> cannot parse move"]
+    assert "I[0]> usage: :dump FILE" in lines
+    assert "II[0]>" in out and "game over after 1 rounds" in out
+
+
 def test_play_baire_game():
     script = "S(0,1)\n:quit\n"
     code, out = run_cli(["play", "--space", "baire"], script)

@@ -15,7 +15,10 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
   object identity, which is all that a memo mutant changes; and each odd
   node's carve and ``refine`` entry against its level's target trace,
   which a wrong plan cannot also fake;
-- ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``.
+- ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``,
+  and a report's entries after ``Report.extend`` against the records added;
+- ``cli``: the JSON text that ``_write_json`` streams for a report against
+  ``json.dumps`` of its ``to_json()``.
 
 The real modules and unmutated copies pass the sweeps; every mutant must
 fail its module's.  Each snippet must occur exactly once in its module, so
@@ -26,6 +29,8 @@ skips a rule call whose family the loop after it would not read.
 """
 
 import importlib
+import io
+import json
 import random
 import sys
 import types
@@ -37,7 +42,8 @@ import pytest
 import bairekit.cylinder as cy
 from bairekit.cylinder import Atom, Diff, Extensions, Inter, Union, \
     trace_window
-from bairekit.scheme import Window
+from bairekit.scheme import BREACH, UNRESOLVED, VERIFIED, VIOLATED, \
+    Report, Window
 from bairekit.seq import seq_to_text, tuple_index
 from conftest import odd_level_fault
 
@@ -113,6 +119,15 @@ MUTANTS = {
     "key-separator": ("scheme",
         'sep = "." if length > 1 else ""',
         'sep = "."'),
+    # a report's three columns, extended together
+    "report-extend-column": ("scheme",
+        """        self.statuses.extend(other.statuses)
+        self.details.extend(other.details)""",
+        """        self.statuses.extend(other.statuses)"""),
+    # the writer's entries, read off the columns zipped
+    "dump-report-zip": ("cli",
+        "zip(rep.keys, rep.statuses, rep.details)",
+        "zip(rep.keys, rep.details, rep.statuses)"),
 }
 
 
@@ -340,18 +355,48 @@ def lusin_sweep(module):
 KEY_WINDOWS = [Window(0, 1), Window(3, 3), Window(2, 12)]
 
 
+# one entry of each status, each field distinct from every other
+RECORDS = [("k0", VERIFIED, ""), ("k1", VIOLATED, "d1"),
+           ("k2", UNRESOLVED, "d2"), ("k3", BREACH, "d3")]
+
+
 def scheme_sweep(module):
     """The first window whose keyed nodes are not ``nodes()`` with their
-    rendered keys, or None."""
+    rendered keys, or None; or ``"extend"`` when a report extended by
+    another does not hold both reports' records in order."""
     for w in KEY_WINDOWS:
         copy = module.Window(w.depth, w.breadth)
         if list(copy.keyed()) != [(a, seq_to_text(a)) for a in w.nodes()]:
             return w
+    rep, rest = module.Report("r"), module.Report("s")
+    rep.add(*RECORDS[0])
+    for record in RECORDS[1:]:
+        rest.add(*record)
+    rep.extend(rest)
+    if [(e.key, e.status, e.detail) for e in rep.entries] != RECORDS:
+        return "extend"
+    return None
+
+
+# -- the cli sweep ------------------------------------------------------------
+
+def cli_sweep(module):
+    """The first report whose streamed JSON text is not ``json.dumps`` of
+    its ``to_json()``, or None."""
+    full = Report("full")
+    for record in RECORDS:
+        full.add(*record)
+    for rep in (Report("empty"), full):
+        out = io.StringIO()
+        module._write_json(rep, None, out)
+        want = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
+        if out.getvalue() != want:
+            return rep.name
     return None
 
 
 SWEEPS = {"cylinder": cylinder_sweep, "seq": seq_sweep, "lusin": lusin_sweep,
-          "scheme": scheme_sweep}
+          "scheme": scheme_sweep, "cli": cli_sweep}
 SOURCES = {name: Path(importlib.import_module(f"bairekit.{name}").__file__)
            .read_text(encoding="utf-8") for name in SWEEPS}
 

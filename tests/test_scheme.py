@@ -1,12 +1,15 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bairekit.cylinder import Atom, EMPTY, FULL, cyl, equal
-from bairekit.scheme import (BREACH, Report, Scheme, UNRESOLVED, VERIFIED,
-                             VIOLATED, Window, branch_nodes, check_covers,
-                             check_partitions, check_relabel_identities,
-                             dense_in_itself_probe, dump_scheme, fruit_prefix,
+from bairekit.scheme import (BREACH, Report, ReportEntry, Scheme,
+                             UNRESOLVED, VERIFIED, VIOLATED, Window,
+                             branch_nodes, check_covers, check_partitions,
+                             check_relabel_identities, dense_in_itself_probe,
+                             dump_scheme, fruit_prefix,
                              pi_net_probe, relabel, standard_scheme,
                              strict_branch_probe, EmptyTargetError)
 from bairekit.seq import BranchRule, seq_to_text
@@ -78,6 +81,85 @@ def test_a_report_passes_without_violations_and_breaches():
     rep.add("c", BREACH)
     assert not rep.ok and not rep.violations
     assert rep.to_json()["ok"] is False
+
+
+def test_a_report_entry_costs_no_object_of_its_own():
+    # three columns hold about 26 B an entry; a record object per entry
+    # held about 65 B
+    keys = [f"key {j}" for j in range(20_000)]
+    tracemalloc.start()
+    try:
+        rep = Report("r")
+        for key in keys:
+            rep.add(key, VERIFIED)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.counts()[VERIFIED] == len(keys)
+    assert held / len(keys) < 40
+
+
+STATUSES = (VERIFIED, VIOLATED, UNRESOLVED, BREACH)
+_KEYS = st.text("ab:", max_size=3)
+_RECORDS = st.tuples(_KEYS, st.sampled_from(STATUSES),
+                     st.text("xy", max_size=2))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _RECORDS),
+    st.tuples(st.just("extend"), st.lists(_RECORDS, max_size=3)),
+    st.tuples(st.just("summarize"), _KEYS,
+              st.lists(_KEYS, max_size=2).map(tuple),
+              st.text("z", max_size=1)),
+), max_size=12)
+
+
+def _summary(records, key, items, detail):
+    """The summary record ``Report.summarize`` is to add, read off a plain
+    list of records."""
+    matched = [r for r in records if any(r[0].startswith(i) for i in items)]
+    for status in (VIOLATED, BREACH, UNRESOLVED):
+        failed = [k for k, s, _ in matched if s == status]
+        if failed:
+            return key, status, f"{len(failed)} {status}, first {failed[0]}"
+    return key, VERIFIED, detail
+
+
+@given(st.text("rs", max_size=2), _OPS)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_report_columns_match_a_list_of_records(name, ops):
+    rep, model = Report(name), []
+    for op, *args in ops:
+        if op == "add":
+            rep.add(*args[0])
+            model.append(args[0])
+        elif op == "extend":
+            rep.extend(Report("other", [ReportEntry(*r) for r in args[0]]))
+            model.extend(args[0])
+        else:
+            rep.summarize(*args)
+            model.append(_summary(model, *args))
+
+    def records(entries):
+        return [(e.key, e.status, e.detail) for e in entries]
+
+    assert records(rep.entries) == model
+    for status in STATUSES:
+        assert records(rep.with_status(status)) == \
+            [r for r in model if r[1] == status]
+    assert records(rep.violations) == [r for r in model if r[1] == VIOLATED]
+    assert records(rep.breaches) == [r for r in model if r[1] == BREACH]
+    assert rep.counts() == {s: [r[1] for r in model].count(s)
+                            for s in STATUSES}
+    assert rep.ok == all(r[1] in (VERIFIED, UNRESOLVED) for r in model)
+    assert rep == Report(name, [ReportEntry(*r) for r in model])
+    assert rep != Report(name + "x", [ReportEntry(*r) for r in model])
+    assert rep != Report(name,
+                         [ReportEntry(*r) for r in model + [("", "", "")]])
+    assert rep.to_json() == {
+        "name": name,
+        "ok": rep.ok,
+        "counts": rep.counts(),
+        "entries": [{"key": k, "status": s, "detail": d} for k, s, d in model],
+    }
 
 
 def test_standard_scheme_nodes():
