@@ -22,6 +22,7 @@ child family at once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -198,7 +199,10 @@ def build_lusin(base: LusinBase) -> Scheme:
     family call goes through the scheme's own ``rule`` and not around it,
     so that whatever wraps the rule sees every plan built: the benchmark's
     layer tracer counts the antichains and witnesses of the plans in the
-    layer that built the scheme.
+    layer that built the scheme.  The plan map reaches the scheme through
+    a weak proxy, so no cycle holds a scheme back: reference counting
+    frees it, with its plans and tails, when its last user lets go, and
+    its plan map then raises ``ReferenceError``.
 
     A stem plan's family is an ``Extensions`` of its member by the tails.
     A read with ``store`` false that finds none of the children in the
@@ -212,7 +216,7 @@ def build_lusin(base: LusinBase) -> Scheme:
     carve's witness."""
     plans: dict[Seq, _Plan] = {}
     tail_table: dict[int, list[Seq]] = {}
-    scheme: Scheme
+    owner: Scheme  # a weak proxy of the scheme, set once it is built
 
     def tails(k: int, count: int) -> list[Seq]:
         known = tail_table.setdefault(k, [])
@@ -223,7 +227,7 @@ def build_lusin(base: LusinBase) -> Scheme:
     def plan_for(a: Seq):
         plan = plans.get(a)
         if plan is None:
-            va = scheme.node(a)
+            va = owner.node(a)
             k = len(a)
             if k % 2 == 1:
                 target, form = base.target_form(k)
@@ -248,6 +252,7 @@ def build_lusin(base: LusinBase) -> Scheme:
 
     scheme = _LusinScheme(BAIRE, rule, label=f"lusin[{base.label}]")
     scheme.meta["plan"] = plan_for
+    owner = weakref.proxy(scheme)
     return scheme
 
 

@@ -14,8 +14,8 @@ share only after the nodes of interest have been evaluated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
@@ -42,6 +42,9 @@ class Window:
 
     depth: int
     breadth: int
+    # each prefix's rendered report keys, kept by ``keyed``
+    _keys: dict[str, list[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 0 or self.breadth < 1:
@@ -51,22 +54,28 @@ class Window:
         for length in range(self.depth + 1):
             yield from product(range(self.breadth), repeat=length)
 
-    def keyed(self) -> Iterator[tuple[Seq, str]]:
-        """``nodes()`` in order, each with its report key ``seq_to_text(a)``.
+    def keyed(self, prefix: str = "") -> Iterator[tuple[Seq, str]]:
+        """``nodes()`` in order, each with its report key ``prefix +
+        seq_to_text(a)``.
 
-        A node's key is its parent's key plus one entry, so no key is
-        rendered from scratch.  The parents of a level are the previous
-        level in order, each parent once per value; only the previous
-        level's keys are kept, and the deepest level's are not kept."""
-        yield (), seq_to_text(())
-        keys = [""]
-        for length in range(1, self.depth + 1):
-            sep = "." if length > 1 else ""
-            ends = [f"{sep}{v}" for v in range(self.breadth)]
-            level = (key + end for key in keys for end in ends)
-            if length < self.depth:
-                level = keys = list(level)
-            yield from zip(product(range(self.breadth), repeat=length), level)
+        Each prefix's keys are rendered once per window, on its first
+        call, and kept with the window in a list, so every later walk and
+        every report of the window shares the very same key objects.  A
+        node's key is its parent's key plus one entry, so no key is
+        rendered from scratch."""
+        keys = self._keys.get(prefix)
+        if keys is None:
+            keys = self._keys[prefix] = [prefix + seq_to_text(())]
+            # the parents of a level are the previous level in order,
+            # each parent once per value
+            parents: list[str] = [prefix]
+            for length in range(1, self.depth + 1):
+                sep = "." if length > 1 else ""
+                ends = [f"{sep}{v}" for v in range(self.breadth)]
+                start = len(keys)
+                keys.extend(key + end for key in parents for end in ends)
+                parents = keys[start:] if length < self.depth else []
+        return zip(self.nodes(), keys)
 
     def node_count(self) -> int:
         if self.breadth == 1:
@@ -394,24 +403,29 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
     n_hi = 1 + max(pre.values()) if surjective else m
     direct_hi = 1 + max(g(n) for n in range(m))
 
-    for a, key in window.keyed():
+    # the keys of both entries are the window's own, shared by every report;
+    # the union keys are rendered only when their entries are written
+    union_keys = (window.keyed("union:") if surjective
+                  else repeat(((), None)))
+    for (a, index_key), (_, union_key) in zip(window.keyed("index:"),
+                                              union_keys):
         lifted = moved.children(a, max(m, n_hi))
         # every g(n) with n below the budget is below direct_hi
         direct = scheme.children(compose_index(g, a), max(m, direct_hi))
         wrong = next((n for n in range(m)
                       if not space.equal(lifted[n], direct[g(n)])), None)
         if wrong is None:
-            rep.add(f"index:{key}", VERIFIED)
+            rep.add(index_key, VERIFIED)
         else:
-            rep.add(f"index:{key}", VIOLATED, f"child {wrong} disagrees")
+            rep.add(index_key, VIOLATED, f"child {wrong} disagrees")
         if not surjective:
             continue
         ok1 = not space.uncovered(lifted[:m], direct[:direct_hi])
         ok2 = not space.uncovered(direct[:m], lifted[:n_hi])
         if ok1 and ok2:
-            rep.add(f"union:{key}", VERIFIED)
+            rep.add(union_key, VERIFIED)
         else:
-            rep.add(f"union:{key}", VIOLATED,
+            rep.add(union_key, VIOLATED,
                     f"partial unions fail mutual inclusion ({ok1}, {ok2})")
 
     d = window.depth

@@ -1,5 +1,8 @@
+import gc
+import weakref
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -169,7 +172,8 @@ def test_family_reads_share_tails_and_single_reads_grow_none(monkeypatch):
 
 
 def test_atom_nodes_split_by_their_stem():
-    plan = build_lusin(standard_base()).meta["plan"]
+    sch = build_lusin(standard_base())
+    plan = sch.meta["plan"]
     assert isinstance(plan(()), _StemPlan)         # the whole space, S()
     assert isinstance(plan((0, 1)), _StemPlan)     # an even-level atom
     assert isinstance(plan((0,)), _CarvePlan)      # meets the first target
@@ -310,6 +314,24 @@ def test_determinism():
     one = dump_scheme(build_lusin(standard_base()), w)
     two = dump_scheme(build_lusin(standard_base()), w)
     assert one == two
+
+
+def test_a_lusin_scheme_is_freed_without_the_cycle_collector():
+    # the plan map reaches its scheme through a weak proxy, so no cycle
+    # holds a scheme whose last user let go
+    base = standard_base()
+    sch = build_lusin(base)
+    assert check_lusin_conditions(sch, base, Window(2, 3)).ok
+    ref, plan = weakref.ref(sch), sch.meta["plan"]
+    gc.disable()
+    try:
+        del sch
+        assert ref() is None
+    finally:
+        gc.enable()
+    # the plan map reads nodes of its scheme, which is gone
+    with pytest.raises(ReferenceError):
+        plan((5,))
 
 
 def test_hand_built_violation_of_cylinder_form():

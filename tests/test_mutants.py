@@ -16,7 +16,8 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
   node's carve and ``refine`` entry against its level's target trace,
   which a wrong plan cannot also fake;
 - ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``,
-  and a report's entries after ``Report.extend`` against the records added;
+  bare and then with a prefix on the same window, and a report's entries
+  after ``Report.extend`` against the records added;
 - ``cli``: the JSON text that ``_write_json`` streams for a report against
   ``json.dumps`` of its ``to_json()``.
 
@@ -114,11 +115,18 @@ MUTANTS = {
         "got = self._forms.get(1)"),
     # a node's report key, its parent's key plus one entry
     "key-extension": ("scheme",
-        "level = (key + end for key in keys for end in ends)",
-        "level = (key + end for end in ends for key in keys)"),
+        "keys.extend(key + end for key in parents for end in ends)",
+        "keys.extend(key + end for end in ends for key in parents)"),
     "key-separator": ("scheme",
         'sep = "." if length > 1 else ""',
         'sep = "."'),
+    # each window keeps its own keys, one list per prefix
+    "key-cache-prefix": ("scheme",
+        "keys = self._keys.get(prefix)",
+        'keys = self._keys.get("")'),
+    "key-cache-window": ("scheme",
+        "default_factory=dict, init=False",
+        "default_factory=lambda shared={}: shared, init=False"),
     # a report's three columns, extended together
     "report-extend-column": ("scheme",
         """        self.statuses.extend(other.statuses)
@@ -353,6 +361,8 @@ def lusin_sweep(module):
 
 # depth 3 has three levels of parents; breadth 12 has two-digit entries
 KEY_WINDOWS = [Window(0, 1), Window(3, 3), Window(2, 12)]
+# the windows whose keys are also read with a prefix, after the bare ones
+PREFIX_WINDOWS = KEY_WINDOWS[1:]
 
 
 # one entry of each status, each field distinct from every other
@@ -362,12 +372,17 @@ RECORDS = [("k0", VERIFIED, ""), ("k1", VIOLATED, "d1"),
 
 def scheme_sweep(module):
     """The first window whose keyed nodes are not ``nodes()`` with their
-    rendered keys, or None; or ``"extend"`` when a report extended by
-    another does not hold both reports' records in order."""
+    rendered keys, or None; a window of ``PREFIX_WINDOWS`` is then read
+    again with a prefix, and fails as ``(window, prefix)``.  Or
+    ``"extend"`` when a report extended by another does not hold both
+    reports' records in order."""
     for w in KEY_WINDOWS:
         copy = module.Window(w.depth, w.breadth)
         if list(copy.keyed()) != [(a, seq_to_text(a)) for a in w.nodes()]:
             return w
+        if w in PREFIX_WINDOWS and list(copy.keyed("index:")) != \
+                [(a, "index:" + seq_to_text(a)) for a in w.nodes()]:
+            return w, "index:"
     rep, rest = module.Report("r"), module.Report("s")
     rep.add(*RECORDS[0])
     for record in RECORDS[1:]:

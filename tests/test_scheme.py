@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -34,11 +35,44 @@ def test_keyed_nodes_carry_their_rendered_keys(depth, breadth):
     # from breadth 11 on, the keys hold two-digit entries
     w = Window(depth, breadth)
     assert list(w.keyed()) == [(a, seq_to_text(a)) for a in w.nodes()]
+    for prefix in ("", "index:"):
+        want = [(a, prefix + seq_to_text(a)) for a in w.nodes()]
+        assert list(w.keyed(prefix)) == want
+        # a second walk hands back the very same key objects
+        assert all(key is again for (_, key), (_, again)
+                   in zip(w.keyed(prefix), w.keyed(prefix)))
 
 
-def test_keyed_keeps_no_more_than_a_level_of_keys():
-    # the keys of all 69,905 nodes of d4/b16 take about 4.6 MB; the
-    # previous level's 4,096 keys about 0.3 MB
+def test_each_window_and_prefix_keeps_its_own_keys():
+    small, large = Window(1, 2), Window(2, 2)
+    assert [k for _, k in small.keyed()] == ["ε", "0", "1"]
+    assert [k for _, k in small.keyed("union:")] == \
+        ["union:ε", "union:0", "union:1"]
+    assert [k for _, k in large.keyed()][-1] == "1.1"
+    assert [k for _, k in large.keyed("index:")][-1] == "index:1.1"
+    # the keys are no part of a window's value
+    assert small == Window(1, 2) and hash(small) == hash(Window(1, 2))
+    assert repr(small) == "Window(depth=1, breadth=2)"
+
+
+def test_relabel_identities_render_union_keys_only_when_they_write_them():
+    w = Window(3, 6)
+    rep = check_relabel_identities(standard_scheme(), lambda n: 0, w)
+    assert not any(k.startswith("union:") for k in rep.keys)
+    assert "union:" not in w._keys and "index:" in w._keys
+    rep = check_relabel_identities(standard_scheme(), lambda n: n, w)
+    assert "union:" in w._keys
+    assert sum(k.startswith("union:") for k in rep.keys) == len(w._keys["union:"])
+
+
+def _key_size(keys: list[str]) -> int:
+    return sum(map(sys.getsizeof, keys)) + sys.getsizeof(keys)
+
+
+def test_keyed_renders_no_more_than_the_keys_it_keeps():
+    # the keys of all 69,905 nodes of d4/b16 and their list take about
+    # 4.6 MB; a second list of the deepest level's 65,536 keys would add
+    # 0.5 MB, past the margin
     w = Window(4, 16)
     tracemalloc.start()
     try:
@@ -47,7 +81,23 @@ def test_keyed_keeps_no_more_than_a_level_of_keys():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1024 * 1024
+    size = _key_size(w._keys[""])
+    assert len(w._keys[""]) == w.node_count()
+    assert peak <= 1.1 * size
+
+
+def test_a_second_walk_renders_no_key():
+    w = Window(4, 16)
+    for _ in w.keyed():
+        pass
+    tracemalloc.start()
+    try:
+        for _ in w.keyed():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_summary_takes_the_worst_status_of_its_items():

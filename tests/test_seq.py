@@ -34,6 +34,16 @@ def test_branch_rules():
         bad(0)
 
 
+def test_branch_rules_show_their_stem_or_word():
+    assert repr(BranchRule(lambda n: n)) == "BranchRule(branch)"
+    assert repr(BranchRule(lambda n: n, "ident")) == "BranchRule(ident)"
+    assert repr(BranchRule.constant(4)) == "BranchRule(const(4))"
+    assert repr(BranchRule.padded((3, 12), 9)) == "BranchRule(3.12+9...)"
+    assert repr(BranchRule.padded(())) == "BranchRule(ε+0...)"
+    assert repr(BranchRule.periodic((0, 2))) == "BranchRule((0.2)*)"
+    assert BranchRule.periodic((7,)).name == "(7)*"
+
+
 @given(seqs, seqs, seqs)
 def test_prefix_partial_order(s, t, u):
     assert is_prefix(s, s)

@@ -258,6 +258,20 @@ def test_schemes_vg_dense_is_the_summary_of_its_probe(monkeypatch, status,
     assert out["violations"] == 0
 
 
+def test_schemes_vg_reports_share_their_window_keys():
+    """The 26 reports of d4/b6 hold 37,418 entries with 4,682 distinct key
+    texts.  The window renders its 1,555 node keys once bare, once with
+    ``index:`` and once with ``union:``, and every report reads those very
+    objects; a report that rendered its own keys would hold about 37,400
+    key objects."""
+    reports = suites.suite_schemes_vg(RunConfig("schemes-vg", depth=4,
+                                                breadth=6))
+    keys = [k for r in reports for k in r.keys]
+    assert len(reports) == 26 and len(keys) == 37_418
+    assert len(set(keys)) == 4_682
+    assert len({id(k) for k in keys}) <= 5_000
+
+
 def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
     """At depth 2 and breadth 3 the Lusin scheme's probe finds only one
     child through its point at three nodes; that is not a violation."""
