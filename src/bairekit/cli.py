@@ -134,8 +134,10 @@ def _dump_report(rep: Report, pad: str, write: Callable[[str], object]) -> None:
 def _write_json(data, path: Optional[str], out: TextIO) -> None:
     """Stream ``data`` as the text of ``json.dumps(data, indent=2,
     sort_keys=True)`` plus a newline, without holding the whole text; each
-    ``Report`` in it is written as its ``to_json()``."""
-    if path:
+    ``Report`` in it is written as its ``to_json()``.  With no path the
+    text goes to ``out``; an empty path is a path, which cannot be
+    written."""
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 _dump(data, "\n", fh.write)
@@ -313,7 +315,7 @@ def main(argv=None, stdin: TextIO = None, stdout: TextIO = None) -> int:
     args = parser.parse_args(argv)
     try:
         # an unwritable report path fails before any subcommand computes
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_writable(args.out)
         return COMMANDS[args.command](args, stdin, stdout)
     except ConfigError as exc:

@@ -91,13 +91,6 @@ class Window:
         return {"depth": self.depth, "breadth": self.breadth}
 
 
-@dataclass(slots=True)
-class ReportEntry:
-    key: str
-    status: str
-    detail: str = ""
-
-
 class Report:
     """A keyed list of per-check statuses, kept as three parallel columns
     ``keys``, ``statuses`` and ``details``, so an entry costs no object of
@@ -106,13 +99,11 @@ class Report:
 
     __slots__ = ("name", "keys", "statuses", "details")
 
-    def __init__(self, name: str, entries: Iterable[ReportEntry] = ()):
+    def __init__(self, name: str):
         self.name = name
         self.keys: list[str] = []
         self.statuses: list[str] = []
         self.details: list[str] = []
-        for e in entries:
-            self.add(e.key, e.status, e.detail)
 
     def add(self, key: str, status: str, detail: str = "") -> None:
         self.keys.append(key)
@@ -123,11 +114,6 @@ class Report:
         self.keys.extend(other.keys)
         self.statuses.extend(other.statuses)
         self.details.extend(other.details)
-
-    @property
-    def entries(self) -> list[ReportEntry]:
-        """The entries as records, built afresh on each read."""
-        return list(map(ReportEntry, self.keys, self.statuses, self.details))
 
     def summarize(self, key: str, items: tuple[str, ...], detail: str) -> None:
         """Add ``key`` with the worst status among the entries whose keys
@@ -141,19 +127,6 @@ class Report:
             failed = [k for k, s in matched if s == status]
             detail = f"{len(failed)} {status}, first {failed[0]}"
         self.add(key, status, detail)
-
-    def with_status(self, status: str) -> list[ReportEntry]:
-        return [ReportEntry(k, s, d)
-                for k, s, d in zip(self.keys, self.statuses, self.details)
-                if s == status]
-
-    @property
-    def violations(self) -> list[ReportEntry]:
-        return self.with_status(VIOLATED)
-
-    @property
-    def breaches(self) -> list[ReportEntry]:
-        return self.with_status(BREACH)
 
     @property
     def ok(self) -> bool:
@@ -183,7 +156,8 @@ class Report:
             (other.name, other.keys, other.statuses, other.details)
 
     def __repr__(self) -> str:
-        return f"Report({self.name!r}, {self.entries!r})"
+        return (f"Report({self.name!r}, "
+                f"{list(zip(self.keys, self.statuses, self.details))!r})")
 
     def __str__(self) -> str:
         c = self.counts()

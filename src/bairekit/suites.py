@@ -603,7 +603,7 @@ def run_suite(cfg: RunConfig) -> dict:
         "config": {"depth": cfg.depth, "breadth": cfg.breadth,
                    "space": cfg.space_path},
         "ok": all(r.ok for r in reports),
-        "violations": sum(len(r.violations) for r in reports),
-        "breaches": sum(len(r.breaches) for r in reports),
+        "violations": sum(r.statuses.count(VIOLATED) for r in reports),
+        "breaches": sum(r.statuses.count(BREACH) for r in reports),
         "reports": reports,
     }

@@ -2,6 +2,7 @@ from hypothesis import strategies as st
 
 from bairekit.cylinder import Atom, Diff, EMPTY, FULL, Inter, Union, \
     mentions, trace_window
+from bairekit.scheme import Report
 from bairekit.seq import seq_to_text
 
 seqs = st.lists(st.integers(0, 2), max_size=3).map(tuple)
@@ -22,6 +23,20 @@ exprs = st.recursive(
     max_leaves=4,
 )
 
+
+def records(rep):
+    """The entries of report ``rep`` as ``(key, status, detail)`` tuples,
+    read off its three columns."""
+    return list(zip(rep.keys, rep.statuses, rep.details))
+
+
+def report_of(name, entries):
+    """A report named ``name`` holding the ``(key, status, detail)``
+    tuples ``entries`` in order."""
+    rep = Report(name)
+    for entry in entries:
+        rep.add(*entry)
+    return rep
 
 
 def _atom_meets_in_the_window(stem, target) -> bool:
@@ -48,7 +63,7 @@ def odd_level_fault(lusin, base, window):
     sch = lusin.build_lusin(base)
     plan = sch.meta["plan"]
     rep = lusin.check_lusin_conditions(sch, base, window)
-    refined = {e.key for e in rep.entries if e.key.startswith("refine:")}
+    refined = {k for k in rep.keys if k.startswith("refine:")}
     for a in window.nodes():
         if len(a) % 2 == 0:
             continue

@@ -8,6 +8,7 @@ stated runtime ceilings are asserted where given.
 import time
 
 from bairekit.choquet import modify_strategy, remove_redundant
+from bairekit.scheme import BREACH
 from bairekit.spaces import FiniteSpaceModel
 from bairekit.suites import (RunConfig, suite_choquet_extract,
                              suite_choquet_finite, suite_cylinders_oracle,
@@ -27,7 +28,7 @@ def _run(suite_fn, seed=1):
 
 
 def _clean(reports) -> bool:
-    return all(r.ok and not r.breaches for r in reports)
+    return all(r.ok and BREACH not in r.statuses for r in reports)
 
 
 _oracle_cache = {}
@@ -43,7 +44,7 @@ def _oracle_reports():
 def test_criterion_1_cylinder_oracle_equivalence():
     reports, elapsed = _oracle_reports()
     main = next(r for r in reports if r.name == "cylinders-oracle")
-    ok = main.ok and not main.breaches and elapsed < 10.0
+    ok = main.ok and BREACH not in main.statuses and elapsed < 10.0
     _report(1, ok, f"grid + 500 random expressions vs window oracle, "
                    f"{elapsed:.1f}s")
 
@@ -114,5 +115,5 @@ def test_criterion_7_selector_identities():
 def test_criterion_8_nd_witness():
     reports, _elapsed = _oracle_reports()
     nd = next(r for r in reports if r.name == "nd-witness")
-    _report(8, nd.ok and not nd.breaches,
+    _report(8, nd.ok and BREACH not in nd.statuses,
             "100 random source/tree pairs verified on the window")

@@ -237,7 +237,7 @@ def test_extract_covers_verified_on_finite_spaces():
     sp = chain_space()
     _moves, replies = extract_schemes(sp, copy_strategy())
     rep = check_covers(replies, Window(2, 4))
-    assert rep.ok and not rep.with_status(UNRESOLVED)
+    assert rep.ok and UNRESOLVED not in rep.statuses
 
 
 def test_extract_rejects_rogue_strategy():

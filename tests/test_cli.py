@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import bairekit.cli as cli
 import bairekit.suites as suites
+from conftest import report_of
 from bairekit.choquet import IllegalMoveError
 from bairekit.cli import main
-from bairekit.scheme import BREACH, UNRESOLVED, VERIFIED, VIOLATED, \
-    Report, ReportEntry
+from bairekit.scheme import BREACH, UNRESOLVED, VERIFIED, VIOLATED, Report
 from bairekit.spaces import FiniteSpaceModel, all_topologies
 
 STATUSES = (VERIFIED, VIOLATED, UNRESOLVED, BREACH)
@@ -86,9 +86,9 @@ _KEYS = st.text(st.sampled_from("aZ0 ε\"\\/\n\t\x00\x1f\x7f\u2028é"),
                 max_size=4)
 _TEXTS = _KEYS | st.text(max_size=6)
 _REPORTS = st.builds(
-    Report, _TEXTS,
-    st.lists(st.builds(ReportEntry, _KEYS,
-                       st.sampled_from(STATUSES), _TEXTS), max_size=3))
+    report_of, _TEXTS,
+    st.lists(st.tuples(_KEYS, st.sampled_from(STATUSES), _TEXTS),
+             max_size=3))
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | _TEXTS | _REPORTS,
     lambda sub: st.lists(sub, max_size=4)
@@ -551,6 +551,45 @@ def test_unwritable_json_path_fails_before_the_suite_runs(tmp_path,
                          "--json", str(path)])
     assert code == 2
     assert out.startswith("configuration error") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "selectors"],
+    ["build-lusin", "--depth", "1", "--breadth", "2"],
+], ids=["verify", "build-lusin"])
+def test_empty_json_path_is_configuration_error(argv):
+    # an empty path is a path that cannot be written, not a missing one, so
+    # no report goes to stdout instead
+    code, out = run_cli(argv + ["--json", ""])
+    assert code == 2
+    assert out.startswith("configuration error: cannot write '': ")
+    assert out.count("\n") == 1
+
+
+def test_write_json_refuses_an_empty_path():
+    out = io.StringIO()
+    with pytest.raises(cli.ConfigError, match="cannot write ''"):
+        cli._write_json({"ok": True}, "", out)
+    assert out.getvalue() == ""
+
+
+def test_suite_counts_sum_violations_and_breaches_over_reports():
+    # 2 violated, 1 breach and 1 unresolved entries between two reports
+    reports = [
+        report_of("one", [("a", VERIFIED, ""), ("b", VIOLATED, "x"),
+                          ("c", UNRESOLVED, "")]),
+        report_of("two", [("d", BREACH, "y"), ("e", VIOLATED, "z")])]
+    with mock.patch.dict(suites._SUITE_FNS, selectors=lambda cfg: reports):
+        result = suites.run_suite(suites.RunConfig("selectors"))
+        code, out = run_cli(["verify", "--suite", "selectors"])
+    assert (result["violations"], result["breaches"], result["ok"]) == \
+        (2, 1, False)
+    assert code == 1
+    text, last = out.rsplit("\n", 2)[:2]
+    assert last == "suite selectors: FAIL (2 violations, 1 breaches)"
+    report = json.loads(text)
+    assert (report["violations"], report["breaches"], report["ok"]) == \
+        (2, 1, False)
 
 
 def test_json_path_check_keeps_existing_and_leaves_no_new_file(tmp_path):

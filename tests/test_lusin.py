@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
 import bairekit.lusin as lusin
-from conftest import odd_level_fault
+from conftest import odd_level_fault, records
 from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
 from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
                             base_from_lines, build_lusin,
                             check_lusin_conditions, standard_base)
-from bairekit.scheme import (Scheme, UNRESOLVED, VERIFIED, VIOLATED, Window,
-                             check_partitions, dump_scheme)
+from bairekit.scheme import (BREACH, Scheme, UNRESOLVED, VERIFIED, VIOLATED,
+                             Window, check_partitions, dump_scheme)
 from bairekit.spaces import BAIRE
 
 WINDOW = Window(3, 5)
@@ -192,7 +192,7 @@ def test_conditions_pass_at_window():
     base = standard_base()
     sch = build_lusin(base)
     rep = check_lusin_conditions(sch, base, WINDOW)
-    assert rep.ok and not rep.breaches
+    assert rep.ok and BREACH not in rep.statuses
 
 
 def test_partition_evidence():
@@ -343,8 +343,8 @@ def test_hand_built_violation_of_cylinder_form():
         return Atom(a) if a else FULL
 
     rep = check_lusin_conditions(Scheme(BAIRE, rule), base, Window(1, 2))
-    assert any(e.status == VIOLATED and e.key.startswith("cyl-form")
-               for e in rep.entries)
+    assert any(s == VIOLATED and k.startswith("cyl-form")
+               for k, s, _ in records(rep))
 
 
 def test_foreign_scheme_refinement_is_budget_evidence_only():
@@ -359,8 +359,8 @@ def test_foreign_scheme_refinement_is_budget_evidence_only():
         return Atom(a)
 
     rep = check_lusin_conditions(Scheme(BAIRE, rule), base, Window(1, 3))
-    refine = [e for e in rep.entries if e.key == "refine:0"]
-    assert refine and refine[0].status == UNRESOLVED
+    refine = [s for k, s, _ in records(rep) if k == "refine:0"]
+    assert refine and refine[0] == UNRESOLVED
 
 
 def test_foreign_scheme_with_an_empty_node_is_violated():
@@ -371,7 +371,7 @@ def test_foreign_scheme_with_an_empty_node_is_violated():
 
     rep = check_lusin_conditions(Scheme(BAIRE, rule), standard_base(),
                                  Window(1, 2))
-    entries = {e.key: (e.status, e.detail) for e in rep.entries}
+    entries = {k: (s, d) for k, s, d in records(rep)}
     assert entries["nonempty:1"] == (VIOLATED, "empty node")
     assert entries["nonempty:0"] == (VERIFIED, "")
     assert "cyl-form:1" not in entries and "cyl-form:0" in entries
@@ -379,8 +379,8 @@ def test_foreign_scheme_with_an_empty_node_is_violated():
 
 
 def _refine_entry(rep, key):
-    [entry] = [e for e in rep.entries if e.key == f"refine:{key}"]
-    return entry.status, entry.detail
+    [entry] = [(s, d) for k, s, d in records(rep) if k == f"refine:{key}"]
+    return entry
 
 
 def test_carve_child_outside_the_witness_is_violated(monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 
 import bairekit.cylinder as cylinder
 import bairekit.scheme as scheme_mod
+from conftest import records
 from bairekit.cli import main
 from bairekit.cylinder import EMPTY, Union
 from bairekit.lusin import build_lusin, standard_base
@@ -110,10 +111,6 @@ SCHEMES = {"standard": standard_scheme,
            "lusin-std": lambda: build_lusin(standard_base())}
 
 
-def entries(rep: Report) -> list[tuple[str, str, str]]:
-    return [(e.key, e.status, e.detail) for e in rep.entries]
-
-
 @pytest.mark.parametrize("window", [Window(2, 4), Window(3, 3)],
                          ids=["d2b4", "d3b3"])
 @pytest.mark.parametrize("g_name", list(G_MAPS))
@@ -123,7 +120,7 @@ def test_relabel_identities_match_reference(scheme_name, g_name, window):
     expected = reference_relabel_identities(SCHEMES[scheme_name](), g, window)
     got = check_relabel_identities(SCHEMES[scheme_name](), g, window)
     assert got.name == expected.name
-    assert entries(got) == entries(expected)
+    assert records(got) == records(expected)
 
 
 def test_relabel_identities_read_relabel(monkeypatch):
@@ -132,8 +129,8 @@ def test_relabel_identities_read_relabel(monkeypatch):
     monkeypatch.setattr(scheme_mod, "relabel", lambda scheme, g: scheme)
     rep = check_relabel_identities(standard_scheme(), G_MAPS["half"],
                                    Window(2, 4))
-    index = [e for e in rep.entries if e.key.startswith("index:")]
-    assert index and all(e.status == VIOLATED for e in index)
+    index = [s for k, s, _ in records(rep) if k.startswith("index:")]
+    assert index and set(index) == {VIOLATED}
 
 
 @pytest.mark.parametrize("g_name", list(G_MAPS))
@@ -185,7 +182,7 @@ def test_relabel_identities_hold_for_equal_distinct_nodes(monkeypatch,
     monkeypatch.setattr(scheme_mod, "relabel", copying_relabel)
     rep = check_relabel_identities(SCHEMES[scheme_name](), G_MAPS["half"],
                                    Window(2, 4))
-    assert rep.entries and all(e.status == VERIFIED for e in rep.entries)
+    assert set(rep.statuses) == {VERIFIED}
 
 
 def test_relabel_identities_reject_wrong_distinct_nodes(monkeypatch):
@@ -195,8 +192,8 @@ def test_relabel_identities_reject_wrong_distinct_nodes(monkeypatch):
     rep = check_relabel_identities(standard_scheme(), G_MAPS["half"],
                                    Window(2, 4))
     for kind in ("index:", "union:"):
-        found = [e for e in rep.entries if e.key.startswith(kind)]
-        assert found and all(e.status == VIOLATED for e in found)
+        found = [s for k, s, _ in records(rep) if k.startswith(kind)]
+        assert found and set(found) == {VIOLATED}
 
 
 def test_window_checks_normal_form_count(monkeypatch):

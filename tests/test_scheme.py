@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bairekit.cylinder import Atom, EMPTY, FULL, cyl, equal
-from bairekit.scheme import (BREACH, Report, ReportEntry, Scheme,
+from conftest import records, report_of
+from bairekit.scheme import (BREACH, Report, Scheme,
                              UNRESOLVED, VERIFIED, VIOLATED, Window,
                              branch_nodes, check_covers, check_partitions,
                              check_relabel_identities, dense_in_itself_probe,
@@ -115,7 +116,7 @@ def test_summary_takes_the_worst_status_of_its_items():
     rep.summarize("c", ("a:", "c:"), "all of c")
     rep.summarize("d", ("d:",), "nothing to fail")
     rep.summarize("e", ("e:",), "all of e")
-    assert [(e.key, e.status, e.detail) for e in rep.entries[-5:]] == [
+    assert records(rep)[-5:] == [
         ("a", VERIFIED, "all of a"),
         ("b", VIOLATED, "1 violated, first b:2"),
         ("c", UNRESOLVED, "2 unresolved, first c:1"),
@@ -129,7 +130,7 @@ def test_a_report_passes_without_violations_and_breaches():
     rep.add("b", UNRESOLVED)
     assert rep.ok
     rep.add("c", BREACH)
-    assert not rep.ok and not rep.violations
+    assert not rep.ok and VIOLATED not in rep.statuses
     assert rep.to_json()["ok"] is False
 
 
@@ -182,28 +183,19 @@ def test_report_columns_match_a_list_of_records(name, ops):
             rep.add(*args[0])
             model.append(args[0])
         elif op == "extend":
-            rep.extend(Report("other", [ReportEntry(*r) for r in args[0]]))
+            rep.extend(report_of("other", args[0]))
             model.extend(args[0])
         else:
             rep.summarize(*args)
             model.append(_summary(model, *args))
-
-    def records(entries):
-        return [(e.key, e.status, e.detail) for e in entries]
-
-    assert records(rep.entries) == model
-    for status in STATUSES:
-        assert records(rep.with_status(status)) == \
-            [r for r in model if r[1] == status]
-    assert records(rep.violations) == [r for r in model if r[1] == VIOLATED]
-    assert records(rep.breaches) == [r for r in model if r[1] == BREACH]
+    assert records(rep) == model
     assert rep.counts() == {s: [r[1] for r in model].count(s)
                             for s in STATUSES}
     assert rep.ok == all(r[1] in (VERIFIED, UNRESOLVED) for r in model)
-    assert rep == Report(name, [ReportEntry(*r) for r in model])
-    assert rep != Report(name + "x", [ReportEntry(*r) for r in model])
-    assert rep != Report(name,
-                         [ReportEntry(*r) for r in model + [("", "", "")]])
+    assert rep == report_of(name, model)
+    assert rep != report_of(name + "x", model)
+    assert rep != report_of(name, model + [("", "", "")])
+    assert repr(rep) == f"Report({name!r}, {model!r})"
     assert rep.to_json() == {
         "name": name,
         "ok": rep.ok,
@@ -235,8 +227,8 @@ def test_standard_partitions_pass_with_unresolved_covers():
     rep = check_partitions(standard_scheme(), Window(3, 4))
     assert rep.ok
     # the union direction is one-sided at any budget on the infinite alphabet
-    assert rep.with_status(UNRESOLVED)
-    assert not rep.with_status(BREACH)
+    assert UNRESOLVED in rep.statuses
+    assert BREACH not in rep.statuses
 
 
 def test_covers_detects_escaping_child():
@@ -248,7 +240,7 @@ def test_covers_detects_escaping_child():
     sch = Scheme(BAIRE, rule)
     rep = check_covers(sch, Window(2, 2))
     # child (0,0) of (0,) is S(0,0), not inside S(5)
-    assert any(e.status == VIOLATED for e in rep.entries)
+    assert VIOLATED in rep.statuses
 
 
 def test_partitions_detect_duplicated_children():
@@ -258,8 +250,8 @@ def test_partitions_detect_duplicated_children():
         return Atom(a)
 
     rep = check_partitions(Scheme(BAIRE, rule), Window(1, 2))
-    assert any(e.status == VIOLATED and "overlap" in e.detail
-               for e in rep.entries)
+    assert any(s == VIOLATED and "overlap" in d
+               for _, s, d in records(rep))
 
 
 def test_covers_flags_child_escaping_root():
@@ -272,10 +264,9 @@ def test_covers_flags_child_escaping_root():
         return sp.whole() if a == (0,) else one
 
     rep = check_covers(Scheme(sp, rule), Window(1, 2))
-    root = [e for e in rep.entries if e.key == "root"]
-    assert root and root[0].status == VIOLATED
-    assert any(e.key == "ε:0" and e.status == VIOLATED
-               for e in rep.entries)
+    root = [s for k, s, _ in records(rep) if k == "root"]
+    assert root and root[0] == VIOLATED
+    assert any(k == "ε:0" and s == VIOLATED for k, s, _ in records(rep))
 
 
 def test_covers_verified_on_finite_space():
@@ -290,7 +281,7 @@ def test_covers_verified_on_finite_space():
         return parent if a[-1] == 0 else sp.intersect(parent, one)
 
     rep = check_covers(Scheme(sp, rule), Window(2, 2))
-    assert rep.ok and not rep.with_status(UNRESOLVED)
+    assert rep.ok and UNRESOLVED not in rep.statuses
 
 
 def test_fruit_prefix():
@@ -366,31 +357,31 @@ def test_relabel_fruit_consistency():
 def test_relabel_identities_reports():
     std = standard_scheme()
     rep = check_relabel_identities(std, lambda n: n, Window(2, 3))
-    assert rep.ok and not rep.breaches
+    assert rep.ok and BREACH not in rep.statuses
     rep = check_relabel_identities(std, HALF, Window(2, 6))
-    assert rep.ok and not rep.breaches
+    assert rep.ok and BREACH not in rep.statuses
     # a map that never reaches 1 below any bound on the window values
     rep = check_relabel_identities(std, lambda n: 0, Window(1, 2))
-    assert rep.breaches
+    assert BREACH in rep.statuses
 
 
 def test_dense_probe_duplicated_fibers():
     moved = relabel(standard_scheme(), HALF)
     rep = dense_in_itself_probe(moved, BranchRule.constant(0), Window(2, 6))
-    assert rep.entries and all(e.status == VERIFIED for e in rep.entries)
+    assert set(rep.statuses) == {VERIFIED}
 
 
 def test_dense_probe_fails_on_partition():
     rep = dense_in_itself_probe(standard_scheme(), BranchRule.constant(0),
                                 Window(2, 4))
-    assert rep.entries and all(e.status == UNRESOLVED for e in rep.entries)
+    assert set(rep.statuses) == {UNRESOLVED}
     assert rep.ok  # budget misses are honest, not hard violations
 
 
 def test_dense_probe_point_out_of_flesh():
     sch = Scheme(BAIRE, lambda a: EMPTY if len(a) else cyl(9))
     rep = dense_in_itself_probe(sch, BranchRule.constant(0), Window(1, 2))
-    assert rep.breaches
+    assert BREACH in rep.statuses
 
 
 def test_branch_nodes():

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conftest import records
 from bairekit.scheme import Scheme, VIOLATED, Window, check_covers
 from bairekit.selector import (PrefixMap, SigmaBasic, _stem_class_words,
                                basic_members, check_image_identity,
@@ -46,7 +47,7 @@ def test_pushforward_scheme_nodes():
 
 def test_pushforward_covers_verified():
     rep = check_covers(pushforward_scheme(THREE), Window(2, 3))
-    assert rep.ok and not rep.with_status("unresolved")
+    assert rep.ok and "unresolved" not in rep.statuses
 
 
 def _images(pm, window):
@@ -64,7 +65,7 @@ def test_selector_identity_check():
 
     rep = check_selector_identity(Scheme(sp, enlarged),
                                   _images(TWO, Window(1, 2)))
-    assert any(e.status == VIOLATED and e.key == "0" for e in rep.entries)
+    assert any(k == "0" and s == VIOLATED for k, s, _ in records(rep))
 
 
 def test_image_identity_examples():
@@ -151,5 +152,6 @@ def test_image_identity_reads_the_image(monkeypatch):
     monkeypatch.setattr(PrefixMap, "image", _lossy_image(PrefixMap.image))
     rep = suite_selectors(RunConfig(suite="selectors"))[0]
     assert not rep.ok
-    assert any(e.key.startswith("image:") for e in rep.violations)
-    assert any(e.key.startswith("pushforward:") for e in rep.violations)
+    violated = [k for k, s, _ in records(rep) if s == VIOLATED]
+    assert any(k.startswith("image:") for k in violated)
+    assert any(k.startswith("pushforward:") for k in violated)

@@ -8,6 +8,7 @@ import pytest
 import bairekit.choquet as choquet
 import bairekit.cylinder as cy
 import bairekit.suites as suites
+from conftest import records
 from bairekit.cli import main
 from bairekit.scheme import (Report, Scheme, Window, relabel,
                              standard_scheme)
@@ -289,7 +290,7 @@ def _identity(n):
 
 def _replay(base, moved, g=_identity):
     rep = suites._pi_net_replay(base, moved, g, "g", Window(2, 3))
-    return [(e.key, e.status, e.detail) for e in rep.entries]
+    return records(rep)
 
 
 def test_pi_net_replay_skips_an_empty_target():
@@ -341,7 +342,7 @@ def test_schemes_vg_openness_of_a_wrong_view_is_violated(monkeypatch):
     out = run_suite(RunConfig("schemes-vg", depth=1, breadth=2))
     [rep] = [r for r in out["reports"]
              if r.name == "openness[standard/identity]"]
-    assert [(e.key, e.status, e.detail) for e in rep.entries] == [
+    assert records(rep) == [
         ("ε", "verified", ""),
         ("0", "violated", "node is not drawn from the base scheme"),
         ("1", "violated", "node is not drawn from the base scheme")]
@@ -368,7 +369,7 @@ def test_lusin_rebuild_that_differs_at_one_deepest_node_is_violated(
     def rebuild_entry():
         out = run_suite(RunConfig("lusin"))
         [rep] = [r for r in out["reports"] if r.name == "lusin-determinism"]
-        return [(e.key, e.status, e.detail) for e in rep.entries]
+        return records(rep)
 
     assert rebuild_entry() == [("rebuild", "verified",
                                 "window dumps are identical")]
@@ -535,8 +536,8 @@ def test_choquet_extract_names_each_space_whose_replay_differs(monkeypatch):
 
     monkeypatch.setattr(suites, "extract_schemes", corrupted)
     out = run_suite(RunConfig("choquet-extract", seed=1))
-    entries = [(e.key, e.status, e.detail) for e in out["reports"][0].entries
-               if e.key.startswith("replay")]
+    entries = [e for e in records(out["reports"][0])
+               if e[0].startswith("replay")]
     assert entries == [(f"replay:{n}", "violated", "branch replay mismatch")
                        for n in range(40, 390, 40)] + \
         [("replay", "violated", "9 violated, first replay:40")]

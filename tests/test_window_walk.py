@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
-from conftest import exprs
+from conftest import exprs, records
 from bairekit.cylinder import Atom, FULL, cyl
 from bairekit.grammar import expr_to_text
 from bairekit.lusin import base_from_lines, build_lusin, standard_base
@@ -75,8 +75,7 @@ def assert_same_reports(make, window):
                      (check_partitions, old_check_partitions)):
         got, want = new(make(), window), old(make(), window)
         assert got.name == want.name
-        assert [(e.key, e.status, e.detail) for e in got.entries] == \
-            [(e.key, e.status, e.detail) for e in want.entries]
+        assert records(got) == records(want)
 
 
 def foreign_rule(a):
@@ -111,7 +110,7 @@ def test_walk_matches_the_two_pass_checks(name, window):
 
 def test_foreign_scheme_reports_escapes_and_overlaps():
     rep = check_partitions(Scheme(BAIRE, foreign_rule), Window(1, 3))
-    statuses = {e.key: e.status for e in rep.entries}
+    statuses = {k: s for k, s, _ in records(rep)}
     assert statuses["0:2"] == VIOLATED and statuses["0:0^1"] == VIOLATED
     assert statuses["ε"] == UNRESOLVED and statuses["ε:0^1"] == VIOLATED
 
@@ -201,7 +200,7 @@ def test_dense_probe_stores_no_base_node_below_the_window():
     window = Window(2, 6)
     rep = dense_in_itself_probe(relabel(base, G_PRESETS["half"]),
                                 BranchRule.constant(0), window)
-    assert rep.ok and {e.status for e in rep.entries} == {VERIFIED}
+    assert rep.ok and set(rep.statuses) == {VERIFIED}
     assert max(map(len, base._memo)) == window.depth
 
 
