@@ -25,8 +25,8 @@ from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
 from .selector import (PrefixMap, SigmaBasic, check_image_identity,
                        check_selector_identity, pi_space_probe, preset_maps,
                        pushforward_scheme, stem_class_image)
-from .seq import (BranchRule, Seq, is_prefix, pair, restrict, seq_at,
-                  seq_from_text, seq_index, seq_to_text, tuple_at, unpair)
+from .seq import (BranchRule, Seq, pair, seq_at, seq_from_text, seq_index,
+                  seq_to_text, tuple_at, unpair)
 from .spaces import BAIRE, BaireSpaceModel, FiniteSpaceModel, LazySeq, \
     SpaceModel, all_topologies
 from .suites import RunConfig, run_suite

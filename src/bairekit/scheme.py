@@ -19,7 +19,7 @@ from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
-from .seq import BranchRule, Seq, restrict, seq_at, seq_to_text
+from .seq import BranchRule, Seq, seq_at, seq_to_text
 from .spaces import BAIRE, BaireSpaceModel, SpaceModel
 
 VERIFIED = "verified"
@@ -161,7 +161,8 @@ class Report:
 
     def __str__(self) -> str:
         c = self.counts()
-        return (f"{self.name}: {'ok' if self.ok else 'VIOLATED'} "
+        verdict = "ok" if self.ok else worst(self.statuses).upper()
+        return (f"{self.name}: {verdict} "
                 f"(verified {c[VERIFIED]}, violated {c[VIOLATED]}, "
                 f"unresolved {c[UNRESOLVED]}, breach {c[BREACH]})")
 
@@ -261,8 +262,9 @@ def fruit_prefix(scheme: Scheme, p: BranchRule, n: int):
     """Intersection of the first ``n + 1`` node values along the branch."""
     space = scheme.space
     out = scheme.node(())
+    a = p.prefix(n)
     for k in range(1, n + 1):
-        out = space.intersect(out, scheme.node(restrict(p, k)))
+        out = space.intersect(out, scheme.node(a[:k]))
     return out
 
 

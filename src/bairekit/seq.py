@@ -1,77 +1,57 @@
-"""Finite sequences of naturals and lazily inspected infinite branches.
+"""Finite sequences of naturals and eventually periodic branches.
 
-Finite sequences are plain tuples of non-negative ints.  Branches (total
-maps from the naturals to the naturals) are wrapped in ``BranchRule`` and
-are only ever inspected through finite prefixes; no equality is defined
-for them, only prefix comparison to a caller-supplied depth.
+Finite sequences are plain tuples of non-negative ints.  A branch, a point
+of the Baire space, is a ``BranchRule``: a finite stem followed by a
+nonempty word repeated forever.  It is read by prefix; no equality is
+defined for branches, only prefix comparison to a caller-supplied depth.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Callable, Union
 
 Seq = tuple[int, ...]
 
 
 class BranchRule:
-    """A total map from the naturals to the naturals.
+    """The branch ``stem + word + word + ...``, read through ``prefix``.
 
-    Values must be naturals; this is checked on every evaluation.  Two
-    rules can only be compared via ``prefix`` to an explicit depth.
+    Every entry is checked to be a natural once, when the rule is built.
     """
 
-    __slots__ = ("_fn", "name")
+    __slots__ = ("stem", "word")
 
-    def __init__(self, fn: Callable[[int], int], name: str = "branch"):
-        self._fn = fn
-        self.name = name
-
-    def __call__(self, n: int) -> int:
-        v = self._fn(n)
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"branch rule produced a non-natural at {n}: {v!r}")
-        return v
+    def __init__(self, stem: Seq, word: Seq):
+        if not word:
+            raise ValueError("a branch needs a nonempty repeating word")
+        for v in (*stem, *word):
+            if not isinstance(v, int) or v < 0:
+                raise ValueError(f"branch entry is not a natural: {v!r}")
+        self.stem = stem
+        self.word = word
 
     def prefix(self, n: int) -> Seq:
-        return tuple(self(i) for i in range(n))
+        """The first ``n >= 0`` entries; below the stem's length the repeat
+        count is not positive and the word adds nothing."""
+        k = (n - len(self.stem)) // len(self.word) + 1
+        return (self.stem + self.word * k)[:n]
 
     @classmethod
     def constant(cls, v: int) -> "BranchRule":
-        return cls(lambda _n: v, name=f"const({v})")
+        return cls((), (v,))
 
     @classmethod
     def padded(cls, stem: Seq, pad: int = 0) -> "BranchRule":
         """The branch that starts with ``stem`` and continues with ``pad``."""
-        return cls(lambda n: stem[n] if n < len(stem) else pad,
-                   name=f"{seq_to_text(stem)}+{pad}...")
+        return cls(stem, (pad,))
 
     @classmethod
     def periodic(cls, word: Seq) -> "BranchRule":
-        if not word:
-            raise ValueError("periodic branch needs a nonempty word")
-        return cls(lambda n: word[n % len(word)], name=f"({seq_to_text(word)})*")
+        return cls((), word)
 
     def __repr__(self) -> str:
-        return f"BranchRule({self.name})"
-
-
-SeqLike = Union[Seq, BranchRule]
-
-
-def restrict(s: SeqLike, n: int) -> Seq:
-    """First ``n`` entries of a finite sequence or a branch."""
-    if isinstance(s, BranchRule):
-        return s.prefix(n)
-    if n > len(s):
-        raise ValueError(f"cannot restrict a length-{len(s)} sequence to {n}")
-    return s[:n]
-
-
-def is_prefix(s: Seq, t: SeqLike) -> bool:
-    if isinstance(t, BranchRule):
-        return t.prefix(len(s)) == s
-    return len(s) <= len(t) and t[: len(s)] == s
+        return (f"BranchRule({seq_to_text(self.stem)}"
+                f"+({seq_to_text(self.word)})*)")
 
 
 def seq_to_text(s: Seq) -> str:

@@ -15,7 +15,7 @@ from bairekit.cylinder import (Antichain, Atom, Diff, EMPTY, EmptySetError,
                                minimal_antichain, nd_witness, normal_form,
                                strict_witness, subset,
                                trace_window, uncovered, witness_cylinder)
-from bairekit.seq import BranchRule, is_prefix, unpair
+from bairekit.seq import BranchRule, unpair
 
 
 def oracle_nonempty(e, depth=3, breadth=3):
@@ -202,7 +202,7 @@ def test_antichain_members_minimal_and_incomparable(e):
             assert not subset(Atom(c[:-1]), e)
     for i, c in enumerate(members):
         for d in members[i + 1:]:
-            assert not is_prefix(c, d) and not is_prefix(d, c)
+            assert c[: len(d)] != d and d[: len(c)] != c
     covered = None
     for c in members:
         covered = Atom(c) if covered is None else Union(covered, Atom(c))

@@ -9,7 +9,8 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
 - ``cylinder``: ``family``, ``uncovered`` and ``minimal_antichain``
   against the window oracle (``trace_window`` of the real module, set
   algebra over window words);
-- ``seq``: ``tuple_at`` against its inverse ``tuple_index``;
+- ``seq``: ``tuple_at`` against its inverse ``tuple_index``, and a
+  branch's ``prefix`` against its stem and word read entry by entry;
 - ``lusin``: small Lusin schemes, each family read against its plan's
   ``child(n)`` and its node's trace, and the memo rules of the reads by
   object identity, which is all that a memo mutant changes; and each odd
@@ -95,6 +96,10 @@ MUTANTS = {
     "tuple-at": ("seq",
         "n, out[i] = unpair(n)",
         "out[i], n = unpair(n)"),
+    # the repeats of a branch's word that cover a prefix
+    "branch-prefix-repeats": ("seq",
+        "k = (n - len(self.stem)) // len(self.word) + 1",
+        "k = (n - len(self.stem)) // len(self.word)"),
     # a one-member split, child by child and as a family of shared tails
     "stem-plan-child": ("lusin",
         "return Atom(self.member + tuple_at(n, self.ext_len))",
@@ -280,15 +285,25 @@ def cylinder_sweep(module):
 # -- the seq sweep ------------------------------------------------------------
 
 TUPLES = [(n, k) for k in range(1, 5) for n in range(60)]
+BRANCHES = [(stem, word) for stem in ((), (3,), (1, 0, 4))
+            for word in ((2,), (5, 0), (1, 6, 1))]
 
 
 def seq_sweep(module):
     """The first ``(n, length)`` whose tuple is not the one that
-    ``tuple_index`` sends back to ``n``, or None."""
+    ``tuple_index`` sends back to ``n``, then the first ``(stem, word, n)``
+    whose prefix is not the entrywise reading, or None."""
     for n, k in TUPLES:
         t = module.tuple_at(n, k)
         if len(t) != k or tuple_index(t) != n:
             return n, k
+    for stem, word in BRANCHES:
+        rule = module.BranchRule(stem, word)
+        for n in range(len(stem) + 3 * len(word) + 1):
+            if rule.prefix(n) != tuple(
+                    stem[i] if i < len(stem)
+                    else word[(i - len(stem)) % len(word)] for i in range(n)):
+                return stem, word, n
     return None
 
 

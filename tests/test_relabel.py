@@ -22,7 +22,7 @@ from bairekit.scheme import (BREACH, Report, Scheme, VERIFIED, VIOLATED,
                              Window, check_covers, check_relabel_identities,
                              compose_index, preimage_table, relabel,
                              standard_scheme)
-from bairekit.seq import BranchRule, restrict, seq_to_text
+from bairekit.seq import BranchRule, seq_to_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -86,12 +86,12 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
 
     for v in range(window.breadth):
         q = BranchRule.constant(v)
+        gq = BranchRule(tuple(map(g, q.stem)), tuple(map(g, q.word)))
         one = scheme.node(())
         two = scheme.node(())
         for j in range(1, window.depth + 1):
-            one = space.intersect(one, scheme.node(compose_index(g, restrict(q, j))))
-            two = space.intersect(two, scheme.node(restrict(
-                BranchRule(lambda i, _q=q: g(_q(i))), j)))
+            one = space.intersect(one, scheme.node(compose_index(g, q.prefix(j))))
+            two = space.intersect(two, scheme.node(gq.prefix(j)))
         if space.equal(one, two):
             rep.add(f"fruit:const{v}", VERIFIED)
         else:

@@ -150,6 +150,20 @@ def test_a_report_entry_costs_no_object_of_its_own():
     assert held / len(keys) < 40
 
 
+def test_a_report_that_fails_by_a_breach_only_says_breach():
+    rep = report_of("r", [("a", VERIFIED, ""), ("b", BREACH, "no preimage"),
+                          ("c", UNRESOLVED, "")])
+    assert str(rep) == ("r: BREACH (verified 1, violated 0, unresolved 1, "
+                        "breach 1)")
+
+
+def test_a_report_with_a_violation_and_a_breach_says_violated():
+    rep = report_of("r", [("a", BREACH, ""), ("b", VIOLATED, "")])
+    assert str(rep) == ("r: VIOLATED (verified 0, violated 1, unresolved 0, "
+                        "breach 1)")
+    assert str(report_of("r", [("a", UNRESOLVED, "")])).startswith("r: ok ")
+
+
 STATUSES = (VERIFIED, VIOLATED, UNRESOLVED, BREACH)
 _KEYS = st.text("ab:", max_size=3)
 _RECORDS = st.tuples(_KEYS, st.sampled_from(STATUSES),
@@ -349,7 +363,7 @@ def test_relabel_fruit_consistency():
     std = standard_scheme()
     moved = relabel(std, HALF)
     q = BranchRule.periodic((4, 1))
-    gq = BranchRule(lambda n: HALF(q(n)))
+    gq = BranchRule(tuple(map(HALF, q.stem)), tuple(map(HALF, q.word)))
     for n in range(4):
         assert equal(fruit_prefix(moved, q, n), fruit_prefix(std, gq, n))
 

@@ -9,7 +9,7 @@ from bairekit.selector import (PrefixMap, SigmaBasic, _stem_class_words,
                                check_selector_identity, pi_space_probe,
                                preset_maps, pushforward_scheme,
                                stem_class_image)
-from bairekit.seq import BranchRule, restrict
+from bairekit.seq import BranchRule
 from bairekit.suites import RunConfig, suite_selectors
 
 TWO = preset_maps()["two"]       # depth 1: stem (0,) -> 0, anything else -> 1
@@ -28,7 +28,7 @@ def test_prefix_map_resolution_and_image():
     assert TWO.image((0,)) == {0}
     assert TWO.image((7,)) == {1}
     assert TWO.resolve((0, 5, 5)) == 0
-    assert TWO.resolve(restrict(BranchRule.constant(3), TWO.depth)) == 1
+    assert TWO.resolve(BranchRule.constant(3).prefix(TWO.depth)) == 1
     assert THREE.image((1,)) == {0, 1, 2}
     assert THREE.image((1, 0)) == {2}
     assert THREE.image((1, 0, 9)) == {2}
