@@ -191,6 +191,49 @@ def transcript_json(space: SpaceModel, history: History) -> list[dict]:
 
 # -- scheme extraction --------------------------------------------------------
 
+class _Steps(dict):
+    """An extraction's walk, keyed by node: the entry of ``a`` is its step,
+    its move, its reply and its deflated history, stepped from its
+    parent's entry when first read.  ``by_state`` is keyed by (the
+    parent's deflated history, child index), ``enums`` by the reply whose
+    pi-base it lists."""
+
+    __slots__ = ("space", "modified", "by_state", "enums")
+
+    def __init__(self, space: SpaceModel, strategy: PlayerII):
+        super().__init__()
+        self.space = space
+        self.modified = modify_strategy(strategy)
+        self.by_state: dict[tuple[History, int], tuple] = {}
+        self.enums: dict[object, LazySeq] = {}
+
+    def step(self, deflated: History, u, a: Seq) -> tuple:
+        space = self.space
+        v = self.modified(space, deflated, u)
+        # moves come from pi_base_enum, so only the reply is checked
+        fault = _fault(space, "reply", v, u)
+        if fault:
+            raise ExtractionError(f"illegal reply at node {a}: {fault}")
+        return u, v, _deflate(space, deflated, u, v)
+
+    def __missing__(self, a: Seq) -> tuple:
+        if not a:
+            s = self.step((), self.space.whole(), a)
+        else:
+            deflated = self[a[:-1]][2]
+            key = (deflated, a[-1])
+            s = self.by_state.get(key)
+            if s is None:
+                last = last_reply(self.space, deflated)
+                enums = self.enums
+                if last not in enums:
+                    enums[last] = self.space.pi_base_enum(last)
+                s = self.by_state[key] = self.step(deflated,
+                                                   enums[last][a[-1]], a)
+        self[a] = s
+        return s
+
+
 def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Scheme]:
     """Build the move/reply scheme pair generated by the modified strategy.
 
@@ -210,43 +253,13 @@ def extract_schemes(space: SpaceModel, strategy: PlayerII) -> tuple[Scheme, Sche
     the base strategy is a function of its arguments: it is called at most
     once per distinct deflated history and child index, not once per
     node.  ``replies.meta["deflated"]`` maps a node to its deflated
-    history (see ``reachable_states``)."""
-    modified = modify_strategy(strategy)
-    # a step is a node's move, its reply and its deflated history; ``steps``
-    # is keyed by (the parent's deflated history, child index), ``at`` by node
-    steps: dict[tuple[History, int], tuple] = {}
-    at: dict[Seq, tuple] = {}
-    enums: dict[object, LazySeq] = {}
-
-    def step(deflated: History, u, a: Seq) -> tuple:
-        v = modified(space, deflated, u)
-        # moves come from pi_base_enum, so only the reply is checked
-        fault = _fault(space, "reply", v, u)
-        if fault:
-            raise ExtractionError(f"illegal reply at node {a}: {fault}")
-        return u, v, _deflate(space, deflated, u, v)
-
-    def step_at(a: Seq) -> tuple:
-        s = at.get(a)
-        if s is not None:
-            return s
-        if not a:
-            s = step((), space.whole(), a)
-        else:
-            deflated = step_at(a[:-1])[2]
-            key = (deflated, a[-1])
-            s = steps.get(key)
-            if s is None:
-                last = last_reply(space, deflated)
-                if last not in enums:
-                    enums[last] = space.pi_base_enum(last)
-                s = steps[key] = step(deflated, enums[last][a[-1]], a)
-        at[a] = s
-        return s
-
-    moves = Scheme(space, lambda a: step_at(a)[0], label="extracted-moves")
-    replies = Scheme(space, lambda a: step_at(a)[1], label="extracted-replies")
-    replies.meta["deflated"] = lambda a: step_at(a)[2]
+    history (see ``reachable_states``).  The walk state is a ``_Steps``,
+    which holds no reference to the schemes or to itself, so reference
+    counting frees it with the last scheme that reads it."""
+    at = _Steps(space, strategy)
+    moves = Scheme(space, lambda a: at[a][0], label="extracted-moves")
+    replies = Scheme(space, lambda a: at[a][1], label="extracted-replies")
+    replies.meta["deflated"] = lambda a: at[a][2]
     return moves, replies
 
 

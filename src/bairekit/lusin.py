@@ -162,8 +162,11 @@ class _CarvePlan(_Plan):
 
 
 class _LusinScheme(Scheme):
-    """A scheme whose rule also builds families: ``rule(a, count)`` is the
-    sequence of the first ``count`` children of ``a``."""
+    """A scheme whose rule also builds families: ``rule(a, count, store)``
+    is the sequence of the first ``count`` children of ``a``.  An unstored
+    family read keeps neither its children nor the stem or split plan
+    that built them: below the window's last level nothing reads either
+    again."""
 
     def children(self, a: Seq, count: int,
                  store: bool = True) -> list[Expr] | Extensions:
@@ -173,7 +176,7 @@ class _LusinScheme(Scheme):
         missing = [n for n, v in enumerate(got) if v is None]
         if not missing:
             return got
-        family = self.rule(a, count)
+        family = self.rule(a, count, store)
         if not store and len(missing) == count:
             # nothing to keep and nothing stored to hand back: the family
             # as its plan built it, a stem plan's ``Extensions`` unbuilt
@@ -208,7 +211,12 @@ def build_lusin(base: LusinBase) -> Scheme:
     A read with ``store`` false that finds none of the children in the
     memo hands it on as it is, so the cover and partition walk decides the
     leaf level on stems and tails and builds none of its atoms; every
-    other read returns a list.
+    other read returns a list.  An unstored family read keeps neither its
+    children nor the stem or split plan that built them, so the plan map
+    holds no plan of the walk's deepest level.  A carve plan is kept on
+    every read, since ``check_lusin_conditions`` reads its witness back;
+    single-node reads, ``meta["plan"]`` reads and stored family reads keep
+    every plan they build.
 
     Each odd level's target and its normal form come from
     ``base.target_form``: a node carves when ``cylinder.meet_form`` finds
@@ -224,7 +232,7 @@ def build_lusin(base: LusinBase) -> Scheme:
             known.append(tuple_at(n, k))
         return known[:count]
 
-    def plan_for(a: Seq):
+    def plan_for(a: Seq, keep: bool = True):
         plan = plans.get(a)
         if plan is None:
             va = owner.node(a)
@@ -240,12 +248,13 @@ def build_lusin(base: LusinBase) -> Scheme:
                     plan = _SplitPlan(chain, k + 1)
                 else:
                     plan = _StemPlan(chain.concrete[0], k + 1)
-            plans[a] = plan
+            if keep or plan.witness is not None:
+                plans[a] = plan
         return plan
 
-    def rule(a: Seq, count: Optional[int] = None):
+    def rule(a: Seq, count: Optional[int] = None, store: bool = True):
         if count is not None:
-            return plan_for(a).family(count, tails)
+            return plan_for(a, store).family(count, tails)
         if not a:
             return cy.FULL
         return plan_for(a[:-1]).child(a[-1])

@@ -203,7 +203,8 @@ class Scheme:
         child already in the memo comes back as the very stored object;
         with ``store`` true each child not in the memo is stored, the first
         value stored winning; with ``store`` false none of the children is
-        kept."""
+        kept.  A Lusin scheme's unstored family read keeps neither its
+        children nor the stem or split plan that built them."""
         return [self.node(a + (n,), store) for n in range(count)]
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import cycle, repeat
 
 import pytest
@@ -238,6 +240,23 @@ def test_extract_covers_verified_on_finite_spaces():
     _moves, replies = extract_schemes(sp, copy_strategy())
     rep = check_covers(replies, Window(2, 4))
     assert rep.ok and UNRESOLVED not in rep.statuses
+
+
+def test_an_extraction_is_freed_without_the_cycle_collector():
+    # the walk state is a dict that steps a missing node from its parent's
+    # entry, not a closure that calls itself, so no cycle holds it: the
+    # strategy, which only the walk keeps, goes with the last scheme
+    sp = chain_space()
+    strategy = copy_strategy()
+    moves, replies = extract_schemes(sp, strategy)
+    assert len(reachable_states(replies, MAX_GAME_STATES)) == 4
+    refs = [weakref.ref(x) for x in (moves, replies, strategy)]
+    gc.disable()
+    try:
+        del moves, replies, strategy
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_extract_rejects_rogue_strategy():

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from collections import Counter
 
@@ -280,6 +281,56 @@ def test_default_lusin_plans_keep_few_antichains():
     kinds = Counter(type(p) for p in plans)
     assert kinds == {_StemPlan: 1_471, _CarvePlan: 42, _SplitPlan: 42}
     assert sum(hasattr(p, "chain") for p in plans) == 42
+
+
+def test_an_unstored_family_read_keeps_no_stem_or_split_plan():
+    # the partition walk reads the deepest window level unstored, so only
+    # the plans of the 259 nodes above it stay, all of them read back by
+    # the walk; the deepest level's 1,296 plans go with their families
+    gc.collect()
+    before = sum(isinstance(o, lusin._Plan) for o in gc.get_objects())
+    sch = build_lusin(standard_base())
+    assert check_partitions(sch, Window(4, 6)).ok
+    after = sum(isinstance(o, lusin._Plan) for o in gc.get_objects())
+    assert after - before == 259
+
+
+def _synth_base_text(seed: int, breadth: int) -> str:
+    """Eight target lines of the benchmark's shape: unions of 2-4 short
+    cylinders or cylinder differences, with entries below ``breadth``."""
+    rng = random.Random(seed)
+
+    def word():
+        return tuple(rng.randrange(breadth) for _ in range(rng.randint(1, 2)))
+
+    def term():
+        stem = word()
+        if rng.random() < 0.5:
+            return _cyl_text(stem)
+        return f"({_cyl_text(stem)} \\ {_cyl_text(stem + word())})"
+
+    return "\n".join(" | ".join(term() for _ in range(rng.randint(2, 4)))
+                     for _ in range(8))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.integers(2, 5))
+@example(1, 3, 5)   # odd leaf level
+@example(5, 4, 5)   # even leaf level
+@example(17, 5, 3)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_kept_plans_do_not_change_the_conditions_or_the_dump(seed, depth,
+                                                              breadth):
+    """A cold scheme, whose deepest window level keeps no stem or split
+    plan, reports and dumps exactly as one whose window plans were all
+    read first through ``meta["plan"]`` and so are all kept."""
+    base = base_from_lines(_synth_base_text(seed, breadth))
+    window = Window(depth, breadth)
+    cold, warm = build_lusin(base), build_lusin(base)
+    for a in window.nodes():
+        warm.meta["plan"](a)
+    assert check_lusin_conditions(cold, base, window) == \
+        check_lusin_conditions(warm, base, window)
+    assert dump_scheme(cold, window) == dump_scheme(warm, window)
 
 
 def test_union_of_children_stays_inside():
