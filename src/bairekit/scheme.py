@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cylinder import Atom, enclosing_stem
@@ -311,10 +311,6 @@ def pi_net_probe(scheme: Scheme, root: Seq, target, budget: int) -> Optional[Seq
 
 # -- index relabeling ---------------------------------------------------------
 
-def compose_index(g: Callable[[int], int], a: Seq) -> Seq:
-    return tuple(map(g, a))
-
-
 class _Relabeled(Scheme):
     """``relabel``'s view: no memo of its own, every node is the base's."""
 
@@ -323,11 +319,11 @@ class _Relabeled(Scheme):
         self.base, self.g = base, g
 
     def node(self, a: Seq, store: bool = True):
-        return self.base.node(compose_index(self.g, a), store)
+        return self.base.node(tuple(map(self.g, a)), store)
 
     def children(self, a: Seq, count: int, store: bool = True) -> list:
         # ``a`` is composed once for the whole family
-        ga, g, node = compose_index(self.g, a), self.g, self.base.node
+        ga, g, node = tuple(map(self.g, a)), self.g, self.base.node
         return [node(ga + (g(n),), store) for n in range(count)]
 
 
@@ -375,22 +371,21 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
             rep.add(f"preimage:{v}", BREACH,
                     f"no argument below {bound} maps to {v}")
     surjective = len(pre) == m
+    images = [g(n) for n in range(m)]
     # beyond the budget, relabeled children reach the least preimages and
-    # direct children reach every value ``g`` takes on the budget
+    # direct children reach every value ``g`` takes on the budget; the m
+    # distinct least preimages put n_hi at m or above
     n_hi = 1 + max(pre.values()) if surjective else m
-    direct_hi = 1 + max(g(n) for n in range(m))
+    direct_hi = 1 + max(images)
 
-    # the keys of both entries are the window's own, shared by every report;
-    # the union keys are rendered only when their entries are written
-    union_keys = (window.keyed("union:") if surjective
-                  else repeat(((), None)))
+    # the keys of both entries are the window's own, shared by every report
     for (a, index_key), (_, union_key) in zip(window.keyed("index:"),
-                                              union_keys):
-        lifted = moved.children(a, max(m, n_hi))
+                                              window.keyed("union:")):
+        lifted = moved.children(a, n_hi)
         # every g(n) with n below the budget is below direct_hi
-        direct = scheme.children(compose_index(g, a), max(m, direct_hi))
+        direct = scheme.children(tuple(map(g, a)), max(m, direct_hi))
         wrong = next((n for n in range(m)
-                      if not space.equal(lifted[n], direct[g(n)])), None)
+                      if not space.equal(lifted[n], direct[images[n]])), None)
         if wrong is None:
             rep.add(index_key, VERIFIED)
         else:
@@ -406,10 +401,10 @@ def check_relabel_identities(scheme: Scheme, g: Callable[[int], int],
                     f"partial unions fail mutual inclusion ({ok1}, {ok2})")
 
     d = window.depth
-    for v in range(m):
+    for v, gv in enumerate(images):
         # the constant branch v, relabeled through g, is the constant g(v)
         if space.equal(fruit_prefix(moved, BranchRule.constant(v), d),
-                       fruit_prefix(scheme, BranchRule.constant(g(v)), d)):
+                       fruit_prefix(scheme, BranchRule.constant(gv), d)):
             rep.add(f"fruit:const{v}", VERIFIED)
         else:
             rep.add(f"fruit:const{v}", VIOLATED)

@@ -22,7 +22,7 @@ from .cylinder import Atom, Diff, EMPTY, Expr, FULL, Inter, NdTree, Union
 from .grammar import expr_to_text
 from .lusin import build_lusin, check_lusin_conditions, standard_base
 from .scheme import (BREACH, EmptyTargetError, Report, Scheme, UNRESOLVED,
-                     VERIFIED, VIOLATED, Window, check_covers, compose_index,
+                     VERIFIED, VIOLATED, Window, check_covers,
                      check_relabel_identities,
                      dense_in_itself_probe, pi_net_probe, preimage_table,
                      relabel, standard_scheme, worst)
@@ -200,12 +200,6 @@ STRATEGY_PRESETS: dict[str, Callable[[], PlayerII]] = {
 }
 
 
-def _lusin_probe_branch(scheme: Scheme, picks: Seq) -> BranchRule:
-    """A concrete branch inside the node chain selected by ``picks``."""
-    stem = cy.witness_cylinder(scheme.node(picks))
-    return BranchRule.padded(stem, 0)
-
-
 def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
     window = cfg.window(3, 6)
     reports: list[Report] = []
@@ -227,7 +221,7 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
             rep = Report(f"openness[{tag}]")
             space = moved.space
             for a, key in window.keyed():
-                source = base_scheme.node(compose_index(g, a))
+                source = base_scheme.node(tuple(map(g, a)))
                 if space.equal(moved.node(a), source):
                     rep.add(key, VERIFIED)
                 else:
@@ -241,7 +235,9 @@ def suite_schemes_vg(cfg: RunConfig) -> list[Report]:
         if base_scheme.label == "standard":
             x = BranchRule.constant(0)
         else:
-            x = _lusin_probe_branch(base_scheme, (1, 1, 1))
+            # a concrete branch inside the node chain selected by 1.1.1
+            stem = cy.witness_cylinder(base_scheme.node((1, 1, 1)))
+            x = BranchRule.padded(stem, 0)
         probe = dense_in_itself_probe(moved, x, window)
         probe.summarize("dense", ("",),
                         f"{len(probe.keys)} nodes, two siblings each")
@@ -259,7 +255,7 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
     bound = window.preimage_bound
     roots = [(), (0,), (1, 0)]
     for a in roots:
-        ga = compose_index(g, a)
+        ga = tuple(map(g, a))
         for t in range(3):
             target = base_scheme.node(ga + (t,))
             try:
@@ -585,8 +581,8 @@ def run_suite(cfg: RunConfig) -> dict:
     """Run the suite ``cfg`` names.  The result is a dict of ``suite``,
     ``seed``, ``config`` (``depth``, ``breadth``, ``space``), ``ok``,
     ``violations``, ``breaches`` and ``reports``, the suite's ``Report``
-    objects in order; each report becomes JSON only when it is written
-    (``Report.to_json``)."""
+    objects in order; the writer reads each report's columns, with the
+    text ``Report.to_json`` would give, and never calls it."""
     if cfg.suite not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {cfg.suite!r}; "
                           f"choose from {', '.join(SUITES)}")

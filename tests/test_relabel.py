@@ -17,12 +17,11 @@ import bairekit.scheme as scheme_mod
 from conftest import records
 from bairekit.cli import main
 from bairekit.cylinder import EMPTY, Union
-from bairekit.lusin import build_lusin, standard_base
 from bairekit.scheme import (BREACH, Report, Scheme, VERIFIED, VIOLATED,
                              Window, check_covers, check_relabel_identities,
-                             compose_index, preimage_table, relabel,
-                             standard_scheme)
+                             preimage_table, relabel, standard_scheme)
 from bairekit.seq import BranchRule, seq_to_text
+from bairekit.suites import G_PRESETS, SCHEME_PRESETS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,9 +57,9 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
 
     for a in window.nodes():
         key = seq_to_text(a)
-        ga = compose_index(g, a)
+        ga = tuple(map(g, a))
         wrong = next((n for n in range(window.breadth)
-                      if not space.equal(scheme.node(compose_index(g, a + (n,))),
+                      if not space.equal(scheme.node(tuple(map(g, a + (n,)))),
                                          scheme.node(ga + (g(n),)))), None)
         if wrong is None:
             rep.add(f"index:{key}", VERIFIED)
@@ -69,13 +68,13 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
         if not surjective:
             continue
         m = window.breadth
-        relabeled = [scheme.node(compose_index(g, a + (n,))) for n in range(m)]
+        relabeled = [scheme.node(tuple(map(g, a + (n,)))) for n in range(m)]
         direct_hi = 1 + max(g(n) for n in range(m))
         direct = [scheme.node(ga + (k,)) for k in range(max(m, direct_hi))]
         q = _fold_union(relabeled)
         ok1 = space.subset(q, _fold_union(direct[:direct_hi]))
         n_hi = 1 + max(pre[v] for v in range(m))
-        q_big = _fold_union([scheme.node(compose_index(g, a + (n,)))
+        q_big = _fold_union([scheme.node(tuple(map(g, a + (n,))))
                              for n in range(n_hi)])
         ok2 = space.subset(_fold_union(direct[:m]), q_big)
         if ok1 and ok2:
@@ -90,7 +89,7 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
         one = scheme.node(())
         two = scheme.node(())
         for j in range(1, window.depth + 1):
-            one = space.intersect(one, scheme.node(compose_index(g, q.prefix(j))))
+            one = space.intersect(one, scheme.node(tuple(map(g, q.prefix(j)))))
             two = space.intersect(two, scheme.node(gq.prefix(j)))
         if space.equal(one, two):
             rep.add(f"fruit:const{v}", VERIFIED)
@@ -99,26 +98,20 @@ def reference_relabel_identities(scheme: Scheme, g: Callable[[int], int],
     return rep
 
 
-
-G_MAPS = {
-    "identity": lambda n: n,
-    "half": lambda n: n // 2,
-    "swap": lambda n: n ^ 1,
-    "succ": lambda n: n + 1,
-    "zero": lambda n: 0,
-}
-SCHEMES = {"standard": standard_scheme,
-           "lusin-std": lambda: build_lusin(standard_base())}
+# the presets, and two maps that miss values: ``succ`` misses 0 and
+# ``zero`` every value but 0
+G_MAPS = {**G_PRESETS, "succ": lambda n: n + 1, "zero": lambda n: 0}
 
 
 @pytest.mark.parametrize("window", [Window(2, 4), Window(3, 3)],
                          ids=["d2b4", "d3b3"])
 @pytest.mark.parametrize("g_name", list(G_MAPS))
-@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+@pytest.mark.parametrize("scheme_name", list(SCHEME_PRESETS))
 def test_relabel_identities_match_reference(scheme_name, g_name, window):
     g = G_MAPS[g_name]
-    expected = reference_relabel_identities(SCHEMES[scheme_name](), g, window)
-    got = check_relabel_identities(SCHEMES[scheme_name](), g, window)
+    make = SCHEME_PRESETS[scheme_name]
+    expected = reference_relabel_identities(make(), g, window)
+    got = check_relabel_identities(make(), g, window)
     assert got.name == expected.name
     assert records(got) == records(expected)
 
@@ -134,29 +127,29 @@ def test_relabel_identities_read_relabel(monkeypatch):
 
 
 @pytest.mark.parametrize("g_name", list(G_MAPS))
-@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+@pytest.mark.parametrize("scheme_name", list(SCHEME_PRESETS))
 def test_relabeled_node_is_the_base_object(scheme_name, g_name):
-    base, g = SCHEMES[scheme_name](), G_MAPS[g_name]
+    base, g = SCHEME_PRESETS[scheme_name](), G_MAPS[g_name]
     moved = relabel(base, g)
     assert moved.space is base.space and moved.label == f"{base.label}^g"
     for a in Window(2, 3).nodes():
-        ga = compose_index(g, a)
+        ga = tuple(map(g, a))
         assert moved.node(a) is base.node(ga)
         # a node read without storing is still the base's stored object
         assert moved.node(a, store=False) is base.node(ga)
     leaf = (2, 1, 0)
     value = moved.node(leaf, store=False)
-    assert compose_index(g, leaf) not in base._memo
-    assert base.space.equal(value, base.node(compose_index(g, leaf)))
+    assert tuple(map(g, leaf)) not in base._memo
+    assert base.space.equal(value, base.node(tuple(map(g, leaf))))
 
 
 @pytest.mark.parametrize("g_name", list(G_MAPS))
-@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+@pytest.mark.parametrize("scheme_name", list(SCHEME_PRESETS))
 def test_relabeled_children_compose_the_node_once(scheme_name, g_name):
-    base, a, k = SCHEMES[scheme_name](), (2, 1), 5
+    base, a, k = SCHEME_PRESETS[scheme_name](), (2, 1), 5
     calls = []
     moved = relabel(base, lambda n: calls.append(n) or G_MAPS[g_name](n))
-    keys = {compose_index(G_MAPS[g_name], a + (n,)) for n in range(k)}
+    keys = {tuple(map(G_MAPS[g_name], a + (n,))) for n in range(k)}
     # read without storing first, so that no key is in the memo yet
     for store in (False, True):
         calls.clear()
@@ -173,22 +166,23 @@ def copying_relabel(scheme, g):
     """A relabel whose nodes equal the base nodes at ``g`` but are distinct
     objects, so no check can decide them by identity."""
     return Scheme(scheme.space,
-                  lambda a: Union(scheme.node(compose_index(g, a)), EMPTY))
+                  lambda a: Union(scheme.node(tuple(map(g, a))), EMPTY))
 
 
-@pytest.mark.parametrize("scheme_name", list(SCHEMES))
+@pytest.mark.parametrize("scheme_name", list(SCHEME_PRESETS))
 def test_relabel_identities_hold_for_equal_distinct_nodes(monkeypatch,
                                                           scheme_name):
     monkeypatch.setattr(scheme_mod, "relabel", copying_relabel)
-    rep = check_relabel_identities(SCHEMES[scheme_name](), G_MAPS["half"],
-                                   Window(2, 4))
+    rep = check_relabel_identities(SCHEME_PRESETS[scheme_name](),
+                                   G_MAPS["half"], Window(2, 4))
     assert set(rep.statuses) == {VERIFIED}
 
 
 def test_relabel_identities_reject_wrong_distinct_nodes(monkeypatch):
     # copies of the base children themselves, not of the children at g(n)
-    monkeypatch.setattr(scheme_mod, "relabel",
-                        lambda scheme, g: copying_relabel(scheme, lambda n: n))
+    monkeypatch.setattr(
+        scheme_mod, "relabel",
+        lambda scheme, g: copying_relabel(scheme, G_MAPS["identity"]))
     rep = check_relabel_identities(standard_scheme(), G_MAPS["half"],
                                    Window(2, 4))
     for kind in ("index:", "union:"):
@@ -213,7 +207,8 @@ def test_window_checks_normal_form_count(monkeypatch):
         return real(e)
 
     monkeypatch.setattr(cylinder, "normal_form", counted)
-    base, window, half = build_lusin(standard_base()), Window(3, 4), G_MAPS["half"]
+    base, window = SCHEME_PRESETS["lusin-std"](), Window(3, 4)
+    half = G_MAPS["half"]
     assert check_covers(relabel(base, half), window).ok
     assert check_relabel_identities(base, half, window).ok
     assert calls == 560

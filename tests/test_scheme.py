@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from bairekit.cylinder import Atom, EMPTY, FULL, cyl, equal
 from conftest import records, report_of
-from bairekit.scheme import (BREACH, Report, Scheme,
+from bairekit.scheme import (BREACH, BranchProbe, Report, Scheme,
                              UNRESOLVED, VERIFIED, VIOLATED, Window,
                              branch_nodes, check_covers, check_partitions,
                              check_relabel_identities, dense_in_itself_probe,
                              dump_scheme, fruit_prefix,
                              pi_net_probe, relabel, standard_scheme,
                              strict_branch_probe, EmptyTargetError)
-from bairekit.seq import BranchRule, seq_to_text
+from bairekit.seq import BranchRule, seq_index, seq_to_text
 from bairekit.spaces import BAIRE, FiniteSpaceModel
+from bairekit.suites import G_PRESETS
 
-HALF = lambda n: n // 2
+HALF = G_PRESETS["half"]
 
 
 def test_window_nodes():
@@ -56,14 +57,16 @@ def test_each_window_and_prefix_keeps_its_own_keys():
     assert repr(small) == "Window(depth=1, breadth=2)"
 
 
-def test_relabel_identities_render_union_keys_only_when_they_write_them():
+def test_relabel_identities_write_the_windows_own_union_keys():
     w = Window(3, 6)
+    # a map that misses a budget value writes no union entry
     rep = check_relabel_identities(standard_scheme(), lambda n: 0, w)
     assert not any(k.startswith("union:") for k in rep.keys)
-    assert "union:" not in w._keys and "index:" in w._keys
-    rep = check_relabel_identities(standard_scheme(), lambda n: n, w)
-    assert "union:" in w._keys
-    assert sum(k.startswith("union:") for k in rep.keys) == len(w._keys["union:"])
+    rep = check_relabel_identities(standard_scheme(), G_PRESETS["identity"], w)
+    union = [k for k in rep.keys if k.startswith("union:")]
+    # one entry per window node, each holding the window's own key object
+    assert len(union) == len(w._keys["union:"]) == w.node_count()
+    assert all(k is kept for k, kept in zip(union, w._keys["union:"]))
 
 
 def _key_size(keys: list[str]) -> int:
@@ -336,6 +339,22 @@ def test_strict_branch_probe():
                             BranchRule.constant(0), 1)
 
 
+def test_strict_branch_probe_of_an_empty_fruit():
+    # node 0.0 is empty, so the fruit along the constant 0 is empty from
+    # depth 2 on
+    holey = Scheme(BAIRE, lambda a: EMPTY if a == (0, 0) else Atom(a))
+    zeros = BranchRule.constant(0)
+    assert strict_branch_probe(holey, zeros, 1) == BranchProbe(True, 1)
+    assert strict_branch_probe(holey, zeros, 2) == BranchProbe(False, 0)
+
+
+def test_pi_net_probe_gives_up_at_its_budget():
+    # (4,) is the first candidate inside S(4), at index seq_index((4,))
+    std, k = standard_scheme(), seq_index((4,))
+    assert pi_net_probe(std, (), cyl(4), k + 1) == (4,)
+    assert pi_net_probe(std, (), cyl(4), k) is None
+
+
 def test_pi_net_probe_examples():
     std = standard_scheme()
     assert pi_net_probe(std, (), cyl(4), 64) == (4,)
@@ -350,7 +369,7 @@ def test_pi_net_probe_examples():
 
 def test_relabel_examples():
     std = standard_scheme()
-    same = relabel(std, lambda n: n)
+    same = relabel(std, G_PRESETS["identity"])
     for a in Window(2, 3).nodes():
         assert equal(same.node(a), std.node(a))
     const = relabel(std, lambda n: 0)
@@ -370,7 +389,8 @@ def test_relabel_fruit_consistency():
 
 def test_relabel_identities_reports():
     std = standard_scheme()
-    rep = check_relabel_identities(std, lambda n: n, Window(2, 3))
+    rep = check_relabel_identities(std, G_PRESETS["identity"],
+                                   Window(2, 3))
     assert rep.ok and BREACH not in rep.statuses
     rep = check_relabel_identities(std, HALF, Window(2, 6))
     assert rep.ok and BREACH not in rep.statuses

@@ -284,8 +284,7 @@ def test_schemes_vg_keeps_an_unresolved_dense_probe_unresolved():
     assert out["ok"]
 
 
-def _identity(n):
-    return n
+_identity = suites.G_PRESETS["identity"]
 
 
 def _replay(base, moved, g=_identity):
@@ -329,7 +328,7 @@ def test_pi_net_replay_through_a_wrong_view_is_violated():
     """The view relabels by ``n ^ 1`` while the replay assumes the
     identity, so no replayed node is the base's hit."""
     base = standard_scheme()
-    entries = _replay(base, relabel(base, lambda n: n ^ 1))
+    entries = _replay(base, relabel(base, suites.G_PRESETS["swap"]))
     assert len(entries) == 9
     assert {(status, detail) for _, status, detail in entries} == \
         {("violated", "replayed hit does not match")}
@@ -541,3 +540,113 @@ def test_choquet_extract_names_each_space_whose_replay_differs(monkeypatch):
     assert entries == [(f"replay:{n}", "violated", "branch replay mismatch")
                        for n in range(40, 390, 40)] + \
         [("replay", "violated", "9 violated, first replay:40")]
+
+
+# -- self-checks that can fail --------------------------------------------------
+# Each row makes one decision a suite's self-check reads come out wrong and
+# names the suite, the report, the first entry that must turn violated and
+# the aggregate entry that must name it (None where the report has none).
+
+def _first_answer_flipped(monkeypatch, owner, name):
+    """``owner.name`` answering the other way on its first call only."""
+    real = getattr(owner, name)
+    calls = []
+
+    def wrong(*args):
+        calls.append(args)
+        return real(*args) != (len(calls) == 1)
+
+    monkeypatch.setattr(owner, name, wrong)
+
+
+def _trace_misses_the_witness(monkeypatch):
+    # the source check reads the 3/3 trace; each witness check reads a
+    # deeper one, which now holds no word
+    real = cy.trace_window
+    monkeypatch.setattr(cy, "trace_window", lambda u, depth, breadth: (
+        real(u, depth, breadth) if depth == 3 else frozenset()))
+
+
+def _tree_holds_every_word(monkeypatch):
+    real = cy.NdTree.level_capped
+    monkeypatch.setattr(cy.NdTree, "level_capped", staticmethod(
+        lambda caps: cy.NdTree(lambda w: True, real(caps).branching)))
+
+
+def _deflation_keeps(length):
+    """``remove_redundant`` keeping every history of ``length`` pairs."""
+    def patch(monkeypatch):
+        real = suites.remove_redundant
+        monkeypatch.setattr(suites, "remove_redundant", lambda space, h: (
+            h if len(h) == length else real(space, h)))
+    return patch
+
+
+def _one_topology_short(monkeypatch):
+    real = suites.all_topologies
+    monkeypatch.setattr(suites, "all_topologies",
+                        lambda n: real(n)[:-1] if n == 3 else real(n))
+
+
+def _replies_not_atoms(monkeypatch):
+    real = suites.extract_schemes
+
+    def extract(space, strategy):
+        moves, replies = real(space, strategy)
+        if space is not BAIRE:
+            return moves, replies
+        return moves, Scheme(space, lambda a: cy.Union(replies.node(a),
+                                                       cy.EMPTY))
+
+    monkeypatch.setattr(suites, "extract_schemes", extract)
+
+
+def _probe_hit_off_its_stem(monkeypatch):
+    real = suites.pi_space_probe
+    monkeypatch.setattr(suites, "pi_space_probe",
+                        lambda pm, basic: (9,) + real(pm, basic))
+
+
+@pytest.mark.parametrize("suite, wrong, report, entry, aggregate", [
+    ("cylinders-oracle",
+     lambda mp: _first_answer_flipped(mp, cy, "is_empty"),
+     "cylinders-oracle", "emptiness:0", "emptiness"),
+    ("cylinders-oracle",
+     lambda mp: _first_answer_flipped(mp, cy, "subset"),
+     "cylinders-oracle", "inclusion:0", "inclusion"),
+    ("cylinders-oracle",
+     lambda mp: _first_answer_flipped(mp, cy, "contains_branch"),
+     "cylinders-oracle", "membership:", "membership"),
+    ("cylinders-oracle", _trace_misses_the_witness,
+     "nd-witness", "inside:0", "nd-witness"),
+    ("cylinders-oracle", _tree_holds_every_word,
+     "nd-witness", "avoids:0", "nd-witness"),
+    ("choquet-finite", _deflation_keeps(5),
+     "deflation", "paper-history", None),
+    ("choquet-finite", _deflation_keeps(1),
+     "deflation", "zero-pair", None),
+    ("choquet-finite", _one_topology_short,
+     "modified-copy-wins", "count:3", None),
+    ("choquet-extract", _replies_not_atoms,
+     "extract-baire", "length:0:0", "cylinder-growth"),
+    ("choquet-extract",
+     lambda mp: mp.setattr(suites, "replay_branch", lambda *args: False),
+     "extract-baire", "replay:0", "cylinder-growth"),
+    ("selectors", _probe_hit_off_its_stem,
+     "pi-space-probe", "two:", "probe"),
+], ids=["emptiness", "inclusion", "membership", "nd-inside", "nd-avoids",
+        "paper-history", "zero-pair", "topology-count", "baire-length",
+        "baire-replay", "pi-space-probe"])
+def test_a_wrong_decision_fails_its_self_check(monkeypatch, suite, wrong,
+                                               report, entry, aggregate):
+    wrong(monkeypatch)
+    out = run_suite(RunConfig(suite))
+    rep = next(r for r in out["reports"] if r.name == report)
+    # the first violated entry, which ``entry`` names or begins
+    first = next(k for k, s in zip(rep.keys, rep.statuses) if s == "violated")
+    assert first == entry or (entry.endswith(":") and first.startswith(entry))
+    if aggregate is not None:
+        at = rep.keys.index(aggregate)
+        assert rep.statuses[at] == "violated"
+        assert rep.details[at].endswith(f", first {first}")
+    assert not rep.ok and not out["ok"]
