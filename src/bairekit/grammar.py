@@ -11,7 +11,8 @@ Text grammar (whitespace-insensitive)::
 
 JSON uses tagged objects ``{"op": ..., "args": [...]}`` with atom args a
 plain array of naturals.  The whole space ``S()`` is the atom of the empty
-sequence, and JSON writes it as ``{"op": "full", "args": []}``.
+sequence, and JSON writes it as ``{"op": "full", "args": []}``; ``"full"``
+and ``"empty"`` take no arguments.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "|&\\()," :
+        elif ch in "|&\\(),S":
             tokens.append((ch, ch))
-            i += 1
-        elif ch == "S":
-            tokens.append(("S", "S"))
             i += 1
         elif ch.isdigit():
             j = i
@@ -58,8 +56,15 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
 # expression well inside Python's recursion limit.
 MAX_EXPR_DEPTH = 256
 
-# binary operators: precedence (higher binds tighter) and constructor
-_BINARY = {"|": (0, Union), "\\": (1, Diff), "&": (2, Inter)}
+# The binary operators as (class, text symbol, JSON tag), loosest first;
+# an operator's index is its text precedence (higher binds tighter).
+_OPERATORS = ((Union, "|", "union"), (Diff, "\\", "diff"),
+              (Inter, "&", "inter"))
+_BINARY = {sym: (level, cls)
+           for level, (cls, sym, _) in enumerate(_OPERATORS)}
+_BY_CLASS = {cls: (level, sym, tag)
+             for level, (cls, sym, tag) in enumerate(_OPERATORS)}
+_BY_TAG = {tag: cls for cls, _, tag in _OPERATORS}
 
 
 class _Parser:
@@ -155,11 +160,8 @@ def parse_expr(text: str) -> Expr:
     return e
 
 
-_UNION, _DIFF, _INTER, _ATOM = 0, 1, 2, 3
-
-
 def expr_to_text(e: Expr) -> str:
-    return _render(e, _UNION)
+    return _render(e, 0)
 
 
 def _render(e: Expr, context: int) -> str:
@@ -167,17 +169,13 @@ def _render(e: Expr, context: int) -> str:
         return "S(" + ",".join(str(v) for v in e.entries) + ")"
     if isinstance(e, type(EMPTY)):
         return "0"
-    if isinstance(e, Union):
-        text = _render(e.left, _UNION) + "|" + _render(e.right, _DIFF)
-        level = _UNION
-    elif isinstance(e, Diff):
-        text = _render(e.left, _DIFF) + "\\" + _render(e.right, _INTER)
-        level = _DIFF
-    elif isinstance(e, Inter):
-        text = _render(e.left, _INTER) + "&" + _render(e.right, _ATOM)
-        level = _INTER
-    else:
+    op = _BY_CLASS.get(type(e))
+    if op is None:
         raise TypeError(f"not a cylinder expression: {e!r}")
+    # every operator associates left, so only its right operand needs
+    # parentheses at its own level
+    level, sym, _ = op
+    text = _render(e.left, level) + sym + _render(e.right, level + 1)
     return f"({text})" if level < context else text
 
 
@@ -186,11 +184,11 @@ def expr_to_json(e: Expr) -> dict:
         return {"op": "atom" if e.entries else "full", "args": list(e.entries)}
     if isinstance(e, type(EMPTY)):
         return {"op": "empty", "args": []}
-    ops = {Union: "union", Inter: "inter", Diff: "diff"}
-    op = ops.get(type(e))
+    op = _BY_CLASS.get(type(e))
     if op is None:
         raise TypeError(f"not a cylinder expression: {e!r}")
-    return {"op": op, "args": [expr_to_json(e.left), expr_to_json(e.right)]}
+    args = [expr_to_json(e.left), expr_to_json(e.right)]
+    return {"op": op[2], "args": args}
 
 
 def expr_from_json(obj: Any) -> Expr:
@@ -211,12 +209,9 @@ def _from_json(obj: Any, depth: int) -> Expr:
         if not all(type(v) is int and v >= 0 for v in args):
             raise ValueError(f"atom entries must be naturals: {args!r}")
         return Atom(tuple(args))
-    if op == "full":
-        return FULL
-    if op == "empty":
-        return EMPTY
-    makers = {"union": Union, "inter": Inter, "diff": Diff}
-    if op in makers and len(args) == 2:
-        return makers[op](_from_json(args[0], depth + 1),
-                          _from_json(args[1], depth + 1))
+    if op in ("full", "empty") and not args:
+        return FULL if op == "full" else EMPTY
+    if op in _BY_TAG and len(args) == 2:
+        return _BY_TAG[op](_from_json(args[0], depth + 1),
+                           _from_json(args[1], depth + 1))
     raise ValueError(f"bad expression object: {obj!r}")

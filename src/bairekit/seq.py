@@ -59,19 +59,6 @@ def seq_to_text(s: Seq) -> str:
     return ".".join(str(v) for v in s) if s else "ε"
 
 
-def seq_from_text(text: str) -> Seq:
-    text = text.strip()
-    if text in ("ε", ""):
-        return ()
-    parts = text.split(".")
-    out = []
-    for p in parts:
-        if not p.isdigit():
-            raise ValueError(f"bad sequence text: {text!r}")
-        out.append(int(p))
-    return tuple(out)
-
-
 # -- canonical pairing and fair enumerations ---------------------------------
 
 def pair(x: int, y: int) -> int:
@@ -94,14 +81,6 @@ def seq_at(n: int) -> Seq:
         out.append(last)
     out.reverse()
     return tuple(out)
-
-
-def seq_index(s: Seq) -> int:
-    """Inverse of ``seq_at``."""
-    i = 0
-    for v in s:
-        i = pair(i, v) + 1
-    return i
 
 
 def tuple_at(n: int, length: int) -> Seq:

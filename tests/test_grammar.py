@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,11 +25,48 @@ def test_precedence_and_associativity():
     assert parse_expr("(S(1)|S(2))\\S(3)") == Diff(Union(a, b), c)
 
 
+# each malformed input and the parser's message for it
+_SYNTAX_ERRORS = [
+    ("S(", "expected ')' at token 2"),
+    ("S(1,)", "expected 'num' at token 4"),
+    ("1", "bare number 1 is not an expression"),
+    ("S(1))", "trailing input at token 4"),
+    ("S(1)|", "unexpected token at 5"),
+    ("x", "unexpected character 'x' at 0"),
+    ("S(-1)", "unexpected character '-' at 2"),
+    ("(S(1)", "expected ')' at token 5"),
+    ("((S(1)|S(2))", "expected ')' at token 12"),
+    ("(S(1)))", "trailing input at token 6"),
+    ("()", "unexpected token at 1"),
+    ("(|S(1))", "unexpected token at 1"),
+    # a superscript two is a digit to str.isdigit but not to int
+    ("S(\u00b2)",
+     "bad number at 2: invalid literal for int() with base 10: '\u00b2'"),
+    ("S(1e3)", "unexpected character 'e' at 3"),
+    ("S(\x00)", "unexpected character '\\x00' at 2"),
+    ("|".join(["S(1)"] * 300), "expression nests deeper than 256"),
+    ("&".join(["S(1)"] * 300), "expression nests deeper than 256"),
+    ("\\".join(["S(1)"] * 300), "expression nests deeper than 256"),
+    ("(" * 300 + "S(0)" + ")" * 300, "parentheses nest deeper than 256"),
+]
+
+
 def test_syntax_errors():
-    for bad in ("S(", "S(1,)", "1", "S(1))", "S(1)|", "x", "S(-1)", "(S(1)",
-                "((S(1)|S(2))", "(S(1)))", "()", "(|S(1))"):
-        with pytest.raises(ExprSyntaxError):
+    for bad, message in _SYNTAX_ERRORS:
+        with pytest.raises(ExprSyntaxError) as info:
             parse_expr(bad)
+        assert str(info.value) == message, bad[:40]
+
+
+def test_a_number_past_the_digit_limit_is_a_syntax_error():
+    digits = "1" * 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < len(digits):
+        assert parse_expr(f"S({digits})") == cyl(int(digits))
+        return
+    # the rest of the message is int's own, which varies across versions
+    with pytest.raises(ExprSyntaxError, match=r"^bad number at 2: "):
+        parse_expr(f"S({digits})")
 
 
 def test_depth_bound():
@@ -43,6 +82,24 @@ def test_depth_bound():
         parse_expr("(" + nested + ")")
     with pytest.raises(ExprSyntaxError, match="deeper"):
         parse_expr("(" * 5000 + "S(0)" + ")" * 5000)
+
+
+@pytest.mark.parametrize("outer, inner, left, right", [
+    (Union, Union, "S(1)|S(2)|S(3)", "S(1)|(S(2)|S(3))"),
+    (Union, Diff, "S(1)\\S(2)|S(3)", "S(1)|S(2)\\S(3)"),
+    (Union, Inter, "S(1)&S(2)|S(3)", "S(1)|S(2)&S(3)"),
+    (Diff, Union, "(S(1)|S(2))\\S(3)", "S(1)\\(S(2)|S(3))"),
+    (Diff, Diff, "S(1)\\S(2)\\S(3)", "S(1)\\(S(2)\\S(3))"),
+    (Diff, Inter, "S(1)&S(2)\\S(3)", "S(1)\\S(2)&S(3)"),
+    (Inter, Union, "(S(1)|S(2))&S(3)", "S(1)&(S(2)|S(3))"),
+    (Inter, Diff, "(S(1)\\S(2))&S(3)", "S(1)&(S(2)\\S(3))"),
+    (Inter, Inter, "S(1)&S(2)&S(3)", "S(1)&(S(2)&S(3))"),
+])
+def test_rendering_uses_the_fewest_parentheses(outer, inner, left, right):
+    # the inner operator as the outer one's left operand, then its right
+    a, b, c = cyl(1), cyl(2), cyl(3)
+    assert expr_to_text(outer(inner(a, b), c)) == left
+    assert expr_to_text(outer(a, inner(b, c))) == right
 
 
 def test_rendering_examples():
@@ -75,6 +132,9 @@ def test_json_validation():
         expr_from_json({"op": "union", "args": []})
     with pytest.raises(ValueError):
         expr_from_json(["union"])
+    for tag, e in (("full", FULL), ("empty", EMPTY)):
+        assert expr_from_json({"op": tag}) is e
+        assert expr_from_json({"op": tag, "args": []}) is e
 
 
 @pytest.mark.parametrize("obj", [
@@ -88,6 +148,8 @@ def test_json_validation():
     {"op": ["union"], "args": []},
     {"args": []},
     None,
+    {"op": "full", "args": [1, 2]},
+    {"op": "empty", "args": [{"op": "atom", "args": [0]}]},
 ])
 def test_json_malformed_is_value_error(obj):
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from bairekit.scheme import (BREACH, BranchProbe, Report, Scheme,
                              dump_scheme, fruit_prefix,
                              pi_net_probe, relabel, standard_scheme,
                              strict_branch_probe, EmptyTargetError)
-from bairekit.seq import BranchRule, seq_index, seq_to_text
+from bairekit.seq import BranchRule, seq_at, seq_to_text
 from bairekit.spaces import BAIRE, FiniteSpaceModel
 from bairekit.suites import G_PRESETS
 
@@ -349,8 +349,8 @@ def test_strict_branch_probe_of_an_empty_fruit():
 
 
 def test_pi_net_probe_gives_up_at_its_budget():
-    # (4,) is the first candidate inside S(4), at index seq_index((4,))
-    std, k = standard_scheme(), seq_index((4,))
+    # (4,) is the first candidate inside S(4), at the index seq_at lists it
+    std, k = standard_scheme(), [seq_at(n) for n in range(64)].index((4,))
     assert pi_net_probe(std, (), cyl(4), k + 1) == (4,)
     assert pi_net_probe(std, (), cyl(4), k) is None
 
