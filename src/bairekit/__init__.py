@@ -22,7 +22,7 @@ from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
                      dense_in_itself_probe, dump_scheme, fruit_prefix,
                      pi_net_probe, relabel, standard_scheme,
                      strict_branch_probe)
-from .selector import (PrefixMap, SigmaBasic, check_image_identity,
+from .selector import (PrefixMap, check_image_identity,
                        check_selector_identity, pi_space_probe, preset_maps,
                        pushforward_scheme, stem_class_image)
 from .seq import BranchRule, Seq, pair, seq_at, seq_to_text, tuple_at, \

@@ -30,7 +30,6 @@ from .scheme import Scheme
 from .seq import Seq
 from .spaces import FiniteSpaceModel, LazySeq, SpaceModel
 
-Pair = tuple
 History = tuple
 
 PlayerII = Callable[[SpaceModel, History, object], object]

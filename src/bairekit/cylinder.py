@@ -22,7 +22,7 @@ Reports record these outputs, so this rule is part of the report format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Optional
 
@@ -108,8 +108,7 @@ def normal_form(e: Expr) -> frozenset[Seq]:
         case Atom(a):
             return frozenset((a,))
         case Union(l, r):
-            f, g = normal_form(l), normal_form(r)
-            return f ^ g ^ _meet(f, g)
+            return _join(normal_form(l), normal_form(r))
         case Inter(l, r):
             return _meet(normal_form(l), normal_form(r))
         case Diff(l, r):
@@ -129,6 +128,11 @@ def _meet(f: frozenset[Seq], g: frozenset[Seq]) -> frozenset[Seq]:
             if long[: len(short)] == short:
                 out ^= {long}
     return frozenset(out)
+
+
+def _join(f: frozenset[Seq], g: frozenset[Seq]) -> frozenset[Seq]:
+    # the form of the union: F ∪ G = F Δ G Δ (F ∩ G)
+    return f ^ g ^ _meet(f, g)
 
 
 def _odd_below(f: frozenset[Seq], c: Seq) -> bool:
@@ -362,9 +366,9 @@ def family(node: Expr, children: list[Expr] | Extensions, pairs: bool
     ``children`` is a list of expressions or an ``Extensions``.  The
     node's form ``N`` and each child's form ``f`` are taken once; a child
     is inside the node exactly when ``f ∧ N == f``.  The union's form
-    ``U`` is folded as ``U ^ f ^ (U ∧ f)``, as in ``uncovered``, and the
-    node is inside it exactly when ``N ∧ U == N``.  A family of atoms
-    alone takes no form: its stems decide it (``_stem_family``).
+    ``U`` is folded with ``_join``, as in ``uncovered``, and the node is
+    inside it exactly when ``N ∧ U == N``.  A family of atoms alone takes
+    no form: its stems decide it (``_stem_family``).
 
     The extensions of a stem ``p`` that extends the atom node's stem ``c``
     all lie inside the node.  ``S(p + t)`` lies around the node only when
@@ -388,9 +392,7 @@ def family(node: Expr, children: list[Expr] | Extensions, pairs: bool
     escaped = [n for n, f in enumerate(forms) if _meet(f, top) != f]
     met = [(n, m) for n in range(len(forms)) for m in range(n + 1, len(forms))
            if _meet(forms[n], forms[m])] if pairs else []
-    u: frozenset[Seq] = frozenset()
-    for f in forms:
-        u = u ^ f ^ _meet(u, f)
+    u = reduce(_join, forms, frozenset())
     return escaped, _meet(top, u) == top, met
 
 
@@ -438,10 +440,7 @@ def uncovered(opens: list[Expr], cover: list[Expr]) -> list[int]:
     rest = [n for n, o in enumerate(opens) if id(o) not in members]
     if not rest:
         return []
-    u: frozenset[Seq] = frozenset()
-    for c in cover:
-        f = normal_form(c)
-        u = u ^ f ^ _meet(u, f)
+    u = reduce(_join, map(normal_form, cover), frozenset())
     out = []
     for n in rest:
         f = normal_form(opens[n])

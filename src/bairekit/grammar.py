@@ -1,6 +1,6 @@
 """Text and JSON encodings for cylinder expressions.
 
-Text grammar (whitespace-insensitive)::
+Text grammar (whitespace-insensitive; naturals in ASCII decimal digits)::
 
     expr   := diff ('|' diff)*           union, lowest precedence
     diff   := inter ('\\' inter)*         difference, left-associative
@@ -17,6 +17,7 @@ and ``"empty"`` take no arguments.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .cylinder import EMPTY, FULL, Atom, Diff, Expr, Inter, Union
@@ -26,28 +27,26 @@ class ExprSyntaxError(ValueError):
     pass
 
 
+# One token per match: whitespace, a symbol, a run of ASCII digits, or any
+# other character, which is refused.  ``\s`` is what ``str.isspace`` accepts.
+_TOKEN = re.compile(r"\s+|([|&\\(),S])|([0-9]+)|(.)", re.S)
+
+
 def _tokenize(text: str) -> list[tuple[str, Any]]:
     tokens: list[tuple[str, Any]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "|&\\(),S":
-            tokens.append((ch, ch))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+    for m in _TOKEN.finditer(text):
+        sym, digits, other = m.groups()
+        if sym:
+            tokens.append((sym, sym))
+        elif digits:
             try:
-                tokens.append(("num", int(text[i:j])))
-            except ValueError as exc:
-                # past the interpreter's digit limit, or a digit int rejects
-                raise ExprSyntaxError(f"bad number at {i}: {exc}") from None
-            i = j
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r} at {i}")
+                tokens.append(("num", int(digits)))
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise ExprSyntaxError(
+                    f"bad number at {m.start()}: {exc}") from None
+        elif other:
+            raise ExprSyntaxError(
+                f"unexpected character {other!r} at {m.start()}")
     return tokens
 
 

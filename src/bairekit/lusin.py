@@ -296,7 +296,7 @@ def check_lusin_conditions(scheme: Scheme, base: LusinBase,
         # level they are read, not stored
         children = scheme.children(a, window.breadth, store=False)[1:]
         bound = target if witness is None else Atom(witness)
-        held = not scheme.space.uncovered(children, [bound])
+        held = not scheme.space.family(bound, children, False)[0]
         if witness is not None:
             # S(w) lies inside the target exactly when its meet with the
             # target is S(w) itself, whose form is {w}

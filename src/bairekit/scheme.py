@@ -78,9 +78,7 @@ class Window:
         return zip(self.nodes(), keys)
 
     def node_count(self) -> int:
-        if self.breadth == 1:
-            return self.depth + 1
-        return (self.breadth ** (self.depth + 1) - 1) // (self.breadth - 1)
+        return sum(self.breadth ** k for k in range(self.depth + 1))
 
     @property
     def preimage_bound(self) -> int:

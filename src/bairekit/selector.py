@@ -119,26 +119,20 @@ def check_image_identity(pm: PrefixMap, a: Seq, seen: frozenset[int],
     return next((u for u in subsets if u & seen != u & image), None)
 
 
-@dataclass(frozen=True)
-class SigmaBasic:
-    """A basic open of the topology joining target preimages with cylinders:
+def basic_members(pm: PrefixMap, u: frozenset[int], stem: Seq) -> frozenset[Seq]:
+    """Stem classes (at resolution length) realizing membership in the basic
+    open of the topology joining target preimages with cylinders: the
     preimage of ``u`` intersected with the cylinder at ``stem``."""
-
-    u: frozenset[int]
-    stem: Seq
-
-
-def basic_members(pm: PrefixMap, b: SigmaBasic) -> frozenset[Seq]:
-    """Stem classes (at resolution length) realizing membership in the basic."""
-    return frozenset(w for w in _stem_class_words(pm, b.stem)
-                     if pm.resolve(w) in b.u)
+    return frozenset(w for w in _stem_class_words(pm, stem)
+                     if pm.resolve(w) in u)
 
 
-def pi_space_probe(pm: PrefixMap, b: SigmaBasic) -> Seq:
-    """The least member word of the basic.  It extends the basic's stem and
-    is at least the map depth long, so its cylinder maps onto the one point
-    it resolves to, which lies in ``b.u``: the cylinder is inside the basic."""
-    members = basic_members(pm, b)
+def pi_space_probe(pm: PrefixMap, u: frozenset[int], stem: Seq) -> Seq:
+    """The least member word of the basic at ``(u, stem)``.  It extends
+    ``stem`` and is at least the map depth long, so its cylinder maps onto
+    the one point it resolves to, which lies in ``u``: the cylinder is
+    inside the basic."""
+    members = basic_members(pm, u, stem)
     if not members:
         raise ValueError("probe target is empty")
     return min(members)

@@ -26,7 +26,7 @@ from .scheme import (BREACH, EmptyTargetError, Report, Scheme, UNRESOLVED,
                      check_relabel_identities,
                      dense_in_itself_probe, pi_net_probe, preimage_table,
                      relabel, standard_scheme, worst)
-from .selector import (PrefixMap, SigmaBasic, check_image_identity,
+from .selector import (PrefixMap, check_image_identity,
                        check_selector_identity, pi_space_probe, preset_maps,
                        pushforward_scheme, stem_class_image)
 from .seq import BranchRule, Seq, seq_to_text
@@ -545,7 +545,7 @@ def suite_selectors(cfg: RunConfig) -> list[Report]:
         for u in _subsets(pm.points):
             for a in stems:
                 try:
-                    hit = pi_space_probe(pm, SigmaBasic(u, a))
+                    hit = pi_space_probe(pm, u, a)
                 except ValueError:  # an empty basic
                     continue
                 if not (pm.image(hit) <= u and hit[: len(a)] == a):

@@ -439,6 +439,22 @@ def test_play_finite_game(tmp_path):
                           {"player": "II", "set": [1]}]
 
 
+def test_play_finite_game_prints_the_stabilized_intersection(tmp_path):
+    space_file = tmp_path / "chain.json"
+    space_file.write_text(json.dumps(
+        {"points": [0, 1, 2], "opens": [[], [2], [1, 2], [0, 1, 2]]}))
+    code, out = run_cli(["play", "--space", str(space_file)], "{1,2}\n:quit\n")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("I[0]> II[0]> {1,2}")
+    assert lines[at + 1] == ("stabilized intersection so far: {1,2} "
+                             "(II wins every legal continuation)")
+    # a Baire game has no such line
+    code, out = run_cli(["play", "--space", "baire"], "S(0)\n:quit\n")
+    assert code == 0
+    assert "II[0]> S(0,0)" in out and "stabilized" not in out
+
+
 def test_play_dump_to_missing_directory_keeps_the_game(tmp_path):
     dump = tmp_path / "missing" / "transcript.json"
     script = f":dump {dump}\nS(0)\n:quit\n"
@@ -506,17 +522,21 @@ def test_play_rejects_illegal_and_keeps_state():
     assert "II[1]>" in out  # the two legal moves both got replies
 
 
-@pytest.mark.parametrize("number", ["1" * 5000, "\u00b2"],
-                         ids=["past-digit-limit", "superscript-digit"])
+@pytest.mark.parametrize("number, message", [
+    ("1" * 5000, "bad number at 2"),
+    # a digit to str.isdigit, but not an ASCII digit
+    ("\u00b2", "unexpected character '\u00b2' at 2"),
+], ids=["past-digit-limit", "superscript-digit"])
 def test_build_lusin_unreadable_number_is_configuration_error(tmp_path,
-                                                              number):
+                                                              number,
+                                                              message):
     base = tmp_path / "base.txt"
     base.write_text(f"S({number})\n", encoding="utf-8")
     code, out = run_cli(["build-lusin", "--base", str(base)])
     assert code == 2
     [line] = out.splitlines()
     assert line.startswith("configuration error: ")
-    assert "bad number at 2" in line
+    assert message in line
 
 
 def test_build_lusin_non_utf8_base(tmp_path):

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 
 from conftest import exprs
 from bairekit.cylinder import Diff, EMPTY, FULL, Inter, Union, cyl
-from bairekit.grammar import (MAX_EXPR_DEPTH, ExprSyntaxError, expr_from_json,
-                              expr_to_json, expr_to_text, parse_expr)
+from bairekit.grammar import (MAX_EXPR_DEPTH, ExprSyntaxError, _TOKEN,
+                              _tokenize, expr_from_json, expr_to_json,
+                              expr_to_text, parse_expr)
 
 
 def test_atoms():
@@ -39,9 +41,8 @@ _SYNTAX_ERRORS = [
     ("(S(1)))", "trailing input at token 6"),
     ("()", "unexpected token at 1"),
     ("(|S(1))", "unexpected token at 1"),
-    # a superscript two is a digit to str.isdigit but not to int
-    ("S(\u00b2)",
-     "bad number at 2: invalid literal for int() with base 10: '\u00b2'"),
+    # a superscript two is a digit to str.isdigit, but not an ASCII digit
+    ("S(\u00b2)", "unexpected character '\u00b2' at 2"),
     ("S(1e3)", "unexpected character 'e' at 3"),
     ("S(\x00)", "unexpected character '\\x00' at 2"),
     ("|".join(["S(1)"] * 300), "expression nests deeper than 256"),
@@ -67,6 +68,74 @@ def test_a_number_past_the_digit_limit_is_a_syntax_error():
     # the rest of the message is int's own, which varies across versions
     with pytest.raises(ExprSyntaxError, match=r"^bad number at 2: "):
         parse_expr(f"S({digits})")
+
+
+# every character that str.isdigit accepts but no ASCII digit is; the set
+# follows the interpreter's Unicode version, so it is computed, not listed
+_OTHER_DIGITS = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.isdigit() and c not in "0123456789"]
+
+
+@pytest.mark.parametrize("template, at", [("S({})", 2), ("{}", 0),
+                                          ("S(1,{})", 4)])
+def test_only_ascii_digits_are_digits(template, at):
+    assert _OTHER_DIGITS
+    for ch in _OTHER_DIGITS:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(template.format(ch))
+        assert str(info.value) == f"unexpected character {ch!r} at {at}"
+
+
+def test_whitespace_is_what_isspace_accepts():
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in chars if c.isspace())
+    assert _tokenize(spaces) == []
+    # no other character is skipped: each is a token or refused
+    skipped = [c for c in chars if not any(_TOKEN.match(c).groups())]
+    assert "".join(skipped) == spaces
+
+
+def _reference_tokenize(text):
+    """A character-by-character scanner that reads ``str.isdigit`` digits,
+    the tokenizer's behaviour on every input without a non-ASCII digit."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "|&\\(),S":
+            tokens.append((ch, ch))
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            try:
+                tokens.append(("num", int(text[i:j])))
+            except ValueError as exc:
+                raise ExprSyntaxError(f"bad number at {i}: {exc}") from None
+            i = j
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r} at {i}")
+    return tokens
+
+
+def _tokens_or_message(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+def test_tokenize_matches_the_reference_scanner():
+    rng = random.Random(38)
+    alphabet = list("S()|&\\,0123456789") + ["\t", " ", "\n", "\xa0",
+                                               "\x00", "e", "\u00e9"]
+    for _ in range(20000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        assert _tokens_or_message(_tokenize, text) == \
+            _tokens_or_message(_reference_tokenize, text), text
 
 
 def test_depth_bound():

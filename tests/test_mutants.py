@@ -63,12 +63,11 @@ MUTANTS = {
     "extensions-covered": ("cylinder",
         "return ([], stem == node.entries and () in tails,",
         "return ([], () in tails,"),
-    # the union of a family's forms, folded whether or not children meet
+    # the union of two forms, which family, uncovered and normal_form fold
+    # whether or not their members meet
     "family-union-fold": ("cylinder",
-        """        u = u ^ f ^ _meet(u, f)
-    return escaped, _meet(top, u) == top, met""",
-        """        u = u ^ f
-    return escaped, _meet(top, u) == top, met"""),
+        "    return f ^ g ^ _meet(f, g)",
+        "    return f ^ g"),
     # an all-atom family decided on its stems
     "stem-family-escaped": ("cylinder",
         "escaped = [n for n, s in enumerate(stems) if s[:k] != stem]",

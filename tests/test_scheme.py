@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,20 @@ def test_window_nodes():
         Window(-1, 2)
     with pytest.raises(ValueError):
         Window(2, 0)
+
+
+def test_window_count_is_the_window_size():
+    checked = set()
+    for depth in range(9):
+        for breadth in range(1, 17):
+            if breadth ** depth > 20_000:  # its last level alone is larger
+                continue
+            w = Window(depth, breadth)
+            size = sum(1 for _ in islice(w.nodes(), 20_001))
+            if size <= 20_000:
+                assert w.node_count() == size, w
+                checked.add((depth, breadth))
+    assert {(depth, 1) for depth in range(9)} < checked
 
 
 @pytest.mark.parametrize("breadth", [1, 2, 10, 11, 16])

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import records
 from bairekit.scheme import Scheme, VIOLATED, Window, check_covers
-from bairekit.selector import (PrefixMap, SigmaBasic, _stem_class_words,
+from bairekit.selector import (PrefixMap, _stem_class_words,
                                basic_members, check_image_identity,
                                check_selector_identity, pi_space_probe,
                                preset_maps, pushforward_scheme,
@@ -114,12 +114,12 @@ def test_image_identity_matches_the_one_u_reference(monkeypatch, lossy):
 
 
 def test_pi_space_probe_examples():
-    assert pi_space_probe(TWO, SigmaBasic(frozenset({1}), ())) == (1,)
+    assert pi_space_probe(TWO, frozenset({1}), ()) == (1,)
     whole = frozenset(TWO.points)
-    assert pi_space_probe(TWO, SigmaBasic(whole, (0, 1))) == (0, 1)
-    assert pi_space_probe(TWO, SigmaBasic(frozenset({0}), ())) == (0,)
+    assert pi_space_probe(TWO, whole, (0, 1)) == (0, 1)
+    assert pi_space_probe(TWO, frozenset({0}), ()) == (0,)
     with pytest.raises(ValueError):
-        pi_space_probe(TWO, SigmaBasic(frozenset(), ()))
+        pi_space_probe(TWO, frozenset(), ())
 
 
 def test_pi_space_probe_finds_a_deep_lone_member():
@@ -128,7 +128,7 @@ def test_pi_space_probe_finds_a_deep_lone_member():
     pm = PrefixMap.build([0, 1], 3, (0, 1, 2),
                          {s: int(s == (2, 2, 2))
                           for s in product((0, 1, 2), repeat=3)}, 0)
-    assert pi_space_probe(pm, SigmaBasic(frozenset({1}), ())) == (2, 2, 2)
+    assert pi_space_probe(pm, frozenset({1}), ()) == (2, 2, 2)
 
 
 def test_pi_space_probe_hits_every_preset_basic():
@@ -137,10 +137,9 @@ def test_pi_space_probe_hits_every_preset_basic():
         for bits in range(1 << len(pm.points)):
             u = frozenset(p for p in pm.points if bits >> p & 1)
             for a in stems:
-                basic = SigmaBasic(u, a)
-                if not basic_members(pm, basic):
+                if not basic_members(pm, u, a):
                     continue
-                hit = pi_space_probe(pm, basic)
+                hit = pi_space_probe(pm, u, a)
                 # every stem class through the hit resolves into u
                 assert hit[: len(a)] == a, (name, sorted(u), a)
                 assert stem_class_image(pm, hit) <= u, (name, sorted(u), a)

@@ -51,6 +51,17 @@ def test_window_guardrails():
         cfg.window(4, 6)  # node count cap
 
 
+@pytest.mark.parametrize("depth, breadth, nodes", [
+    (8, 5, 488_281), (5, 13, 402_234), (5, 14, 579_195), (6, 9, 597_871)])
+def test_window_node_cap_edges(depth, breadth, nodes):
+    assert Window(depth, breadth).node_count() == nodes
+    if nodes <= suites.MAX_WINDOW_NODES:
+        assert suites.checked_window(depth, breadth) == Window(depth, breadth)
+    else:
+        with pytest.raises(ConfigError, match="too many nodes"):
+            suites.checked_window(depth, breadth)
+
+
 def test_run_suite_shape_and_reproducibility():
     cfg = RunConfig(suite="cylinders-oracle", seed=11)
     one = run_suite(cfg)
@@ -604,7 +615,7 @@ def _replies_not_atoms(monkeypatch):
 def _probe_hit_off_its_stem(monkeypatch):
     real = suites.pi_space_probe
     monkeypatch.setattr(suites, "pi_space_probe",
-                        lambda pm, basic: (9,) + real(pm, basic))
+                        lambda pm, u, stem: (9,) + real(pm, u, stem))
 
 
 @pytest.mark.parametrize("suite, wrong, report, entry, aggregate", [
