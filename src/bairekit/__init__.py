@@ -22,9 +22,8 @@ from .scheme import (Report, Scheme, Window, branch_nodes, check_covers,
                      dense_in_itself_probe, dump_scheme, fruit_prefix,
                      pi_net_probe, relabel, standard_scheme,
                      strict_branch_probe)
-from .selector import (PrefixMap, check_image_identity,
-                       check_selector_identity, pi_space_probe, preset_maps,
-                       pushforward_scheme, stem_class_image)
+from .selector import PrefixMap, pi_space_probe, preset_maps, \
+    stem_class_image
 from .seq import BranchRule, Seq, pair, seq_at, seq_to_text, tuple_at, \
     unpair
 from .spaces import BAIRE, BaireSpaceModel, FiniteSpaceModel, LazySeq, \

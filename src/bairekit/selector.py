@@ -1,22 +1,19 @@
-"""Prefix-resolved surjections onto finite point sets, and their image laws.
+"""Prefix-resolved surjections onto finite point sets.
 
 A ``PrefixMap`` reads the first ``depth`` values of a branch: stems over
 its finite alphabet resolve through an explicit table, and any stem that
 leaves the alphabet resolves to the default point.  Such a map is a
-continuous surjection from the Baire space onto its point set, and every
-identity about images of cylinders under it is exactly computable on a
-finite window of stem classes.
+continuous surjection from the Baire space onto its point set, and the
+image of a cylinder is exactly computable on finitely many stem classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .scheme import Report, Scheme, VERIFIED, VIOLATED
 from .seq import Seq, seq_to_text
-from .spaces import FiniteSpaceModel
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,6 @@ class PrefixMap:
         return cls(tuple(points), depth, tuple(alphabet), table, default)
 
 
-def pushforward_scheme(pm: PrefixMap) -> Scheme:
-    """The scheme of exact cylinder images, over the discrete model of the
-    target points."""
-    space = FiniteSpaceModel.discrete(pm.points)
-    return Scheme(space, lambda a: space.mask_of(pm.image(a)),
-                  label="pushforward")
-
-
 def _stem_class_words(pm: PrefixMap, a: Seq) -> Iterator[Seq]:
     """One word per stem class of the branches through ``a``: ``a`` extended
     to the map depth over the alphabet, the values of ``a`` and one fresh
@@ -90,33 +79,6 @@ def stem_class_image(pm: PrefixMap, a: Seq) -> frozenset[int]:
     """The points of the branches through ``a``, enumerated by brute force
     over stem classes rather than read from ``PrefixMap.image``."""
     return frozenset(pm.resolve(w) for w in _stem_class_words(pm, a))
-
-
-def check_selector_identity(scheme: Scheme,
-                            images: dict[Seq, frozenset[int]]) -> Report:
-    """Exact equality of the scheme nodes with ``images``, each node's brute
-    ``stem_class_image``, not ``PrefixMap.image``, which the pushforward
-    scheme is built from."""
-    rep = Report("selector-identity")
-    space = scheme.space
-    for a, seen in images.items():
-        key = seq_to_text(a)
-        if space.equal(scheme.node(a), space.mask_of(seen)):
-            rep.add(key, VERIFIED)
-        else:
-            rep.add(key, VIOLATED,
-                    f"node {space.describe(scheme.node(a))} is not the image")
-    return rep
-
-
-def check_image_identity(pm: PrefixMap, a: Seq, seen: frozenset[int],
-                         subsets) -> Optional[frozenset[int]]:
-    """The first ``u`` of ``subsets`` whose preimage met with the cylinder at
-    ``a`` has another image than ``u`` met with the cylinder image, or None:
-    the left side from ``seen``, the brute ``stem_class_image`` of ``a``,
-    the right side from ``PrefixMap.image``."""
-    image = pm.image(a)
-    return next((u for u in subsets if u & seen != u & image), None)
 
 
 def basic_members(pm: PrefixMap, u: frozenset[int], stem: Seq) -> frozenset[Seq]:

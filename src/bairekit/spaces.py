@@ -205,6 +205,8 @@ class FiniteSpaceModel:
 
     @classmethod
     def discrete(cls, points: tuple[int, ...]) -> "FiniteSpaceModel":
+        """Every set of ``points`` open; no library code calls it, it stays
+        public for the tests and the CI runs that build discrete spaces."""
         return cls(points, range(1 << len(points)))
 
 

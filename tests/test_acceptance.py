@@ -107,8 +107,8 @@ def test_criterion_6_extraction_end_to_end():
 def test_criterion_7_selector_identities():
     reports, elapsed = _run(suite_selectors)
     ok = _clean(reports)
-    _report(7, ok, f"image and pushforward identities exhaustive to 4 points "
-                   f"depth 2; exact probe on every preset basic, "
+    _report(7, ok, f"one image decision per map and stem, exhaustive to 4 "
+                   f"points depth 2; exact probe on every preset basic, "
                    f"{elapsed:.1f}s")
 
 

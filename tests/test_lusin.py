@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
 import bairekit.lusin as lusin
-from conftest import odd_level_fault, records
+from conftest import SMALL_BASES, odd_level_fault, records, \
+    small_base_faults
 from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
                                is_empty, subset)
 from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
@@ -133,6 +134,14 @@ def test_odd_plans_carve_exactly_where_the_level_target_meets(text, breadth):
     finds it meeting its own level's target."""
     assert odd_level_fault(lusin, base_from_lines(text),
                            Window(3, breadth)) is None
+
+
+def test_every_small_base_agrees_with_the_window_oracle():
+    """The small-scope sweep: on each of the 1,521 two-line base files over
+    {0, 1}, the conditions report at d3/b2 has no ``violated`` entry and
+    its verdict is the window oracle's, which reads trace words only."""
+    assert len(SMALL_BASES) == 1521
+    assert next(small_base_faults(lusin, Window(3, 2)), None) is None
 
 
 def test_a_witness_not_inside_the_target_is_violated(monkeypatch):

@@ -13,9 +13,11 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
   branch's ``prefix`` against its stem and word read entry by entry;
 - ``lusin``: small Lusin schemes, each family read against its plan's
   ``child(n)`` and its node's trace, and the memo rules of the reads by
-  object identity, which is all that a memo mutant changes; and each odd
+  object identity, which is all that a memo mutant changes; each odd
   node's carve and ``refine`` entry against its level's target trace,
-  which a wrong plan cannot also fake;
+  which a wrong plan cannot also fake; and no ``violated`` entry in the
+  conditions report of any of its bases, which a wrong carve witness
+  reports honestly;
 - ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``,
   bare and then with a prefix on the same window, and a report's entries
   after ``Report.extend`` against the records added;
@@ -41,13 +43,13 @@ from pathlib import Path
 
 import pytest
 
-import bairekit.cylinder as cy
 from bairekit.cylinder import Atom, Diff, Extensions, Inter, Union, \
     trace_window
 from bairekit.scheme import BREACH, UNRESOLVED, VERIFIED, VIOLATED, \
     Report, Window
 from bairekit.seq import seq_to_text, tuple_index
-from conftest import odd_level_fault, records
+from conftest import odd_level_fault, records, small_base_faults, \
+    window_traces
 
 # a copy uses these real classes and constants, not its own
 SHARED = {"cylinder": ("Expr", "Atom", "Union", "Inter", "Diff", "_EmptyExpr",
@@ -113,6 +115,14 @@ MUTANTS = {
     "lusin-children-store": ("lusin",
         "got[n] = self._memo.setdefault(keys[n], v) if store else v",
         "got[n] = v"),
+    # a carve's witness, taken inside the node's meet with its target, and
+    # its positive children, each one slice of the witness
+    "carve-witness-in-meet": ("lusin",
+        "cy.strict_witness(Inter(va, target))",
+        "cy.strict_witness(va)"),
+    "carve-child-offset": ("lusin",
+        "return Atom(self.witness + (n - 1,))",
+        "return Atom(self.witness + (n - 2,))"),
     # each odd level's target and its form, read once per base
     "level-target-form": ("lusin",
         "got = self._forms.get(k)",
@@ -321,11 +331,7 @@ LUSIN_CASES = [
 def _partitions_its_node(node, family) -> bool:
     """Whether each child is a nonempty part of ``node`` and no two meet,
     read in a window that holds every mention."""
-    ms = cy.mentions(node).union(*map(cy.mentions, family))
-    depth = max(map(len, ms), default=0)
-    breadth = 1 + max((v for m in ms for v in m), default=0)
-    top = trace_window(node, depth, breadth)
-    traces = [trace_window(c, depth, breadth) for c in family]
+    top, *traces = window_traces([node, *family])
     return all(t and t <= top for t in traces) and \
         not any(s & t for s, t in combinations(traces, 2))
 
@@ -444,3 +450,15 @@ def test_the_sweep_kills_the_mutant(name, original, mutated):
     assert source.count(original) == 1
     assert SWEEPS[name](load(name, source.replace(original, mutated))) \
         is not None
+
+
+# the carve mutants, which the small-scope sweep of every small base file
+# kills on its own too
+CARVE_MUTANTS = ["carve-witness-in-meet", "carve-child-offset"]
+
+
+@pytest.mark.parametrize("key", CARVE_MUTANTS)
+def test_the_small_base_sweep_kills_the_carve_mutant(key):
+    name, original, mutated = MUTANTS[key]
+    copy = load(name, SOURCES[name].replace(original, mutated))
+    assert next(small_base_faults(copy, Window(3, 2)), None) is not None

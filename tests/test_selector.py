@@ -3,14 +3,13 @@ from itertools import product
 import pytest
 
 from conftest import records
-from bairekit.scheme import Scheme, VIOLATED, Window, check_covers
+from bairekit.scheme import VIOLATED, Window
 from bairekit.selector import (PrefixMap, _stem_class_words,
-                               basic_members, check_image_identity,
-                               check_selector_identity, pi_space_probe,
-                               preset_maps, pushforward_scheme,
+                               basic_members, pi_space_probe, preset_maps,
                                stem_class_image)
 from bairekit.seq import BranchRule
-from bairekit.suites import RunConfig, suite_selectors
+from bairekit.suites import (RunConfig, _all_prefix_maps, _subsets,
+                             suite_selectors)
 
 TWO = preset_maps()["two"]       # depth 1: stem (0,) -> 0, anything else -> 1
 THREE = preset_maps()["three"]   # depth 2 over {0,1}
@@ -34,52 +33,6 @@ def test_prefix_map_resolution_and_image():
     assert THREE.image((1, 0, 9)) == {2}
 
 
-def test_pushforward_scheme_nodes():
-    sch = pushforward_scheme(TWO)
-    sp = sch.space
-    assert sp.points_of(sch.node(())) == (0, 1)
-    assert sp.points_of(sch.node((0,))) == (0,)
-    assert sp.points_of(sch.node((7,))) == (1,)
-    for a in Window(2, 3).nodes():
-        for n in range(3):
-            assert sp.subset(sch.node(a + (n,)), sch.node(a))
-
-
-def test_pushforward_covers_verified():
-    rep = check_covers(pushforward_scheme(THREE), Window(2, 3))
-    assert rep.ok and "unresolved" not in rep.statuses
-
-
-def _images(pm, window):
-    return {a: stem_class_image(pm, a) for a in window.nodes()}
-
-
-def test_selector_identity_check():
-    sch = pushforward_scheme(TWO)
-    assert check_selector_identity(sch, _images(TWO, Window(2, 3))).ok
-
-    sp = sch.space
-    def enlarged(a):
-        mask = sp.mask_of(TWO.image(a))
-        return sp.whole() if a == (0,) else mask
-
-    rep = check_selector_identity(Scheme(sp, enlarged),
-                                  _images(TWO, Window(1, 2)))
-    assert any(k == "0" and s == VIOLATED for k, s, _ in records(rep))
-
-
-def test_image_identity_examples():
-    seen = _images(THREE, Window(3, 3))
-    whole = frozenset(THREE.points)
-    assert check_image_identity(THREE, (0,), seen[(0,)], [whole]) is None
-    assert check_image_identity(THREE, (1, 1), seen[(1, 1)],
-                                [frozenset()]) is None
-    subsets = [frozenset(p for p in range(3) if u_bits >> p & 1)
-               for u_bits in range(8)]
-    for a in [(), (0,), (1, 0), (2,), (0, 1, 1)]:
-        assert check_image_identity(THREE, a, seen[a], subsets) is None
-
-
 def _one_u_image_identity(pm: PrefixMap, u: frozenset[int], a) -> bool:
     """The one-``u`` form of the image identity, kept as the reference: image
     of (preimage of ``u``) meet the cylinder at ``a`` versus ``u`` meet the
@@ -97,20 +50,29 @@ def _lossy_image(image):
     return lossy
 
 
+def _suite_maps():
+    """Every map the ``selectors`` suite checks, in its order."""
+    return [pm for n_points in range(1, 5) for depth in (1, 2)
+            for alphabet in ((0,), (0, 1))
+            for pm in _all_prefix_maps(n_points, depth, alphabet)]
+
+
 @pytest.mark.parametrize("lossy", [False, True])
-def test_image_identity_matches_the_one_u_reference(monkeypatch, lossy):
+def test_one_image_decision_matches_the_one_u_reference(monkeypatch, lossy):
+    """The suite's one set equality per stem flags exactly the stems at
+    which some ``u`` breaks the one-``u`` identity, on every map and stem
+    the suite enumerates."""
     if lossy:
         monkeypatch.setattr(PrefixMap, "image", _lossy_image(PrefixMap.image))
-    failures = 0
-    for pm in preset_maps().values():
-        subsets = [frozenset(p for p in pm.points if bits >> p & 1)
-                   for bits in range(1 << len(pm.points))]
-        for a, seen in _images(pm, Window(2, 3)).items():
-            first = next((u for u in subsets
-                          if not _one_u_image_identity(pm, u, a)), None)
-            assert check_image_identity(pm, a, seen, subsets) == first, (pm, a)
-            failures += first is not None
-    assert bool(failures) == lossy
+    stems = list(Window(2, 3).nodes())
+    flagged = []
+    for pm in _suite_maps():
+        subsets = _subsets(pm.points)
+        for a in stems:
+            broken = not all(_one_u_image_identity(pm, u, a) for u in subsets)
+            assert (stem_class_image(pm, a) != pm.image(a)) == broken, (pm, a)
+            flagged.append(broken)
+    assert any(flagged) == lossy
 
 
 def test_pi_space_probe_examples():
@@ -146,11 +108,13 @@ def test_pi_space_probe_hits_every_preset_basic():
 
 
 def test_image_identity_reads_the_image(monkeypatch):
-    # the pushforward scheme is built from the same lossy image, so only its
-    # check against a brute image can tell its nodes wrong
+    # a lossy closed-form image differs from the brute image of some stem
     monkeypatch.setattr(PrefixMap, "image", _lossy_image(PrefixMap.image))
     rep = suite_selectors(RunConfig(suite="selectors"))[0]
     assert not rep.ok
-    violated = [k for k, s, _ in records(rep) if s == VIOLATED]
-    assert any(k.startswith("image:") for k in violated)
-    assert any(k.startswith("pushforward:") for k in violated)
+    violated = [(k, d) for k, s, d in records(rep) if s == VIOLATED]
+    # the one-point map loses its only point at the root; a failing stem
+    # names the stem, the closed-form image and the brute image
+    assert violated[0][0] == "image:1"
+    assert violated[0][1].endswith(" a=() image=[] brute=[0]")
+    assert violated[-1][0] == "image-identity"
