@@ -285,20 +285,7 @@ def _pi_net_replay(base_scheme: Scheme, moved: Scheme, g, g_name: str,
 def suite_lusin(cfg: RunConfig) -> list[Report]:
     window = cfg.window(4, 6)
     base = standard_base()
-    scheme = build_lusin(base)
-    rep = check_lusin_conditions(scheme, base, window)
-    reports = [rep]
-
-    again = build_lusin(standard_base())
-    determinism = Report("lusin-determinism")
-    # equal expressions render equal dumps, so this is at least as strict
-    # as comparing the two window dumps
-    if all(scheme.node(a) == again.node(a) for a in window.nodes()):
-        determinism.add("rebuild", VERIFIED, "window dumps are identical")
-    else:
-        determinism.add("rebuild", VIOLATED, "rebuild changed the scheme")
-    reports.append(determinism)
-    return reports
+    return [check_lusin_conditions(build_lusin(base), base, window)]
 
 
 # -- suite: choquet-finite ----------------------------------------------------

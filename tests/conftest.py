@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+import bairekit.lusin
 from bairekit.cylinder import Atom, Diff, EMPTY, FULL, Inter, Union, \
     mentions, trace_window
 from bairekit.grammar import expr_to_text
@@ -80,6 +81,22 @@ def odd_level_fault(lusin, base, window):
         if (f"refine:{seq_to_text(a)}" in refined) != meets:
             return a, "refine entry"
     return None
+
+
+def checked_scheme_fault(window):
+    """The first node of ``window`` at which the standard Lusin scheme,
+    once ``check_lusin_conditions`` has read it on ``window``, differs from
+    a fresh build, or None.  Equal expressions render equal dumps, so this
+    is at least as strict as comparing the two window dumps: a check that
+    leaves a node written differently in the scheme's memo fails here.
+    The functions are read off ``bairekit.lusin`` at each call."""
+    lusin = bairekit.lusin
+    base = lusin.standard_base()
+    sch = lusin.build_lusin(base)
+    lusin.check_lusin_conditions(sch, base, window)
+    fresh = lusin.build_lusin(lusin.standard_base())
+    return next((a for a in window.nodes() if sch.node(a) != fresh.node(a)),
+                None)
 
 
 # -- the small-scope sweep of the Lusin pipeline ------------------------------

@@ -84,8 +84,7 @@ def test_criterion_3_modified_strategy_wins_exhaustively():
 def test_criterion_4_lusin_synthesis():
     reports, elapsed = _run(suite_lusin)
     ok = _clean(reports) and elapsed < 10.0
-    _report(4, ok, f"window d=4, budget 6, deterministic rebuild, "
-                   f"{elapsed:.1f}s")
+    _report(4, ok, f"window d=4, budget 6, {elapsed:.1f}s")
 
 
 def test_criterion_5_relabel_suite():

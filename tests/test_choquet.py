@@ -651,6 +651,23 @@ def test_decide_states_names_a_node_its_children_leave_uncovered():
         ("node () is not the union of its 3 children", None)
 
 
+def test_decide_states_names_the_first_node_that_misses_a_pi_base_open(
+        monkeypatch):
+    """An enumeration that leaves out each node's least nonempty sub-open
+    loses the pi-base at the root first; the later states that miss one
+    too are not named."""
+    sp = FiniteSpaceModel(range(4), [0] + [(1 << 4) - (1 << k)
+                                           for k in range(4)])
+    monkeypatch.setattr(
+        FiniteSpaceModel, "pi_base_enum",
+        lambda self, o: LazySeq(cycle((o,)
+                                      + self.nonempty_opens_inside(o)[1:-1])))
+    _moves, replies = extract_schemes(sp, copy_strategy())
+    states = reachable_states(replies, MAX_GAME_STATES)
+    assert _decide_states(sp, replies, states) == \
+        (None, "node (): open {3} contains no child")
+
+
 def test_reachable_states_stop_past_the_limit():
     sp = FiniteSpaceModel.discrete((0, 1, 2))
     _moves, replies = extract_schemes(sp, copy_strategy())

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import bairekit.cylinder as cylinder
 import bairekit.lusin as lusin
-from conftest import SMALL_BASES, odd_level_fault, records, \
-    small_base_faults
-from bairekit.cylinder import (Antichain, Atom, Diff, FULL, cyl, intersects,
-                               is_empty, subset)
+from conftest import SMALL_BASES, checked_scheme_fault, odd_level_fault, \
+    records, small_base_faults
+from bairekit.cylinder import (Antichain, Atom, Diff, FULL, Inter, cyl,
+                               intersects, is_empty, subset)
 from bairekit.lusin import (_CarvePlan, _SplitPlan, _StemPlan,
                             base_from_lines, build_lusin,
                             check_lusin_conditions, standard_base)
@@ -369,11 +369,23 @@ def test_strict_branch_evidence_grows():
         assert last >= 2  # the cylinders genuinely sharpen along the branch
 
 
-def test_determinism():
-    w = Window(3, 4)
-    one = dump_scheme(build_lusin(standard_base()), w)
-    two = dump_scheme(build_lusin(standard_base()), w)
-    assert one == two
+def test_determinism(monkeypatch):
+    """The scheme that ``check_lusin_conditions`` read at the suite's
+    default window equals a fresh build node by node; a check that leaves
+    one deepest node in the memo as the same set written differently is
+    named by that node."""
+    window = Window(4, 6)
+    assert checked_scheme_fault(window) is None
+    real = lusin.check_lusin_conditions
+
+    def check(scheme, base, window):
+        rep = real(scheme, base, window)
+        a = (5, 5, 5, 5)
+        scheme._memo[a] = Inter(scheme.node(a), FULL)
+        return rep
+
+    monkeypatch.setattr(lusin, "check_lusin_conditions", check)
+    assert checked_scheme_fault(window) == (5, 5, 5, 5)
 
 
 def test_a_lusin_scheme_is_freed_without_the_cycle_collector():

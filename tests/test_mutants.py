@@ -15,9 +15,10 @@ sweep's values flow through the copy.  Each module has one seeded sweep:
   ``child(n)`` and its node's trace, and the memo rules of the reads by
   object identity, which is all that a memo mutant changes; each odd
   node's carve and ``refine`` entry against its level's target trace,
-  which a wrong plan cannot also fake; and no ``violated`` entry in the
+  which a wrong plan cannot also fake; no ``violated`` entry in the
   conditions report of any of its bases, which a wrong carve witness
-  reports honestly;
+  reports honestly; and one carve witness built per ``refine`` entry of
+  that report, on an odd-depth window too;
 - ``scheme``: the report keys of ``Window.keyed`` against ``seq_to_text``,
   bare and then with a prefix on the same window, and a report's entries
   after ``Report.extend`` against the records added;
@@ -40,6 +41,7 @@ import sys
 import types
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -123,6 +125,10 @@ MUTANTS = {
     "carve-child-offset": ("lusin",
         "return Atom(self.witness + (n - 1,))",
         "return Atom(self.witness + (n - 2,))"),
+    # a carve plan that an unstored family read built outlives the read
+    "carve-plan-kept": ("lusin",
+        "if keep or plan.witness is not None:",
+        "if keep:"),
     # each odd level's target and its form, read once per base
     "level-target-form": ("lusin",
         "got = self._forms.get(k)",
@@ -319,12 +325,14 @@ def seq_sweep(module):
 # -- the Lusin sweep ----------------------------------------------------------
 
 # the standard base and base files of cylinders and differences, so that
-# stem, split and carve plans all build window families
+# stem, split and carve plans all build window families; the standard base
+# again at odd depth, whose last level carves
 LUSIN_CASES = [
     (None, Window(2, 3)),
     ("S(0,1)", Window(2, 3)),
     ("S(1) \\ S(1,0) | S(0,2)\nS(0)\nS(2,1) | S(0)", Window(2, 3)),
     ("S(0) | S(1,2)\n(S(2) \\ S(2,2))", Window(3, 2)),
+    (None, Window(3, 2)),
 ]
 
 
@@ -344,7 +352,10 @@ def lusin_sweep(module):
     the ones ``node`` then returns, and an unstored read of them hands
     back those very objects; an unstored read of unstored children keeps
     none of them, and one of a family with one child stored hands that
-    child back."""
+    child back.  On a fresh build, ``check_lusin_conditions`` builds one
+    carve witness per ``refine`` entry: a carve plan outlives the unstored
+    family read at an odd last level, so its witness is not built
+    again."""
     for text, window in LUSIN_CASES:
         base = module.standard_base() if text is None \
             else module.base_from_lines(text)
@@ -374,6 +385,13 @@ def lusin_sweep(module):
         fault = odd_level_fault(module, base, window)
         if fault is not None:
             return (text,) + fault
+        sch = module.build_lusin(base)
+        with mock.patch.object(module.cy, "strict_witness",
+                               wraps=module.cy.strict_witness) as witness:
+            rep = module.check_lusin_conditions(sch, base, window)
+        if witness.call_count != sum(k.startswith("refine:")
+                                     for k in rep.keys):
+            return text, window, "carve witness built again"
     return None
 
 

@@ -255,6 +255,24 @@ def test_memo_consistency():
     assert calls == [(1, 2)]
 
 
+def test_a_re_entering_rule_keeps_the_first_value_stored():
+    # on its first call the rule reads its own node, whose inner call
+    # stores its value; the outer call then returns a fresh, equal atom
+    calls, inner = [], []
+
+    def rule(a):
+        calls.append(a)
+        if len(calls) == 1:
+            inner.append(sch.node(a))
+        return Atom(a)
+
+    sch = Scheme(BAIRE, rule)
+    outer = sch.node((0,))
+    assert calls == [(0,), (0,)]
+    assert outer is inner[0]
+    assert sch.node((0,)) is inner[0]
+
+
 def test_standard_partitions_pass_with_unresolved_covers():
     rep = check_partitions(standard_scheme(), Window(3, 4))
     assert rep.ok

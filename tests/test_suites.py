@@ -97,10 +97,12 @@ REPORT_DIGESTS = {
     # not the first stem within a budget of 50
     ("selectors", 0):
         "35ea767525213125b35bb159c27c01b1f7a43f35a48d802b7abc299294952528",
-    # these two print the whole space; recorded while it had a leaf type of
-    # its own, before it became the atom S()
+    # recorded when the suite returned its conditions report only, with no
+    # second build to compare
     ("lusin", 0):
-        "42aa3d3a11893aef3e95fcf426f04fd6df8a74ce65e420ea42c6f5ad1be33c9b",
+        "145ed5eb77aef62bf4dbbb6853e61a001698e17cb9b127a9c43bbb3fd9943fc6",
+    # prints the whole space; recorded while it had a leaf type of its own,
+    # before it became the atom S()
     ("schemes-vg", 0):
         "c41d11e987c93b332f260f6f21e03cccc664587878f45318d3ad165d911a4384",
 }
@@ -357,36 +359,6 @@ def test_schemes_vg_openness_of_a_wrong_view_is_violated(monkeypatch):
         ("0", "violated", "node is not drawn from the base scheme"),
         ("1", "violated", "node is not drawn from the base scheme")]
     assert not out["ok"]
-
-
-def test_lusin_rebuild_that_differs_at_one_deepest_node_is_violated(
-        monkeypatch):
-    """The rebuild is compared node by node: a second build whose node at
-    one deepest window index is the same set written differently fails."""
-    real = suites.build_lusin
-    builds = []
-
-    def build(base):
-        scheme = real(base)
-        if builds:
-            rule = scheme.rule
-            scheme.rule = lambda a, *count: (
-                cy.Inter(rule(a), cy.FULL) if a == (5, 5, 5, 5) and not count
-                else rule(a, *count))
-        builds.append(scheme)
-        return scheme
-
-    def rebuild_entry():
-        out = run_suite(RunConfig("lusin"))
-        [rep] = [r for r in out["reports"] if r.name == "lusin-determinism"]
-        return records(rep)
-
-    assert rebuild_entry() == [("rebuild", "verified",
-                                "window dumps are identical")]
-    monkeypatch.setattr(suites, "build_lusin", build)
-    assert rebuild_entry() == [("rebuild", "violated",
-                                "rebuild changed the scheme")]
-    assert len(builds) == 2
 
 
 def _chain_file(tmp_path, n):
